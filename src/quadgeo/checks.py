@@ -7,6 +7,8 @@ produce identically-zero connections) are treated as converged rather than
 order-fitted.
 """
 
+import operator
+
 import numpy as np
 
 from . import functionals as fn
@@ -72,11 +74,6 @@ def make_asymptotic_graph(n, cx=0.1, cy=0.1):
     return sn.asymptotic_reparametrize(src, n, n, h, h, sampler=samp)
 
 
-def _gauss(surface):
-    grid = lg.lie_lift(surface) if surface.geometry == sf.EUCLIDEAN3 else lg.proj_lift(surface)
-    return grid, gm.conformal_gauss(grid)
-
-
 def suite_lift_invariants(grids=DEFAULT_GRIDS, tol_null=1e-10, tol_order=1.8, **_):
     """Nullity / contact / focal residuals of the lifts, with O(h^2) decay."""
     legendre_res, focal_res = [], []
@@ -116,25 +113,25 @@ def suite_lift_invariants(grids=DEFAULT_GRIDS, tol_null=1e-10, tol_order=1.8, **
 def suite_pq_identity(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
     """<S_u,S_v> = p q, and the density chain across the three functionals."""
     devs = []
-    mid = grids[min(1, len(grids) - 1)]
+    mid = grids[1]
     chain_lie = float("nan")
     for n in grids:
         surface = make_ellipsoid(n)
-        grid, gauss = _gauss(surface)
-        cc = lg.conjugate_coefficients(grid)
+        gauss = gm.conformal_gauss(lg.lift(surface))
+        cc = lg.conjugate_coefficients(gauss.source)
         rho = gm.willmore_density(gauss)
         devs.append(float(np.max(interior(np.abs(rho - (cc.p * cc.q).real)))))
         if n == mid:
             lie_rho, _ = fn.lie_density(surface.kappa1, surface.kappa2, surface.chart)
             chain_lie = float(np.max(interior(np.abs(lie_rho + rho))))
     graph = make_asymptotic_graph(mid)
-    ggrid, ggauss = _gauss(graph)
+    ggauss = gm.conformal_gauss(lg.lift(graph))
     chain_proj = float(
         np.max(interior(np.abs(fn.proj_density(graph).real - gm.willmore_density(ggauss).real)))
     )
     order = fit_order(devs)
     ok = (
-        devs[min(1, len(devs) - 1)] <= tol
+        devs[1] <= tol
         and order >= tol_order
         and chain_lie <= tol
         and chain_proj <= tol
@@ -155,9 +152,9 @@ def suite_conformality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
     """max |<S_u,S_u>|, |<S_v,S_v>| with O(h^2) decay."""
     res = []
     for n in grids:
-        _, gauss = _gauss(make_ellipsoid(n))
+        gauss = gm.conformal_gauss(lg.lift(make_ellipsoid(n)))
         res.append(float(np.max(interior(gm.conformality_residual(gauss)))))
-    _, tor = _gauss(make_torus(grids[1]))
+    tor = gm.conformal_gauss(lg.lift(make_torus(grids[1])))
     torus_res = float(np.max(interior(gm.conformality_residual(tor))))
     order = fit_order(res)
     ok = res[1] <= tol and order >= tol_order and torus_res <= 1e-8
@@ -173,7 +170,7 @@ def suite_orthogonality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
     """Cross Gram of (l, l_v, l_vv) against (s, s_u, s_uu)."""
     res = []
     for n in grids:
-        _, gauss = _gauss(make_ellipsoid(n))
+        gauss = gm.conformal_gauss(lg.lift(make_ellipsoid(n)))
         res.append(float(np.max(interior(gm.orthogonality_residual(gauss)))))
     order = fit_order(res)
     ok = res[1] <= tol and order >= tol_order
@@ -188,7 +185,7 @@ def suite_orthogonality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
 def suite_tension_lemma(grids=DEFAULT_GRIDS, tol_angle=1e-2, tol_codazzi=1e-3, **_):
     """Tension image/kernel containments, Codazzi check, harmonic controls."""
     n = grids[1]
-    _, gauss = _gauss(make_ellipsoid(n, ELL_WINDOW_TENSION))
+    gauss = gm.conformal_gauss(lg.lift(make_ellipsoid(n, ELL_WINDOW_TENSION)))
     tf = gm.tension(gauss)
     margin = gm.TENSION_MARGIN
     norm = interior(tf.norm, margin)
@@ -197,10 +194,10 @@ def suite_tension_lemma(grids=DEFAULT_GRIDS, tol_angle=1e-2, tol_codazzi=1e-3, *
     angle = float(np.max(angles[significant]))
     codazzi = float(np.max(interior(tf.codazzi_diff, margin)))
     kernel = float(np.max(interior(gm.tension_kernel_residual(gauss, tf), margin)))
-    _, tor = _gauss(make_torus(n))
+    tor = gm.conformal_gauss(lg.lift(make_torus(n)))
     tor_tau = float(np.max(interior(gm.tension(tor).norm, margin)))
     tor_w = abs(fn.willmore_energy(tor).total)
-    _, quad = _gauss(make_quadric(n))
+    quad = gm.conformal_gauss(lg.lift(make_quadric(n)))
     quad_tau = float(np.max(interior(gm.tension(quad).norm, margin)))
     quad_w = abs(fn.willmore_energy(quad).total)
     ok = (
@@ -233,12 +230,12 @@ def suite_tension_lemma(grids=DEFAULT_GRIDS, tol_angle=1e-2, tol_codazzi=1e-3, *
 def suite_blaschke_roundtrip(grids=DEFAULT_GRIDS, tol_angle=1e-4, **_):
     """reconstruct(conformal_gauss(f)) recovers the focal lines of f."""
     n = grids[-1]
-    grid, gauss = _gauss(make_ellipsoid(n))
+    gauss = gm.conformal_gauss(lg.lift(make_ellipsoid(n)))
     rec = gm.reconstruct(gauss)
-    ang_l = float(np.max(interior(gm.line_angle(rec.l, grid.l))))
-    ang_s = float(np.max(interior(gm.line_angle(rec.s, grid.s))))
+    ang_l = float(np.max(interior(gm.line_angle(rec.l, gauss.source.l))))
+    ang_s = float(np.max(interior(gm.line_angle(rec.s, gauss.source.s))))
     try:
-        gm.reconstruct(_gauss(make_quadric(grids[0]))[1])
+        gm.reconstruct(gm.conformal_gauss(lg.lift(make_quadric(grids[0]))))
         quadric_degenerate = False
     except DegenerateReconstructionError:
         quadric_degenerate = True
@@ -324,10 +321,10 @@ def suite_flatness(grids=DEFAULT_GRIDS, lam=2.0, tol_order=0.9, factor=10.0, **_
     """Spectral flatness discriminates harmonic from non-harmonic maps."""
     torus_res, ell_res1, ell_res2 = [], [], []
     for n in grids:
-        _, tor = _gauss(make_torus(n))
+        tor = gm.conformal_gauss(lg.lift(make_torus(n)))
         alpha = lt.maurer_cartan(lt.frame(tor))
         torus_res.append(float(np.max(lt.flatness_residual(lt.spectral_connection(alpha, lam)))))
-        _, ell = _gauss(make_ellipsoid(n))
+        ell = gm.conformal_gauss(lg.lift(make_ellipsoid(n)))
         alpha_e = lt.maurer_cartan(lt.frame(ell))
         ell_res1.append(float(np.max(lt.flatness_residual(lt.spectral_connection(alpha_e, 1.0)))))
         ell_res2.append(float(np.max(lt.flatness_residual(lt.spectral_connection(alpha_e, lam)))))
@@ -350,7 +347,7 @@ def suite_flatness(grids=DEFAULT_GRIDS, lam=2.0, tol_order=0.9, factor=10.0, **_
 def suite_deform(grids=DEFAULT_GRIDS, lam=2.0, **_):
     """Spectral deformation preserves the envelope conditions."""
     n = grids[1]
-    _, tor = _gauss(make_torus(n))
+    tor = gm.conformal_gauss(lg.lift(make_torus(n)))
     r1, r2 = gm.blaschke_residual(tor)
     before = max(float(np.max(interior(r1))), float(np.max(interior(r2))))
     deformed = lt.spectral_deform(tor, lam)
@@ -382,22 +379,15 @@ def suite_deform(grids=DEFAULT_GRIDS, lam=2.0, **_):
 def suite_dualize(grids=DEFAULT_GRIDS, tol_dev=1e-3, tol_imag=1e-10, **_):
     """Duality round trip and realness of the dual connection."""
     n = grids[1]
-    _, tor = _gauss(make_torus(n))
+    tor = gm.conformal_gauss(lg.lift(make_torus(n)))
     d1 = lt.dualize(tor)
     d2 = lt.dualize(d1)
     t = d1.meta["basis_map"] @ d2.meta["basis_map"]
     star_rt = t @ d2.star @ np.linalg.inv(t)
     dev = float(np.max(np.linalg.norm(star_rt - tor.star, axis=(-2, -1))))
     # realness on a connection with nonzero entries: the ellipsoid frame
-    _, ell = _gauss(make_ellipsoid(grids[0]))
-    pair = lt.make_pair(ell)
-    alpha = lt.maurer_cartan(lt.frame(ell, pair))
-    c = np.concatenate([pair.basis_o[0:3], 1.0j * pair.basis_o[3:6]], axis=0).T
-    cinv = np.linalg.inv(c)
-    b_u = cinv @ (alpha.k_u + (-1.0j) * alpha.p_u) @ c
-    b_v = cinv @ (alpha.k_v + alpha.p_v / (-1.0j)) @ c
-    scale = max(float(np.max(np.abs(b_u))), float(np.max(np.abs(b_v))))
-    imag = max(float(np.max(np.abs(b_u.imag))), float(np.max(np.abs(b_v.imag)))) / scale
+    ell = gm.conformal_gauss(lg.lift(make_ellipsoid(grids[0])))
+    _, imag = lt.dual_connection(lt.maurer_cartan(lt.frame(ell)))
     ok = (
         dev <= tol_dev
         and imag <= tol_imag
@@ -455,10 +445,25 @@ SUITES = {
 }
 
 
+# suites that read a single refinement; the others fit orders or read grids[1]
+ONE_GRID_SUITES = ("blaschke-roundtrip", "descent")
+
+
 def run_suite(name, **kwargs):
     if name not in SUITES:
         raise UsageError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
+        )
+    grids = kwargs.get("grids", DEFAULT_GRIDS)
+    need = 1 if name in ONE_GRID_SUITES else 2
+    try:
+        sizes = [operator.index(g) for g in grids]
+    except TypeError:
+        sizes = []
+    if len(sizes) < need or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise UsageError(
+            f"suite {name!r} needs at least {need} strictly ascending integer "
+            f"grid sizes, got {grids!r}"
         )
     return SUITES[name](**kwargs)
 

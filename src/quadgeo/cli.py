@@ -115,10 +115,8 @@ def _load_surface(path):
     return surface
 
 
-def _lift(surface):
-    if surface.geometry == sf.EUCLIDEAN3:
-        return lg.lie_lift(surface)
-    return lg.proj_lift(surface)
+def _load_gauss(path):
+    return gm.conformal_gauss(lg.lift(_load_surface(path)))
 
 
 def cmd_generate(args, params):
@@ -126,7 +124,7 @@ def cmd_generate(args, params):
 
 
 def cmd_lift(args, params):
-    grid = _lift(_load_surface(args.surface))
+    grid = lg.lift(_load_surface(args.surface))
     rep = lg.validate(grid)
     _write_json(
         {
@@ -140,7 +138,7 @@ def cmd_lift(args, params):
 
 
 def cmd_gauss(args, params):
-    gauss = gm.conformal_gauss(_lift(_load_surface(args.surface)))
+    gauss = _load_gauss(args.surface)
     _write_json(
         {
             "orthogonality_max": float(np.max(interior(gm.orthogonality_residual(gauss)))),
@@ -155,14 +153,14 @@ def cmd_gauss(args, params):
 
 
 def cmd_energy(args, params):
-    gauss = gm.conformal_gauss(_lift(_load_surface(args.surface)))
+    gauss = _load_gauss(args.surface)
     report = fn.willmore_energy(gauss)
     _write_json(jsonio.energy_to_dict(report), args.out)
     return 0
 
 
 def cmd_tension(args, params):
-    gauss = gm.conformal_gauss(_lift(_load_surface(args.surface)))
+    gauss = _load_gauss(args.surface)
     tf = gm.tension(gauss)
     margin = gm.TENSION_MARGIN
     _write_json(
@@ -200,7 +198,7 @@ def cmd_check(args, params):
 
 
 def cmd_deform(args, params):
-    gauss = gm.conformal_gauss(_lift(_load_surface(args.surface)))
+    gauss = _load_gauss(args.surface)
     lam = complex(args.lambda_re, args.lambda_im)
     lam = lam.real if lam.imag == 0 else lam
     deformed = lt.spectral_deform(gauss, lam)
@@ -219,7 +217,7 @@ def cmd_deform(args, params):
 
 
 def cmd_dualize(args, params):
-    gauss = gm.conformal_gauss(_lift(_load_surface(args.surface)))
+    gauss = _load_gauss(args.surface)
     dual = lt.dualize(gauss)
     alpha = lt.maurer_cartan(lt.frame(dual))
     if args.connection_out:
@@ -331,18 +329,18 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    params = {}
-    if getattr(args, "config", None):
-        params.update(load_config(args.config))
-    for item in getattr(args, "param", []):
-        if "=" not in item:
-            raise UsageError(f"--param needs key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        params[key.replace("-", "_")] = _parse_value(val)
-    params = {k: (_parse_value(v) if isinstance(v, str) else v) for k, v in params.items()}
     try:
+        params = {}
+        if getattr(args, "config", None):
+            params.update(load_config(args.config))
+        for item in getattr(args, "param", []):
+            if "=" not in item:
+                raise UsageError(f"--param needs key=value, got {item!r}")
+            key, val = item.split("=", 1)
+            params[key.replace("-", "_")] = _parse_value(val)
+        params = {k: (_parse_value(v) if isinstance(v, str) else v) for k, v in params.items()}
         return COMMANDS[args.command](args, params)
-    except (QuadGeoError, ValueError) as exc:
+    except (QuadGeoError, ValueError, OSError) as exc:
         print(f"qg {args.command}: {exc}", file=sys.stderr)
         return 2
 

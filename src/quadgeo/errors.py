@@ -5,10 +5,6 @@ class QuadGeoError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
-class SpaceMismatchError(QuadGeoError):
-    """Vectors referencing different pseudo-Euclidean spaces were combined."""
-
-
 class DegenerateInputError(QuadGeoError):
     """Input vectors are (numerically) linearly dependent."""
 

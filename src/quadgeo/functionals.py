@@ -43,9 +43,9 @@ def _integrate(density, chart, excluded_mask=None, margin=MARGIN):
     return float(np.sum(np.where(inside, density, 0.0)).real * area), inside
 
 
-def willmore_energy(gauss, ds_pair=None):
+def willmore_energy(gauss):
     """Energy of the conformal Gauss map: midpoint sum of <S_u, S_v>."""
-    density = gm.willmore_density(gauss, ds_pair)
+    density = gm.willmore_density(gauss)
     total, inside = _integrate(density.real, gauss.chart, gauss.degenerate)
     return EnergyReport(
         total=total,
@@ -120,25 +120,23 @@ def proj_density(surface, chart_tol=5e-2):
     return rho
 
 
-def willmore_gradient_density(grid, gauss=None, tension_field=None):
+def willmore_gradient_density(gauss):
     """Euler-Lagrange density g of the Willmore energy: tau* sigma = g l.
 
     sigma is any section of S_perp with <s, sigma> = 1 (the choice is
     immaterial since tau* kills s-perp within S_perp).  g vanishes exactly
     when the conformal Gauss map is harmonic.
     """
-    gauss = gauss if gauss is not None else gm.conformal_gauss(grid)
-    tension_field = tension_field if tension_field is not None else gm.tension(gauss)
     sp = gauss.space
     s = gauss.span_p[..., 0, :]
     l = gauss.span_s[..., 0, :]
     basis_p = gauss.span_p
-    w = np.einsum("...ki,ij,...j->...k", basis_p, sp.gram, s)  # <e_k, s>
+    w = sp.pair(basis_p, s[..., None, :])  # <e_k, s>
     wh = w.conj() / np.maximum(np.einsum("...k,...k->...", w, w.conj()).real, 1e-300)[..., None]
     if np.max(np.abs(np.einsum("...k,...k->...", wh, w) - 1.0)) > 1e-6:
         raise ValueError("<s, .> degenerates on the stored S_perp basis")
     sigma = np.einsum("...k,...ki->...i", wh, basis_p)
-    tau_star = tension_field.hom.adjoint_op()
+    tau_star = gm.tension(gauss).hom.adjoint_op()
     img = np.einsum("...ij,...j->...i", tau_star, sigma)
     num = np.einsum("...k,...k->...", img, l.conj())
     den = np.einsum("...k,...k->...", l, l.conj()).real
@@ -150,9 +148,8 @@ def willmore_gradient_density(grid, gauss=None, tension_field=None):
 
 def _surface_energy(surface):
     """Full-pipeline Willmore energy of a Euclidean surface with kappa."""
-    grid = lg.lie_lift(surface)
-    gauss = gm.conformal_gauss(grid)
-    return willmore_energy(gauss), grid, gauss
+    gauss = gm.conformal_gauss(lg.lie_lift(surface))
+    return willmore_energy(gauss), gauss
 
 
 def _bump(chart):
@@ -217,17 +214,17 @@ def willmore_descent(surface, steps=50, step_size=2e-6, max_halvings=20,
     if surface.geometry != EUCLIDEAN3 or not surface.has_kappa():
         raise ValueError("descent needs a Euclidean surface with kappa fields")
     current = surface
-    report, grid, gauss = _surface_energy(surface)
+    report, gauss = _surface_energy(surface)
     reports = [report]
     if step_size == 0.0:
         return reports + [report] * steps, current
-    direction = willmore_gradient_density(grid, gauss, gm.tension(gauss)) * _bump(surface.chart)
+    direction = willmore_gradient_density(gauss) * _bump(surface.chart)
     orientation = 0.0
 
     def attempt(amplitude):
         cand = _move_surface(current, amplitude)
         cand, _ = sf.principal_data(cand, residual_tol=residual_tol)
-        return (cand,) + tuple(_surface_energy(cand))
+        return cand, _surface_energy(cand)[0]
 
     for _ in range(steps):
         size = step_size
@@ -236,7 +233,7 @@ def willmore_descent(surface, steps=50, step_size=2e-6, max_halvings=20,
             best = (0.0, 0.0)
             for sgn in (+1.0, -1.0):
                 try:
-                    _, rep, *_ = attempt(-sgn * size * direction)
+                    _, rep = attempt(-sgn * size * direction)
                 except UmbilicError:
                     continue
                 drop = reports[-1].total - rep.total
@@ -248,18 +245,18 @@ def willmore_descent(surface, steps=50, step_size=2e-6, max_halvings=20,
                 continue
         for _ in range(max_halvings + 1):
             try:
-                cand, rep, grid_c, gauss_c = attempt(-orientation * size * direction)
+                cand, rep = attempt(-orientation * size * direction)
             except UmbilicError:
                 size *= 0.5
                 continue
             if rep.total <= reports[-1].total:
-                accepted = (cand, rep, grid_c, gauss_c)
+                accepted = (cand, rep)
                 break
             size *= 0.5
         if accepted is None:
             reports.append(reports[-1])
             continue
-        current, report, grid, gauss = accepted
+        current, report = accepted
         reports.append(report)
     return reports, current
 
@@ -277,16 +274,14 @@ def invariance_report(surface, transforms):
     total-energy deviation against the untransformed pipeline.
     """
     results = {}
+    base_grid = lg.lift(surface)
+    base = willmore_energy(gm.conformal_gauss(base_grid))
     if surface.geometry == EUCLIDEAN3:
-        base_grid = lg.lie_lift(surface)
-        base = willmore_energy(gm.conformal_gauss(base_grid))
-        rho0 = interior(base.density.real)
-        base_total = base.total
+        rho_base, base_total = base.density.real, base.total
     else:
-        base_grid = lg.proj_lift(surface)
-        rho0 = interior(proj_density(surface).real)
-        base_total, _ = _integrate(proj_density(surface).real, surface.chart)
-        base = willmore_energy(gm.conformal_gauss(base_grid))
+        rho_base = proj_density(surface).real
+        base_total, _ = _integrate(rho_base, surface.chart)
+    rho0 = interior(rho_base)
     scale = np.max(np.abs(rho0))
 
     rho_gauss0 = interior(base.density.real)
@@ -300,7 +295,7 @@ def invariance_report(surface, transforms):
             # recompute from scratch: refit curvatures from the shifted
             # points/normals rather than trusting the analytic update
             shifted, _ = sf.principal_data(sf.normal_shift(surface, tr["t"]))
-            rep, _, _ = _surface_energy(shifted)
+            rep, _ = _surface_energy(shifted)
             ref, tot_ref = rho_gauss0, base.total
             rho1, tot1 = interior(rep.density.real), rep.total
         elif kind == "group":

@@ -6,12 +6,14 @@ nondegenerate induced pairing, orthogonal to span{s, s_u, s_uu}; the pair
 reflection star = eps (2P - 1) with star^2 = eps^2 (eps = 1 on real charts,
 i on complex-conjugate charts, where conj(S) = S_perp).
 
-Derivatives of S are computed gauge-free from the projection field:
-S_u = P_perp (d_u P) P as a 6x6 operator annihilating S_perp, which equals
-the Hom(S, S_perp)-valued derivative on S.  The tension field is the
-covariant derivative tau = P_perp d_u(S_v) P (with the Codazzi-equivalent
-P_perp d_v(S_u) P reported as a cross-check); the Grassmannian metric is
-<A, B> = -tr(B* A) with the pairing adjoint B* = G^-1 B^T G.
+The derivatives of S (`dS`) differentiate the orthonormal section fields of
+S and keep their S_perp components: (S_u) sigma = P_perp d_u sigma, stored as
+a 6x6 operator annihilating S_perp, which is the Hom(S, S_perp)-valued
+derivative on S.  Only the tension field works from the projection field:
+it is the covariant derivative tau = P_perp d_u(S_v) P with
+S_v = P_perp (d_v P) P (the Codazzi-equivalent P_perp d_v(S_u) P is reported
+as a cross-check).  The Grassmannian metric is <A, B> = -tr(B* A) with the
+pairing adjoint B* = G^-1 B^T G.
 """
 
 from dataclasses import dataclass, field
@@ -40,12 +42,12 @@ class GaussMapGrid:
     eps: complex
     signature_z: str
     degenerate: np.ndarray    # (nu, nv) bool
+    basis_s: np.ndarray       # (nu, nv, 3, 6) pairing-orthonormal rows of S
+    signs_s: np.ndarray       # (nu, nv, 3) their pairing norms +-1
+    basis_p: np.ndarray       # (nu, nv, 3, 6) the same for S_perp
+    signs_p: np.ndarray
     source: LegendreGrid = None
     meta: dict = field(default_factory=dict)
-    basis_s: np.ndarray = None    # (nu, nv, 3, 6) pairing-orthonormal rows of S
-    signs_s: np.ndarray = None
-    basis_p: np.ndarray = None
-    signs_p: np.ndarray = None
 
     @property
     def proj_perp(self):
@@ -63,10 +65,6 @@ class TangentHom:
         g = self.gauss.space.gram
         return np.linalg.inv(g) @ self.op.swapaxes(-1, -2) @ g
 
-    def coeff(self):
-        """3x3 coefficient array: stored S-basis to stored S_perp-basis."""
-        return _coeff_array(self.gauss, self.op)
-
     def norm(self):
         """Per-node Frobenius norm of the operator."""
         return np.linalg.norm(self.op, axis=(-2, -1))
@@ -80,11 +78,6 @@ class TensionField:
     alt: TangentHom           # the Codazzi-equivalent expression
     norm: np.ndarray
     codazzi_diff: np.ndarray
-
-
-def _pair_rows(space, rows_a, rows_b):
-    """Cross Gram of two (..., 3, 6) row stacks."""
-    return np.einsum("...ik,kl,...jl->...ij", rows_a, space.gram, rows_b)
 
 
 def conformal_gauss(grid, degenerate_rtol=1e-8):
@@ -102,7 +95,7 @@ def conformal_gauss(grid, degenerate_rtol=1e-8):
     # note: no Euclidean rescaling of the sections anywhere downstream; the
     # orthonormal bases are built from pairing quantities alone, so the whole
     # discrete pipeline commutes with pairing-orthogonal maps to roundoff
-    gram_s = _pair_rows(sp, span_s, span_s)
+    gram_s = sp.pair(span_s[..., :, None, :], span_s[..., None, :, :])
     scale = np.linalg.norm(span_s, axis=-1) ** 2
     scale3 = scale[..., 0] * scale[..., 1] * scale[..., 2]
     degenerate = np.abs(np.linalg.det(gram_s)) < degenerate_rtol * np.maximum(scale3, 1e-300)
@@ -163,7 +156,7 @@ def orthogonality_residual(gauss):
     Normalized by the product of the largest row scales; vanishes for a
     genuine conformal Gauss map.
     """
-    cross = _pair_rows(gauss.space, gauss.span_s, gauss.span_p)
+    cross = gauss.space.pair(gauss.span_s[..., :, None, :], gauss.span_p[..., None, :, :])
     sa = np.max(np.linalg.norm(gauss.span_s, axis=-1), axis=-1)
     sb = np.max(np.linalg.norm(gauss.span_p, axis=-1), axis=-1)
     return np.linalg.norm(cross, axis=(-2, -1)) / np.maximum(sa * sb, 1e-300)
@@ -177,7 +170,7 @@ def _structured_orthobasis(space, rows):
     are already orthonormal (frame-produced Gauss maps) pass through.
     Returns (basis rows, signs) with diagonal Gram = signs = +-1.
     """
-    gram = _pair_rows(space, rows, rows)
+    gram = space.pair(rows[..., :, None, :], rows[..., None, :, :])
     diag = np.einsum("...kk->...k", gram)
     off = gram - diag[..., None] * np.eye(3)
     if (
@@ -186,37 +179,22 @@ def _structured_orthobasis(space, rows):
     ):
         return rows.copy(), diag.real.round()
     a, b, c = rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
-    n = np.einsum("...i,ij,...j->...", b, space.gram, b)
+    n = space.pair(b, b)
     real_n = np.abs(n.imag) <= 1e-10 * np.abs(n)
     d2 = np.where(real_n, np.sign(n.real), 1.0)
     denom = np.where(real_n, np.sqrt(np.abs(n)).astype(complex), np.sqrt(n + 0j))
     e2 = b / denom[..., None]
-    inner = np.einsum("...i,ij,...j->...", c, space.gram, e2) / d2
+    inner = space.pair(c, e2) / d2
     w = c - inner[..., None] * e2
-    beta = np.einsum("...i,ij,...j->...", a, space.gram, w)
+    beta = space.pair(a, w)
     p = a / beta[..., None]
-    m = np.einsum("...i,ij,...j->...", w, space.gram, w)
+    m = space.pair(w, w)
     x = w - 0.5 * m[..., None] * p
     e3 = (p + x) / np.sqrt(2.0)   # norm +1
     e1 = (p - x) / np.sqrt(2.0)   # norm -1
     basis = np.stack([e1, e2, e3], axis=-2)
     signs = np.stack([-np.ones_like(d2), d2, np.ones_like(d2)], axis=-1)
     return basis, signs
-
-
-def orthonormal_bases(gauss):
-    """Stored (or on-demand) orthonormal bases of S and S_perp."""
-    if gauss.basis_s is None:
-        gauss.basis_s, gauss.signs_s = _structured_orthobasis(gauss.space, gauss.span_s)
-        gauss.basis_p, gauss.signs_p = _structured_orthobasis(gauss.space, gauss.span_p)
-    return gauss.basis_s, gauss.signs_s, gauss.basis_p, gauss.signs_p
-
-
-def _coeff_array(gauss, op):
-    """Coefficients of a Hom(S, S_perp) operator in the orthonormal bases."""
-    bs, ds, bp, dp = orthonormal_bases(gauss)
-    img = np.einsum("...op,...kp->...ko", op, bs)  # op applied to S-basis rows
-    return np.einsum("...jl,lo,...ko,...j->...jk", bp, gauss.space.gram, img, 1.0 / dp)
 
 
 def dS(gauss):
@@ -228,14 +206,13 @@ def dS(gauss):
     noise, which otherwise floors the conformality residual on fine grids.
     """
     sp = gauss.space
-    g = sp.gram
-    b_s, d_s_, b_p, d_p_ = orthonormal_bases(gauss)
+    b_s, b_p = gauss.basis_s, gauss.basis_p
     # sigma -> S-coordinates extractor (diagonal Gram, condition 1)
-    coords_s = (b_s @ g) / d_s_[..., None]
+    coords_s = (b_s @ sp.gram) / gauss.signs_s[..., None]
     out = []
     for deriv in (d_u, d_v):
         w = deriv(b_s, gauss.chart)                   # derivatives of sections
-        coeff = np.einsum("...ik,kl,...jl->...ij", b_p, g, w) / d_p_[..., None]
+        coeff = sp.pair(b_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
         op = np.einsum("...ki,...kj,...jl->...il", b_p, coeff, coords_s)
         out.append(TangentHom(op, gauss))
     return tuple(out)
@@ -250,18 +227,18 @@ def grassmann_pair(a, b):
     return -np.einsum("...ij,...ji->...", ginv @ b.op.swapaxes(-1, -2) @ g, a.op)
 
 
-def willmore_density(gauss, ds_pair=None):
+def willmore_density(gauss):
     """Per-node <S_u, S_v>; equals the conjugate-coefficient product p q."""
-    su, sv = ds_pair if ds_pair is not None else dS(gauss)
+    su, sv = dS(gauss)
     rho = grassmann_pair(su, sv)
     if gauss.chart.reality == "real":
         return rho.real
     return rho
 
 
-def conformality_residual(gauss, ds_pair=None):
+def conformality_residual(gauss):
     """Per-node max of |<S_u,S_u>| and |<S_v,S_v>| (zero for conformal S)."""
-    su, sv = ds_pair if ds_pair is not None else dS(gauss)
+    su, sv = dS(gauss)
     return np.maximum(np.abs(grassmann_pair(su, su)), np.abs(grassmann_pair(sv, sv)))
 
 
@@ -315,21 +292,21 @@ def tension_kernel_residual(gauss, tension_field):
     return np.maximum(act_l, act_lv) / scale
 
 
-def blaschke_residual(gauss, ds_pair=None):
+def blaschke_residual(gauss):
     """Per-node spectral norms of S_u* S_u and S_v S_v* (the envelope conditions)."""
-    su, sv = ds_pair if ds_pair is not None else dS(gauss)
+    su, sv = dS(gauss)
     r1 = np.linalg.norm(su.adjoint_op() @ su.op, ord=2, axis=(-2, -1))
     r2 = np.linalg.norm(sv.op @ sv.adjoint_op(), ord=2, axis=(-2, -1))
     return r1, r2
 
 
-def envelope_degeneracy(gauss, rtol=1e-3, ds_pair=None):
+def envelope_degeneracy(gauss, rtol=1e-3):
     """Classify nodes by which envelope conditions hold with u, v swapped.
 
     generic: only the defining conditions; godeaux_rozet_u / _v: one swapped
     condition also holds; demoulin: both (vacuously for constant S).
     """
-    su, sv = ds_pair if ds_pair is not None else dS(gauss)
+    su, sv = dS(gauss)
     swap_u = np.linalg.norm(su.op @ su.adjoint_op(), ord=2, axis=(-2, -1))
     swap_v = np.linalg.norm(sv.adjoint_op() @ sv.op, ord=2, axis=(-2, -1))
     scale = np.maximum(

@@ -9,7 +9,6 @@ import json
 
 import numpy as np
 
-from .functionals import EnergyReport
 from .grids import GridChart
 from .surfaces import EUCLIDEAN3, SurfaceGrid
 
@@ -81,11 +80,6 @@ def energy_to_dict(report):
     }
 
 
-def write_energy(report, path):
-    with open(path, "w") as fh:
-        json.dump(energy_to_dict(report), fh, sort_keys=True)
-
-
 def connection_to_dict(alpha):
     def edges(arr):
         return {
@@ -111,11 +105,6 @@ def connection_to_dict(alpha):
 def write_connection(alpha, path):
     with open(path, "w") as fh:
         json.dump(connection_to_dict(alpha), fh, sort_keys=True)
-
-
-def write_report(report, path):
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
 
 
 def read_report(path):

@@ -58,10 +58,6 @@ class ConjugateCoefficients:
     residual_v: np.ndarray
 
 
-def _npair(space, x, y):
-    return np.einsum("...i,ij,...j->...", x, space.gram, y)
-
-
 def _enorm(x):
     return np.linalg.norm(x, axis=-1)
 
@@ -153,6 +149,13 @@ def proj_lift(surface, chart_tol=5e-2):
     return grid
 
 
+def lift(surface):
+    """Contact lift of a surface by its geometry: `lie_lift` or `proj_lift`."""
+    if surface.geometry == EUCLIDEAN3:
+        return lie_lift(surface)
+    return proj_lift(surface)
+
+
 # ---------------------------------------------------------------------------
 # residuals / validation
 
@@ -169,9 +172,9 @@ def validate(grid):
     l, s = grid.l, grid.s
     el, es = _enorm(l), _enorm(s)
     null_f = np.maximum(
-        np.abs(_npair(sp, l, l)) / (el * el),
-        np.maximum(np.abs(_npair(sp, s, s)) / (es * es),
-                   np.abs(_npair(sp, l, s)) / (el * es)),
+        np.abs(sp.pair(l, l)) / (el * el),
+        np.maximum(np.abs(sp.pair(s, s)) / (es * es),
+                   np.abs(sp.pair(l, s)) / (el * es)),
     )
     lu, lv = d_u(l, ch), d_v(l, ch)
     su, sv = d_u(s, ch), d_v(s, ch)
@@ -179,8 +182,8 @@ def validate(grid):
                   np.max(interior(_enorm(lv))), np.max(interior(_enorm(su))))
     scale_f = max(np.max(interior(el)), np.max(interior(es)))
     leg_f = np.maximum.reduce([
-        np.abs(_npair(sp, lu, s)), np.abs(_npair(sp, lv, s)),
-        np.abs(_npair(sp, su, l)), np.abs(_npair(sp, sv, l)),
+        np.abs(sp.pair(lu, s)), np.abs(sp.pair(lv, s)),
+        np.abs(sp.pair(su, l)), np.abs(sp.pair(sv, l)),
     ]) / (scale_d * scale_f)
 
     def off_span(w):
@@ -197,11 +200,6 @@ def validate(grid):
         "legendre_max": float(np.max(interior(leg_f))),
         "focal_max": float(np.max(interior(foc_f))),
     }
-
-
-def legendre_residual(grid):
-    """Per-node contact defect (the 'legendre' field of `validate`)."""
-    return validate(grid)["legendre"]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import gauss_map as gm
 from . import pseudo_linalg as pl
 from .errors import NonHarmonicInputError, SignatureError
 from .grids import GridChart, interior
-from .matfun import expm, logm, orthogonality_defect, reproject_orthogonal
+from .matfun import expm, logm, reproject_orthogonal
 
 
 @dataclass
@@ -111,21 +111,19 @@ def _gram_schmidt_rows(rows, signs, gram):
     return out
 
 
-def make_pair(gauss, node=None):
-    """Symmetric pair at the splitting of a (seed) node of a Gauss map.
+def make_pair(gauss):
+    """Symmetric pair at the splitting of the center node of a Gauss map.
 
     The joint base basis is pushed through the exact projection P (the raw
     spanning families are only O(h^2)-orthogonal across the splitting), so
     the frames built on it stay in the orthogonal group to roundoff.
     """
-    ch = gauss.chart
-    node = (ch.nu // 2, ch.nv // 2) if node is None else node
-    bs, ds, bp, dp = gm.orthonormal_bases(gauss)
-    signs = np.concatenate([ds[node], dp[node]], axis=0).real
+    node = (gauss.chart.nu // 2, gauss.chart.nv // 2)
+    signs = np.concatenate([gauss.signs_s[node], gauss.signs_p[node]], axis=0).real
     g = gauss.space.gram
     p = gauss.proj[node]
-    rows_s = (p @ bs[node].T).T
-    rows_p = ((np.eye(6) - p) @ bp[node].T).T
+    rows_s = (p @ gauss.basis_s[node].T).T
+    rows_p = ((np.eye(6) - p) @ gauss.basis_p[node].T).T
     basis = np.concatenate(
         [_gram_schmidt_rows(rows_s, signs[0:3], g),
          _gram_schmidt_rows(rows_p, signs[3:6], g)],
@@ -140,15 +138,16 @@ def make_pair(gauss, node=None):
     )
 
 
-def frame(gauss, pair=None):
+def frame(gauss):
     """Smooth frame field F with F S_o = S(node) and F pairing-orthogonal.
 
-    Per node, F maps the base's orthonormal joint basis to one of
-    S + S_perp; smoothness comes from seeding each node's basis with a
-    neighbor's and re-orthonormalizing the projections (minimal-rotation
-    propagation from the grid center), so there are no gauge jumps.
+    The base splitting S_o is the center node's (`make_pair`).  Per node, F
+    maps the base's orthonormal joint basis to one of S + S_perp; smoothness
+    comes from seeding each node's basis with a neighbor's and
+    re-orthonormalizing the projections (minimal-rotation propagation from
+    the grid center), so there are no gauge jumps.
     """
-    pair = pair if pair is not None else make_pair(gauss)
+    pair = make_pair(gauss)
     sp = gauss.space
     g = sp.gram
     nu, nv = gauss.chart.nu, gauss.chart.nv
@@ -274,8 +273,8 @@ def flatness_residual(alpha):
     return np.linalg.norm(lg, axis=(-2, -1)) / (alpha.chart.hu * alpha.chart.hv)
 
 
-def integrate_frame(alpha, f0=None, seed=None):
-    """Integrate F^-1 dF = alpha by edge exponentials from a seed node.
+def integrate_frame(alpha, f0=None):
+    """Integrate F^-1 dF = alpha by edge exponentials from the center node.
 
     Propagates along the seed row first, then along columns; the consistency
     scalar is the largest mismatch of the unused edge transitions against the
@@ -283,7 +282,7 @@ def integrate_frame(alpha, f0=None, seed=None):
     Frames are re-projected to the pairing-orthogonal group at every node.
     """
     nu, nv = alpha.chart.nu, alpha.chart.nv
-    ic, jc = (nu // 2, nv // 2) if seed is None else seed
+    ic, jc = nu // 2, nv // 2
     eu = expm(alpha.edge_u())
     ev = expm(alpha.edge_v())
     g = alpha.space.gram
@@ -322,9 +321,13 @@ def gauss_from_frame(framegrid, reference_gauss=None):
     span_p = (f @ rows_p.T[None, None]).swapaxes(-1, -2)
     sig = "(1,1)" if pair.eps == 1.0 else "(2,0)"
     degenerate = np.zeros(f.shape[:2], dtype=bool)
+    # the spans are orthonormal already, so these are the spans themselves
+    basis_s, signs_s = gm._structured_orthobasis(framegrid.space, span_s)
+    basis_p, signs_p = gm._structured_orthobasis(framegrid.space, span_p)
     return gm.GaussMapGrid(
         space=framegrid.space, chart=framegrid.chart, span_s=span_s, span_p=span_p,
         proj=proj, star=star, eps=pair.eps, signature_z=sig, degenerate=degenerate,
+        basis_s=basis_s, signs_s=signs_s, basis_p=basis_p, signs_p=signs_p,
         source=reference_gauss.source if reference_gauss is not None else None,
     )
 
@@ -356,8 +359,7 @@ def spectral_deform(gauss, lam, harmonic_factor=10.0, floor=1e-6):
             raise ValueError("lambda must be real for a (1,1) chart")
     elif abs(abs(complex(lam)) - 1.0) > 1e-12:
         raise ValueError("lambda must be unimodular for a (2,0) chart")
-    pair = make_pair(gauss)
-    fr = frame(gauss, pair)
+    fr = frame(gauss)
     alpha = maurer_cartan(fr)
     test, base = harmonicity_ratio(alpha)
     if test > max(harmonic_factor * base, floor):
@@ -390,35 +392,30 @@ def blaschke_condition_residual(alpha):
     return np.where(tiny, 0.0, num / np.maximum(norms**2, 1e-300))
 
 
-def dualize(gauss, branch=None):
-    """Swap between Gauss maps in the (3,3) and (4,2) pictures.
+def dual_connection(alpha):
+    """The spectral family at lambda = +-i, read in the dual real basis.
 
-    Implements the symmetric-space duality k + p -> k + i p on a real-chart
-    harmonic map: the spectral family is evaluated at lambda = branch
-    (+i from (3,3), -i from (4,2) by convention; the inverse uses the other
-    sign), re-expressed in the real basis (S_o basis, i S_o_perp basis) of
-    the dual space, and integrated to a frame and Gauss map there.  The dual
-    is defined up to a constant isometry (the frame seed is the identity).
+    Evaluates alpha_k + lambda alpha_p' + lambda^-1 alpha_p'' at lambda = +i
+    from a (3,3) space and -i from a (4,2) space, and conjugates it by the
+    change of basis c whose columns are the S_o basis and i times the
+    S_o_perp basis.  The dual pairing is the complexified gram restricted to
+    that real span.  Returns the connection in the dual space and its
+    imaginary defect (the largest imaginary part over the largest entry,
+    which vanishes up to roundoff for a real connection).  The connection's
+    meta holds 'dual_branch' = lambda and 'basis_map' = c, whose columns
+    express the dual coordinates in the source coordinates.
     """
-    if gauss.chart.reality != "real" or gauss.signature_z != "(1,1)":
-        raise SignatureError("duality needs a real (1,1) chart")
-    if branch is None:
-        branch = 1.0j if gauss.space.m == 3 else -1.0j
-    pair = make_pair(gauss)
-    fr = frame(gauss, pair)
-    alpha = maurer_cartan(fr)
-    lam = complex(branch)
+    pair = alpha.pair
+    lam = 1.0j if alpha.space.m == 3 else -1.0j
     a_u = alpha.k_u + lam * alpha.p_u
     a_v = alpha.k_v + alpha.p_v / lam
-    # change of basis: rows (S_o basis, i S_o_perp basis) span the dual real form
     c = np.concatenate([pair.basis_o[0:3], 1.0j * pair.basis_o[3:6]], axis=0).T
     cinv = np.linalg.inv(c)
     b_u = cinv @ a_u @ c
     b_v = cinv @ a_v @ c
     im = max(float(np.max(np.abs(b_u.imag))), float(np.max(np.abs(b_v.imag))))
     scale = max(float(np.max(np.abs(b_u))), float(np.max(np.abs(b_v))), 1e-300)
-    # dual pairing: the complexified gram restricted to the new real span
-    gram_d = (c.T @ gauss.space.gram @ c).real
+    gram_d = (c.T @ alpha.space.gram @ c).real
     gram_d = np.diag(np.diag(gram_d))  # diagonal by orthonormality of basis_o
     m_pos = int((np.diag(gram_d) > 0).sum())
     space_d = pl.PseudoSpace(m_pos, 6 - m_pos, gram_d)
@@ -432,12 +429,25 @@ def dualize(gauss, branch=None):
         k_u=pair_d.project_k(b_u), k_v=pair_d.project_k(b_v),
         p_u=pair_d.project_p(b_u), p_v=pair_d.project_p(b_v),
     )
-    alpha_d.meta["imaginary_defect"] = im / scale
+    alpha_d.meta["basis_map"] = c
+    alpha_d.meta["dual_branch"] = lam
+    return alpha_d, im / scale
+
+
+def dualize(gauss):
+    """Swap between Gauss maps in the (3,3) and (4,2) pictures.
+
+    Implements the symmetric-space duality k + p -> k + i p on a real-chart
+    harmonic map: the spectral family is read in the real basis of the dual
+    space (`dual_connection`) and integrated to a frame and Gauss map there;
+    applied twice it returns to the source picture.  The dual is defined up
+    to a constant isometry (the frame seed is the identity).
+    """
+    if gauss.chart.reality != "real" or gauss.signature_z != "(1,1)":
+        raise SignatureError("duality needs a real (1,1) chart")
+    alpha_d, defect = dual_connection(maurer_cartan(frame(gauss)))
     fr_d, consistency = integrate_frame(alpha_d)
     out = gauss_from_frame(fr_d)
-    out.meta["dual_branch"] = lam
-    out.meta["imaginary_defect"] = im / scale
-    out.meta["integration_consistency"] = consistency
-    # columns express the dual coordinates in the source coordinates
-    out.meta["basis_map"] = c
+    out.meta.update(alpha_d.meta, imaginary_defect=defect,
+                    integration_consistency=consistency)
     return out

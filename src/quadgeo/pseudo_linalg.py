@@ -12,13 +12,11 @@ quadric form.  Two standard spaces are used throughout:
   v_inf): v_1..v_3 orthonormal spacelike, v_-1 timelike, and (v_0, v_inf)
   isotropic with <v_0, v_inf> = -1/2.
 
-Vectors are plain complex ndarrays of shape (..., 6); a thin `SixVector`
-wrapper is provided where a space reference / reality flag is worth carrying.
-All arithmetic is complex internally; reality is an assertion, not a
-representation choice.
+Vectors are plain complex ndarrays of shape (..., 6).  All arithmetic is
+complex internally; reality is an assertion, not a representation choice.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .errors import (
     GroupElementError,
     NotAQuadricStarError,
     NotDecomposableError,
-    SpaceMismatchError,
 )
 
 DECOMPOSABILITY_RTOL = 1e-8
@@ -67,9 +64,6 @@ class PseudoSpace:
         y = np.asarray(y)
         return np.einsum("...i,ij,...j->...", x, self.gram, y)
 
-    def norm2(self, x):
-        return self.pair(x, x)
-
     def adjoint(self, a):
         """Pairing adjoint of an operator: a* = gram^-1 a^T gram  (no conjugation)."""
         gi = np.linalg.inv(self.gram)
@@ -102,44 +96,6 @@ def lie_space():
     return PseudoSpace(4, 2, g, name="lie(4,2)")
 
 
-@dataclass(frozen=True)
-class SixVector:
-    """A vector with a space reference and a reality flag."""
-
-    components: np.ndarray
-    space: PseudoSpace
-    reality: str = "complex"
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=complex)
-        if c.shape != (6,):
-            raise ValueError("SixVector needs exactly 6 components")
-        if self.reality == "real" and np.max(np.abs(c.imag)) > 1e-10 * (1 + np.max(np.abs(c))):
-            raise ValueError("reality flag is 'real' but components have imaginary parts")
-        object.__setattr__(self, "components", c)
-
-
-def _components(x):
-    return x.components if isinstance(x, SixVector) else np.asarray(x, dtype=complex)
-
-
-def pair(x, y, space=None):
-    """Evaluate the pairing of two six-vectors.
-
-    Accepts SixVector (space taken/checked from the operands) or bare arrays
-    with an explicit `space`.
-    """
-    spaces = [v.space for v in (x, y) if isinstance(v, SixVector)]
-    if space is not None:
-        spaces.append(space)
-    if not spaces:
-        raise SpaceMismatchError("no PseudoSpace given")
-    for s in spaces[1:]:
-        if s != spaces[0]:
-            raise SpaceMismatchError("operands reference different spaces")
-    return spaces[0].pair(_components(x), _components(y))
-
-
 def plucker_embed(x, y):
     """Bivector x ^ y of two 4-vectors in the fixed (3,3) basis.
 
@@ -158,15 +114,9 @@ def plucker_embed(x, y):
     return out
 
 
-def is_decomposable(l, rtol=DECOMPOSABILITY_RTOL):
-    l = _components(l)
-    sp = plucker_space()
-    return abs(sp.pair(l, l)) <= rtol * max(float(np.vdot(l, l).real), 1e-300)
-
-
 def bivector_matrix(l):
     """Antisymmetric 4x4 matrix L with L[i,j] = l_{ij}; maps z to x(y.z)-y(x.z)."""
-    l = _components(l)
+    l = np.asarray(l, dtype=complex)
     L = np.zeros(l.shape[:-1] + (4, 4), dtype=complex)
     for k, (i, j) in enumerate(_BIVECTOR_PAIRS):
         L[..., i, j] = l[..., k]
@@ -180,7 +130,7 @@ def klein_plane(l, rtol=DECOMPOSABILITY_RTOL):
     Returns (x, y) spanning the plane with x ^ y proportional to l.  The plane
     is the column space of the antisymmetric matrix of l, extracted by SVD.
     """
-    l = _components(l)
+    l = np.asarray(l, dtype=complex)
     sp = plucker_space()
     scale = max(float(np.vdot(l, l).real), 1e-300)
     if abs(sp.pair(l, l)) > rtol * scale:
@@ -339,7 +289,7 @@ def indefinite_orthogonalize(vectors, space, rtol=1e-10):
     vectors is replaced by their sum before normalizing.  Raises
     DegenerateSubspaceError when the induced pairing degenerates.
     """
-    work = [np.asarray(_components(v), dtype=complex).copy() for v in vectors]
+    work = [np.array(v, dtype=complex) for v in vectors]
     basis, signs = [], []
     for _ in range(len(work)):
         # subtract projections onto the accepted basis

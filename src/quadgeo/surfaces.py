@@ -249,25 +249,6 @@ class RevolutionSampler:
         return -np.broadcast_to(k1, shape).copy(), -np.broadcast_to(k2, shape).copy()
 
 
-class GraphSampler:
-    """Euclidean graph z = g(x, y) with analytic gradient and Hessian."""
-
-    geometry = EUCLIDEAN3
-
-    def __init__(self, g, grad, hess):
-        self.g, self.grad, self.hess = g, grad, hess
-
-    def point(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return np.stack([u, v, self.g(u, v)], axis=-1)
-
-    def normal(self, u, v):
-        gx, gy = self.grad(u, v)
-        den = np.sqrt(1.0 + gx * gx + gy * gy)
-        return np.stack([-gx / den, -gy / den, np.ones_like(gx) / den], axis=-1)
-
-
 class ProjectiveGraphSampler:
     """Homogeneous lift (1, x, y, g(x, y)) of a graph in RP^3."""
 
@@ -354,12 +335,6 @@ def hessian_null_directions(h11, h12, h22):
     return _unit(a * emin + b * emax), _unit(a * emin - b * emax)
 
 
-def chart_axes(chart, window):
-    """(u values, v values) for a chart spanning `window` = (u0,u1,v0,v1)."""
-    u0, u1, v0, v1 = window
-    return np.linspace(u0, u1, chart.nu), np.linspace(v0, v1, chart.nv)
-
-
 def make_surface(sampler, window, nu, nv, with_kappa=True, reality=grids.REAL):
     """Sample a generator on a regular chart."""
     u0, u1, v0, v1 = window
@@ -381,17 +356,6 @@ def make_surface(sampler, window, nu, nv, with_kappa=True, reality=grids.REAL):
 
 # ---------------------------------------------------------------------------
 # principal data and parallel surfaces
-
-
-def immersion_scale(surface):
-    """Per-node |f_u x f_v| (Euclidean) as an immersion witness."""
-    fu = d_u(surface.points, surface.chart)
-    fv = d_v(surface.points, surface.chart)
-    if surface.geometry == EUCLIDEAN3:
-        return np.linalg.norm(np.cross(fu.real, fv.real), axis=-1)
-    # projective: rank of (f, f_u, f_v) via smallest singular value
-    stack = np.stack([surface.points, fu.real, fv.real], axis=-2)
-    return np.linalg.svd(stack, compute_uv=False)[..., -1]
 
 
 def umbilic_mask(k1, k2, rtol=UMBILIC_RTOL):

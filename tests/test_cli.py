@@ -136,3 +136,16 @@ def test_deform_and_dualize_commands(tmp_path):
     assert rep["dual_signature"] == [3, 3]
     assert rep["imaginary_defect"] < 1e-10
     assert json.loads(open(conn).read())["nu"] == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "conformality", "--grids", "33"],
+    ["check", "--suite", "conformality", "--grids", "65,33"],
+    ["lift", "--surface", "{tmp}/missing.json"],
+])
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qg {argv[0]}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -74,15 +74,14 @@ def test_proj_density_rescale_gauge(ellipsoid65):
     assert np.max(np.abs(rho1 - rho0)) < 5e-3 * max(np.max(np.abs(rho0)), 1.0)
 
 
-def test_gradient_density_cases(torus_lift65, torus_gauss65, quadric_lift65):
+def test_gradient_density_cases(torus_gauss65, quadric_lift65):
     # the EL density is sign-definite on the tight window patch
-    grid, gauss = checks._gauss(checks.make_ellipsoid(65, checks.ELL_WINDOW_TENSION))
-    g_ell = fn.willmore_gradient_density(grid, gauss)
+    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(65, checks.ELL_WINDOW_TENSION)))
+    g_ell = fn.willmore_gradient_density(gauss)
     assert np.min(np.abs(interior(g_ell, 3))) > 0.1  # bounded away from zero
-    g_tor = fn.willmore_gradient_density(torus_lift65, torus_gauss65)
+    g_tor = fn.willmore_gradient_density(torus_gauss65)
     assert np.max(np.abs(interior(g_tor, 3))) < 1e-6
-    quad = gm.conformal_gauss(quadric_lift65)
-    g_quad = fn.willmore_gradient_density(quadric_lift65, quad)
+    g_quad = fn.willmore_gradient_density(gm.conformal_gauss(quadric_lift65))
     assert np.max(np.abs(interior(g_quad, 3))) < 1e-12
 
 

@@ -40,7 +40,7 @@ def test_star_properties(ellipsoid_gauss65):
 def test_orthogonality_of_bundles():
     res = []
     for n in (17, 33, 65):
-        _, gauss = checks._gauss(checks.make_ellipsoid(n))
+        gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(n)))
         res.append(float(np.max(interior(gm.orthogonality_residual(gauss)))))
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert res[-1] < 1e-3
@@ -48,7 +48,8 @@ def test_orthogonality_of_bundles():
 
 
 def test_orthonormal_bases_have_unit_gram(ellipsoid_gauss65):
-    bs, ds, bp, dp = gm.orthonormal_bases(ellipsoid_gauss65)
+    bs, ds = ellipsoid_gauss65.basis_s, ellipsoid_gauss65.signs_s
+    bp = ellipsoid_gauss65.basis_p
     g = ellipsoid_gauss65.space.gram
     gram_s = np.einsum("...ik,kl,...jl->...ij", bs, g, bs)
     diag = np.einsum("...kk->...k", gram_s)
@@ -90,7 +91,7 @@ def test_grassmann_pair_symmetric_and_zero(ellipsoid_gauss65):
 def test_conformality_convergence():
     res = []
     for n in (17, 33, 65):
-        _, gauss = checks._gauss(checks.make_ellipsoid(n))
+        gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(n)))
         res.append(float(np.max(interior(gm.conformality_residual(gauss)))))
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert res[-1] < 1e-3
@@ -100,7 +101,8 @@ def test_conformality_convergence():
 def test_willmore_density_equals_pq():
     devs = []
     for n in (33, 65):
-        grid, gauss = checks._gauss(checks.make_ellipsoid(n))
+        gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(n)))
+        grid = gauss.source
         cc = lg.conjugate_coefficients(grid)
         rho = gm.willmore_density(gauss)
         devs.append(float(np.max(interior(np.abs(rho - (cc.p * cc.q).real)))))
@@ -109,7 +111,7 @@ def test_willmore_density_equals_pq():
 
 
 def test_tension_codazzi_and_lemma():
-    _, gauss = checks._gauss(checks.make_ellipsoid(65, checks.ELL_WINDOW_TENSION))
+    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(65, checks.ELL_WINDOW_TENSION)))
     tf = gm.tension(gauss)
     m = gm.TENSION_MARGIN
     assert np.max(interior(tf.codazzi_diff, m)) < 1e-3
@@ -124,7 +126,7 @@ def test_tension_codazzi_and_lemma():
 def test_tension_lemma_containments_decay():
     vals = []
     for n in (17, 33, 65):
-        _, gauss = checks._gauss(checks.make_ellipsoid(n, checks.ELL_WINDOW_TENSION))
+        gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(n, checks.ELL_WINDOW_TENSION)))
         tf = gm.tension(gauss)
         m = gm.TENSION_MARGIN
         norm = interior(tf.norm, m)
@@ -201,7 +203,8 @@ def test_blaschke_residual_large_for_random_field():
 
 
 def test_reconstruct_roundtrip():
-    grid, gauss = checks._gauss(checks.make_ellipsoid(129))
+    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(129)))
+    grid = gauss.source
     rec = gm.reconstruct(gauss)
     assert np.max(interior(gm.line_angle(rec.l, grid.l))) < 1e-4
     assert np.max(interior(gm.line_angle(rec.s, grid.s))) < 1e-4

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadgeo import matfun
 from quadgeo.grids import GridChart, d_u, d_uu, d_v, d_vv, interior
@@ -65,6 +66,24 @@ def test_expm_logm_roundtrip(rng):
     small = matfun.expm(0.01 * rng.standard_normal((40, 6, 6)))
     assert np.max(np.abs(matfun.expm(matfun.logm(small)) - small)) < 1e-13
     assert np.max(np.abs(matfun.expm(np.zeros((6, 6))) - np.eye(6))) < 1e-15
+
+
+def test_logm_far_rotation_falls_back_alone(monkeypatch):
+    # 63 rotations by 0.05 rad and one by 3 rad: the Gregory series diverges
+    # on the far one, which must reach scipy without spoiling the others
+    r = np.random.default_rng(3)
+    m = r.standard_normal((64, 6, 6))
+    x = m - m.swapaxes(-1, -2)
+    angle = np.full(64, 0.05)
+    angle[17] = 3.0
+    x *= (angle / np.max(np.abs(np.linalg.eigvals(x)), axis=-1))[:, None, None]
+    a = matfun.expm(x)
+    seen = []
+    scipy_logm = scipy.linalg.logm
+    monkeypatch.setattr(scipy.linalg, "logm", lambda b: seen.append(b) or scipy_logm(b))
+    log = matfun.logm(a)
+    assert np.max(np.abs(log - x)) < 1e-10
+    assert len(seen) == 1 and np.array_equal(seen[0], a[17])
 
 
 def test_reproject_orthogonal(rng):

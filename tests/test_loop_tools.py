@@ -10,10 +10,9 @@ from quadgeo.matfun import orthogonality_defect
 
 @pytest.fixture(scope="module")
 def ellipsoid_connection():
-    _, gauss = checks._gauss(checks.make_ellipsoid(33))
-    pair = lt.make_pair(gauss)
-    fr = lt.frame(gauss, pair)
-    return gauss, pair, fr, lt.maurer_cartan(fr)
+    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(33)))
+    fr = lt.frame(gauss)
+    return gauss, fr.pair, fr, lt.maurer_cartan(fr)
 
 
 def _random_skew(space, rng):
@@ -75,8 +74,7 @@ def test_frame_moves_base_to_s(ellipsoid_connection):
 
 
 def test_frame_constant_map_identity(torus_gauss65):
-    pair = lt.make_pair(torus_gauss65)
-    fr = lt.frame(torus_gauss65, pair)
+    fr = lt.frame(torus_gauss65)
     assert np.max(np.abs(fr.frames - np.eye(6))) < 1e-9
 
 
@@ -136,7 +134,7 @@ def test_flatness_discriminates(ellipsoid_connection):
     _, _, _, alpha = ellipsoid_connection
     test, base = lt.harmonicity_ratio(alpha, 2.0)
     assert test > 1e3 * max(base, 1e-300)
-    _, tor = checks._gauss(checks.make_torus(33))
+    tor = gm.conformal_gauss(lg.lift(checks.make_torus(33)))
     alpha_t = lt.maurer_cartan(lt.frame(tor))
     test_t, _ = lt.harmonicity_ratio(alpha_t, 2.0)
     assert test_t < 1e-6
@@ -181,7 +179,7 @@ def test_spectral_deform_torus(torus_gauss65):
 
 
 def test_spectral_deform_rejects_nonharmonic():
-    _, gauss = checks._gauss(checks.make_ellipsoid(33))
+    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(33)))
     with pytest.raises(NonHarmonicInputError):
         lt.spectral_deform(gauss, 2.0)
 
@@ -214,15 +212,10 @@ def test_dualize_constant_gives_constant(torus_gauss65):
 
 
 def test_dualize_nontrivial_connection_is_real():
-    _, gauss = checks._gauss(checks.make_ellipsoid(33))
-    pair = lt.make_pair(gauss)
-    alpha = lt.maurer_cartan(lt.frame(gauss, pair))
-    c = np.concatenate([pair.basis_o[0:3], 1.0j * pair.basis_o[3:6]], axis=0).T
-    cinv = np.linalg.inv(c)
-    b_u = cinv @ (alpha.k_u + (-1.0j) * alpha.p_u) @ c
-    scale = np.max(np.abs(b_u))
-    assert np.max(np.abs(b_u.imag)) < 1e-10 * scale
-    assert scale > 1e-4  # the connection is genuinely nonzero
+    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(33)))
+    dual, defect = lt.dual_connection(lt.maurer_cartan(lt.frame(gauss)))
+    assert defect < 1e-10
+    assert np.max(np.abs(dual.edge_u())) > 1e-4  # the connection is genuinely nonzero
 
 
 def test_dualize_rejects_complex_charts():

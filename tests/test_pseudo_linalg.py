@@ -9,7 +9,6 @@ from quadgeo.errors import (
     GroupElementError,
     NotAQuadricStarError,
     NotDecomposableError,
-    SpaceMismatchError,
 )
 
 SP33 = pl.plucker_space()
@@ -34,14 +33,6 @@ def test_pair_lie_basis():
     # <v_0, v_inf> = -1/2 in the (v_-1, v_0, v_1..v_3, v_inf) order
     assert SP42.pair(E6[1], E6[5]) == -0.5
     assert SP42.pair(E6[0], E6[0]) == -1.0
-
-
-def test_pair_space_mismatch():
-    x = pl.SixVector(E6[0], SP33)
-    y = pl.SixVector(E6[0], SP42)
-    with pytest.raises(SpaceMismatchError):
-        pl.pair(x, y)
-    assert pl.pair(x, pl.SixVector(E6[5], SP33)) == 1.0
 
 
 def test_plucker_embed_examples():
