@@ -286,7 +286,7 @@ def suite_invariance(grids=DEFAULT_GRIDS, tol=1e-4, tol_order=1.8, seed=20260808
     proj_dev, _ = _invariance_max(graph, uni)
     rescale_devs = []
     for n in grids[:2]:
-        g_n = make_asymptotic_graph(n)
+        g_n = graph if n == grids[1] else make_asymptotic_graph(n)
         x = np.linspace(0.0, 1.0, g_n.chart.nu)
         h_field = 0.05 * np.outer(np.sin(2 * x), np.cos(3 * x))
         dev, _ = _invariance_max(g_n, [{"kind": "rescale", "exponent": h_field}])

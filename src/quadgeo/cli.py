@@ -176,8 +176,9 @@ def cmd_tension(args, params):
 
 def cmd_check(args, params):
     kwargs = {}
-    if args.grids:
-        kwargs["grids"] = tuple(int(g) for g in args.grids.split(","))
+    grids = args.grids or params.get("grids")
+    if isinstance(grids, str):
+        kwargs["grids"] = tuple(int(g) for g in grids.split(","))
     if args.tolerance is not None:
         kwargs["tol"] = args.tolerance
     if args.seed is not None:

@@ -69,5 +69,9 @@ class GroupElementError(QuadGeoError):
     """A 6x6 map does not preserve the pairing within tolerance."""
 
 
+class NonFiniteInputError(QuadGeoError):
+    """Input data holds NaN or infinite values."""
+
+
 class UsageError(QuadGeoError):
     """Bad CLI / config usage."""

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 
+from .errors import NonFiniteInputError
 from .grids import GridChart
 from .surfaces import EUCLIDEAN3, SurfaceGrid
 
@@ -42,6 +43,12 @@ def surface_to_dict(surface):
     return out
 
 
+def _finite(name, values):
+    if not np.isfinite(values).all():
+        raise NonFiniteInputError(f"surface field {name!r} has non-finite values")
+    return values
+
+
 def surface_from_dict(data):
     chart = GridChart(
         int(data["nu"]), int(data["nv"]), float(data["hu"]), float(data["hv"]),
@@ -49,13 +56,14 @@ def surface_from_dict(data):
     )
     nu, nv = chart.nu, chart.nv
     ncomp = 3 if data["geometry"] == EUCLIDEAN3 else 4
-    pts = np.array(data["points"], dtype=float).reshape(nu, nv, ncomp)
+    pts = _finite("points", np.array(data["points"], dtype=float).reshape(nu, nv, ncomp))
     kwargs = {}
     if "normals" in data:
-        kwargs["normal"] = np.array(data["normals"], dtype=float).reshape(nu, nv, 3)
+        kwargs["normal"] = _finite(
+            "normals", np.array(data["normals"], dtype=float).reshape(nu, nv, 3))
     for key in ("kappa1", "kappa2"):
         if key in data:
-            kwargs[key] = np.array(data[key], dtype=float).reshape(nu, nv)
+            kwargs[key] = _finite(key, np.array(data[key], dtype=float).reshape(nu, nv))
     meta = dict(data.get("meta", {}))
     return SurfaceGrid(data["geometry"], pts, chart, meta=meta, **kwargs)
 

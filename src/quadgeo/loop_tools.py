@@ -36,13 +36,10 @@ class SymmetricPair:
     signs_o: np.ndarray       # their pairing norms +-1
     eps: complex
 
-    def project_k(self, xi):
+    def split(self, xi):
+        """The k-part (commuting with star_o) and p-part (anticommuting)."""
         inv = self.star_o @ xi @ self.star_o / (self.eps**2)
-        return 0.5 * (xi + inv)
-
-    def project_p(self, xi):
-        inv = self.star_o @ xi @ self.star_o / (self.eps**2)
-        return 0.5 * (xi - inv)
+        return 0.5 * (xi + inv), 0.5 * (xi - inv)
 
 
 @dataclass
@@ -90,25 +87,36 @@ def symmetric_split(xi, pair):
     xi = np.asarray(xi, dtype=complex)
     if not is_skew(xi, pair.space):
         raise ValueError("element is not skew for the pairing")
-    return pair.project_k(xi), pair.project_p(xi)
+    return pair.split(xi)
 
 
 def _gram_schmidt_rows(rows, signs, gram):
-    """Strict pairing Gram-Schmidt keeping a prescribed sign pattern."""
+    """Strict pairing Gram-Schmidt keeping a prescribed sign pattern.
+
+    `rows` has shape (..., k, 6); each leading index is orthonormalized on
+    its own, and SignatureError is raised if any of them breaks the pattern.
+    A node whose squared norm is real to 1e-8 is scaled by the real root of
+    its magnitude, any other by the complex root.
+    """
     out = np.empty_like(rows)
-    for k in range(rows.shape[0]):
-        v = rows[k]
+    for k in range(rows.shape[-2]):
+        v = rows[..., k, :]
         for m in range(k):
-            v = v - (np.einsum("i,ij,j->", v, gram, out[m]) / signs[m]) * out[m]
-        n = np.einsum("i,ij,j->", v, gram, v)
-        if abs(n.imag) <= 1e-8 * abs(n):
-            if n.real * signs[k] <= 0:
-                raise SignatureError("sign pattern broke during orthonormalization")
-            v = v / np.sqrt(abs(n.real))
-        else:
-            v = v / np.sqrt(n)
-        out[k] = v
+            c = np.einsum("...i,ij,...j->...", v, gram, out[..., m, :]) / signs[m]
+            v = v - c[..., None] * out[..., m, :]
+        n = np.einsum("...i,ij,...j->...", v, gram, v)
+        real = np.abs(n.imag) <= 1e-8 * np.abs(n)
+        if np.any(real & (n.real * signs[k] <= 0)):
+            raise SignatureError("sign pattern broke during orthonormalization")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(real, np.sqrt(np.abs(n.real)), np.sqrt(n))
+        out[..., k, :] = v / root[..., None]
     return out
+
+
+def _group_inverse(f, gram):
+    """Inverse of pairing-orthogonal elements (F^T G F = G): G^-1 F^T G."""
+    return np.linalg.inv(gram) @ f.swapaxes(-1, -2) @ gram
 
 
 def make_pair(gauss):
@@ -145,7 +153,9 @@ def frame(gauss):
     maps the base's orthonormal joint basis to one of S + S_perp; smoothness
     comes from seeding each node's basis with a neighbor's and
     re-orthonormalizing the projections (minimal-rotation propagation from
-    the grid center), so there are no gauge jumps.
+    the grid center), so there are no gauge jumps.  Only the seed column
+    j = nv // 2 runs node by node; every other column is seeded from its
+    neighbor column and orthonormalized in one batch.
     """
     pair = make_pair(gauss)
     sp = gauss.space
@@ -157,26 +167,24 @@ def frame(gauss):
     signs = pair.signs_o
     bases = np.empty((nu, nv, 6, 6), dtype=complex)
 
-    def node_basis(i, j, seed_rows):
-        rows_s = np.einsum("ab,kb->ka", proj_s[i, j], seed_rows[0:3])
-        rows_p = np.einsum("ab,kb->ka", proj_p[i, j], seed_rows[3:6])
+    def node_basis(idx, seed_rows):
+        rows_s = np.einsum("...ab,...kb->...ka", proj_s[idx], seed_rows[..., 0:3, :])
+        rows_p = np.einsum("...ab,...kb->...ka", proj_p[idx], seed_rows[..., 3:6, :])
         return np.concatenate(
             [_gram_schmidt_rows(rows_s, signs[0:3], g),
              _gram_schmidt_rows(rows_p, signs[3:6], g)],
-            axis=0,
+            axis=-2,
         )
 
-    bases[ic, jc] = node_basis(ic, jc, pair.basis_o)
+    bases[ic, jc] = node_basis((ic, jc), pair.basis_o)
     for i in range(ic + 1, nu):
-        bases[i, jc] = node_basis(i, jc, bases[i - 1, jc])
+        bases[i, jc] = node_basis((i, jc), bases[i - 1, jc])
     for i in range(ic - 1, -1, -1):
-        bases[i, jc] = node_basis(i, jc, bases[i + 1, jc])
+        bases[i, jc] = node_basis((i, jc), bases[i + 1, jc])
     for j in range(jc + 1, nv):
-        for i in range(nu):
-            bases[i, j] = node_basis(i, j, bases[i, j - 1])
+        bases[:, j] = node_basis((slice(None), j), bases[:, j - 1])
     for j in range(jc - 1, -1, -1):
-        for i in range(nu):
-            bases[i, j] = node_basis(i, j, bases[i, j + 1])
+        bases[:, j] = node_basis((slice(None), j), bases[:, j + 1])
 
     base_cols_inv = np.linalg.inv(pair.basis_o.T)
     frames = bases.swapaxes(-1, -2) @ base_cols_inv[None, None]
@@ -190,23 +198,16 @@ def maurer_cartan(framegrid):
     """Edge logarithms of the frame transition, split by the decomposition."""
     f = framegrid.frames
     pair = framegrid.pair
-    trans_u = np.linalg.solve(f[:-1], np.eye(6)) @ f[1:]
-    trans_v = np.linalg.solve(f[:, :-1], np.eye(6)) @ f[:, 1:]
-    a_u = logm(trans_u)
-    a_v = logm(trans_v)
-    # re-project to the skew algebra (kills roundoff drift)
     g = framegrid.space.gram
+    a_u = logm(_group_inverse(f[:-1], g) @ f[1:])
+    a_v = logm(_group_inverse(f[:, :-1], g) @ f[:, 1:])
+    # re-project to the skew algebra (kills roundoff drift)
     ginv = np.linalg.inv(g)
-    a_u = 0.5 * (a_u - ginv @ a_u.swapaxes(-1, -2) @ g)
-    a_v = 0.5 * (a_v - ginv @ a_v.swapaxes(-1, -2) @ g)
+    k_u, p_u = pair.split(0.5 * (a_u - ginv @ a_u.swapaxes(-1, -2) @ g))
+    k_v, p_v = pair.split(0.5 * (a_v - ginv @ a_v.swapaxes(-1, -2) @ g))
     return ConnectionGrid(
-        space=framegrid.space,
-        chart=framegrid.chart,
-        pair=pair,
-        k_u=pair.project_k(a_u),
-        k_v=pair.project_k(a_v),
-        p_u=pair.project_p(a_u),
-        p_v=pair.project_p(a_v),
+        space=framegrid.space, chart=framegrid.chart, pair=pair,
+        k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
     )
 
 
@@ -218,6 +219,7 @@ def structure_identity_residual(gauss, framegrid, alpha):
     """
     su, sv = gm.dS(gauss)
     f = framegrid.frames
+    g = framegrid.space.gram
     hu, hv = gauss.chart.hu, gauss.chart.hv
 
     def residual(p_edges, h, hom, axis):
@@ -231,7 +233,7 @@ def structure_identity_residual(gauss, framegrid, alpha):
             fc = f[:, 1:-1]
             target = hom.op - hom.adjoint_op()
             tgt = target[:, 1:-1]
-        conj = fc @ mid @ np.linalg.inv(fc)
+        conj = fc @ mid @ _group_inverse(fc, g)
         num = np.linalg.norm(conj - tgt, axis=(-2, -1))
         den = np.maximum(np.linalg.norm(tgt, axis=(-2, -1)).max(), 1e-300)
         return num / den
@@ -260,14 +262,17 @@ def flatness_residual(alpha):
 
     The holonomy multiplies the four exponentiated edge values around each
     cell; the connection is flat iff the density vanishes with refinement.
+    Edge exponentials are pairing-orthogonal, so they are inverted as
+    G^-1 E^T G.
     """
     eu = expm(alpha.edge_u())
     ev = expm(alpha.edge_v())
+    g = alpha.space.gram
     hol = (
         eu[:, :-1]
         @ ev[1:]
-        @ np.linalg.inv(eu[:, 1:])
-        @ np.linalg.inv(ev[:-1])
+        @ _group_inverse(eu[:, 1:], g)
+        @ _group_inverse(ev[:-1], g)
     )
     lg = logm(hol)
     return np.linalg.norm(lg, axis=(-2, -1)) / (alpha.chart.hu * alpha.chart.hv)
@@ -276,10 +281,11 @@ def flatness_residual(alpha):
 def integrate_frame(alpha, f0=None):
     """Integrate F^-1 dF = alpha by edge exponentials from the center node.
 
-    Propagates along the seed row first, then along columns; the consistency
-    scalar is the largest mismatch of the unused edge transitions against the
-    integrated frames (zero iff the discrete connection is exactly flat).
-    Frames are re-projected to the pairing-orthogonal group at every node.
+    Propagates along the seed column j = nv // 2 first, then column by
+    column, as `frame` does; the consistency scalar is the largest mismatch
+    of the unused edge transitions against the integrated frames (zero iff
+    the discrete connection is exactly flat).  Frames are re-projected to
+    the pairing-orthogonal group at every node.
     """
     nu, nv = alpha.chart.nu, alpha.chart.nv
     ic, jc = nu // 2, nv // 2
@@ -292,13 +298,13 @@ def integrate_frame(alpha, f0=None):
         frames[i, jc] = reproject_orthogonal(frames[i - 1, jc] @ eu[i - 1, jc], g)
     for i in range(ic - 1, -1, -1):
         frames[i, jc] = reproject_orthogonal(
-            frames[i + 1, jc] @ np.linalg.inv(eu[i, jc]), g
+            frames[i + 1, jc] @ _group_inverse(eu[i, jc], g), g
         )
     for j in range(jc + 1, nv):
         frames[:, j] = reproject_orthogonal(frames[:, j - 1] @ ev[:, j - 1], g)
     for j in range(jc - 1, -1, -1):
         frames[:, j] = reproject_orthogonal(
-            frames[:, j + 1] @ np.linalg.inv(ev[:, j]), g
+            frames[:, j + 1] @ _group_inverse(ev[:, j], g), g
         )
     # consistency: u-edges off the seed row were not used in propagation
     mismatch = frames[:-1] @ eu - frames[1:]
@@ -312,8 +318,7 @@ def gauss_from_frame(framegrid, reference_gauss=None):
     """Gauss map S(node) = F(node) S_o from a frame field."""
     pair = framegrid.pair
     f = framegrid.frames
-    finv = np.linalg.inv(f)
-    star = f @ pair.star_o @ finv
+    star = f @ pair.star_o @ _group_inverse(f, framegrid.space.gram)
     proj = 0.5 * (star / pair.eps + np.eye(6))
     rows = pair.basis_o[0:3]
     span_s = (f @ rows.T[None, None]).swapaxes(-1, -2)
@@ -424,10 +429,11 @@ def dual_connection(alpha):
         space=space_d, star_o=star_d, basis_o=np.eye(6),
         signs_o=np.sign(np.diag(gram_d)), eps=1.0,
     )
+    k_u, p_u = pair_d.split(b_u)
+    k_v, p_v = pair_d.split(b_v)
     alpha_d = ConnectionGrid(
         space=space_d, chart=alpha.chart, pair=pair_d,
-        k_u=pair_d.project_k(b_u), k_v=pair_d.project_k(b_v),
-        p_u=pair_d.project_p(b_u), p_v=pair_d.project_p(b_v),
+        k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
     )
     alpha_d.meta["basis_map"] = c
     alpha_d.meta["dual_branch"] = lam

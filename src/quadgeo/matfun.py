@@ -2,11 +2,20 @@
 
 All routines accept stacked arrays (..., n, n) and avoid per-matrix Python
 loops except in the scipy fallback path.  Tuned for 6x6 blocks on grids of a
-few thousand nodes.
+few thousand nodes.  The series lengths of `expm` and `logm` are chosen from
+the largest 1-norm in the batch: the fewest terms whose truncation bound
+falls below the unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005;
+Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
+
+UNIT_ROUNDOFF = 2.0 ** -53
+EXPM_MAX_DEGREE = 16
+LOGM_MAX_TERM = 25      # highest odd power of the Gregory series
 
 
 def _norm1(a):
@@ -14,21 +23,52 @@ def _norm1(a):
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
+def _taylor_degree(theta):
+    """Fewest Taylor terms m with theta^(m+1) / (m+1)! e^theta <= u.
+
+    That is the truncation bound of the degree-m Taylor polynomial of exp
+    at 1-norm theta; capped at EXPM_MAX_DEGREE.
+    """
+    for m in range(EXPM_MAX_DEGREE):
+        if theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta) <= UNIT_ROUNDOFF:
+            return m
+    return EXPM_MAX_DEGREE
+
+
+def _gregory_terms(r):
+    """Smallest odd K with 2 r^(K+2) / (1 - r^2) <= u, capped at LOGM_MAX_TERM.
+
+    That bounds the tail of 2 sum_{k odd} X^k / k after the X^K term when
+    the 1-norm of X is at most r < 1.
+    """
+    for k in range(1, LOGM_MAX_TERM, 2):
+        if 2.0 * r ** (k + 2) / (1.0 - r * r) <= UNIT_ROUNDOFF:
+            return k
+    return LOGM_MAX_TERM
+
+
 def expm(a):
-    """exp(a) by scaling-and-squaring with a fixed-length Taylor core."""
+    """exp(a) by scaling and squaring around a Taylor polynomial.
+
+    The batch is scaled by 2^-s until its largest 1-norm theta is <= 0.25,
+    and the Taylor degree is the fewest terms m with
+    theta^(m+1) / (m+1)! e^theta <= 2^-53 (m = 12 at theta = 0.25, 7 at
+    0.03), capped at 16; then the result is squared s times.
+    """
     a = np.asarray(a)
     n = a.shape[-1]
     norms = np.atleast_1d(_norm1(a))
     maxn = float(norms.max()) if norms.size else 0.0
     # scale so the Taylor core sees norms <= 0.25
     squarings = max(0, int(np.ceil(np.log2(max(maxn, 1e-300) / 0.25)))) if maxn > 0.25 else 0
-    b = a / (2.0 ** squarings)
+    b = a / (2.0 ** squarings) if squarings else a
     eye = np.broadcast_to(np.eye(n, dtype=b.dtype), b.shape)
     out = eye.copy()
-    term = eye.copy()
-    for k in range(1, 17):
-        term = term @ b / k
-        out = out + term
+    term = eye
+    for k in range(1, _taylor_degree(maxn / 2.0 ** squarings) + 1):
+        term = term @ b
+        term *= 1.0 / k
+        out += term
     for _ in range(squarings):
         out = out @ out
     return out
@@ -37,30 +77,35 @@ def expm(a):
 def logm(a, tol=1e-12):
     """Principal log for matrices near the identity.
 
-    Uses the Gregory series in X = (A-I)(A+I)^-1, which converges for spectra
-    in the open right half-plane.  A matrix whose X has 1-norm >= 1 or whose
-    series is not finite goes to scipy.linalg.logm directly; the others are
-    verified under one batched expm and fall back to scipy when the result
-    does not reproduce `a` (a non-finite residual counts as a miss).  Raises
-    LinAlgError if (A+I) is singular.
+    Uses the Gregory series 2 sum_{k odd} X^k / k in X = (A-I)(A+I)^-1, which
+    converges for spectra in the open right half-plane.  The series runs up
+    to the smallest odd power K with 2 r^(K+2) / (1 - r^2) <= 2^-53, where r
+    is the largest 1-norm of X below 1 in the batch, capped at K = 25.  A
+    matrix whose X has 1-norm >= 1 or whose series is not finite goes to
+    scipy.linalg.logm directly; the others are verified under one batched
+    expm and fall back to scipy when the result does not reproduce `a` (a
+    non-finite residual counts as a miss).  Raises LinAlgError if (A+I) is
+    singular.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
     eye = np.eye(n, dtype=complex)
     x = np.linalg.solve((a + eye).swapaxes(-1, -2), (a - eye).swapaxes(-1, -2)).swapaxes(-1, -2)
-    x2 = x @ x
-    out = np.zeros_like(a)
-    power = x.copy()
+    xnorm = _norm1(x).reshape(-1)
+    convergent = xnorm[xnorm < 1.0]
+    last = _gregory_terms(float(convergent.max()) if convergent.size else 0.0)
+    out = x.copy()
+    power, x2 = x, x @ x
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, 26, 2):
-            out = out + power / k
+        for k in range(3, last + 1, 2):
             power = power @ x2
-    out = 2.0 * out
+            out += power * (1.0 / k)
+    out *= 2.0
     flat_a = a.reshape(-1, n, n)
     flat_o = out.reshape(-1, n, n)
     # divergent series stay out of the check: the batch expm scales by the
     # largest norm it sees, and one huge matrix would spoil every residual
-    bad = (_norm1(x).reshape(-1) >= 1.0) | ~np.isfinite(flat_o).all(axis=(-2, -1))
+    bad = (xnorm >= 1.0) | ~np.isfinite(flat_o).all(axis=(-2, -1))
     good = ~bad
     if bad.any():
         check_a, check_o = flat_a[good], flat_o[good]

@@ -142,10 +142,22 @@ def test_deform_and_dualize_commands(tmp_path):
     ["check", "--suite", "conformality", "--grids", "33"],
     ["check", "--suite", "conformality", "--grids", "65,33"],
     ["lift", "--surface", "{tmp}/missing.json"],
+    ["energy", "--surface", "{tmp}/nan.json"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    # a surface file with one NaN point
+    surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
+    surf.points[4, 4, 0] = np.nan
+    jsonio.write_surface(surf, tmp_path / "nan.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"qg {argv[0]}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_check_grids_from_param(tmp_path):
+    out = tmp_path / "orth.json"
+    assert run(["check", "--suite", "orthogonality", "--param", "grids=17,33",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["grids"] == [17, 33]

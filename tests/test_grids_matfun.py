@@ -68,6 +68,17 @@ def test_expm_logm_roundtrip(rng):
     assert np.max(np.abs(matfun.expm(np.zeros((6, 6))) - np.eye(6))) < 1e-15
 
 
+@pytest.mark.parametrize("norm", [1e-4, 1e-3, 1e-2, 0.03, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0])
+def test_expm_matches_scipy_on_skew_batches(norm, rng):
+    # the Taylor degree follows the batch's largest 1-norm
+    m = rng.standard_normal((24, 6, 6))
+    x = m - m.swapaxes(-1, -2)
+    x *= (norm / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
+    ref = np.array([scipy.linalg.expm(xi) for xi in x])
+    err = np.linalg.norm(matfun.expm(x) - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+    assert np.max(err) <= 1e-14
+
+
 def test_logm_far_rotation_falls_back_alone(monkeypatch):
     # 63 rotations by 0.05 rad and one by 3 rad: the Gregory series diverges
     # on the far one, which must reach scipy without spoiling the others

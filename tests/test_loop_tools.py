@@ -5,7 +5,7 @@ from quadgeo import checks, gauss_map as gm, legendre as lg, loop_tools as lt
 from quadgeo import pseudo_linalg as pl
 from quadgeo.errors import NonHarmonicInputError, SignatureError
 from quadgeo.grids import interior
-from quadgeo.matfun import orthogonality_defect
+from quadgeo.matfun import orthogonality_defect, reproject_orthogonal
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,83 @@ def test_frame_moves_base_to_s(ellipsoid_connection):
         float(np.max(np.linalg.norm(np.diff(fr.frames, axis=1), axis=(-2, -1)))),
     )
     assert jumps < 0.5  # no gauge jumps
+
+
+def _reference_gram_schmidt(rows, signs, gram):
+    # one node at a time: the scalar algorithm the batched kernel must match
+    out = np.empty_like(rows)
+    for k in range(rows.shape[0]):
+        v = rows[k]
+        for m in range(k):
+            v = v - (np.einsum("i,ij,j->", v, gram, out[m]) / signs[m]) * out[m]
+        n = np.einsum("i,ij,j->", v, gram, v)
+        if abs(n.imag) <= 1e-8 * abs(n):
+            if n.real * signs[k] <= 0:
+                raise SignatureError("sign pattern broke")
+            v = v / np.sqrt(abs(n.real))
+        else:
+            v = v / np.sqrt(n)
+        out[k] = v
+    return out
+
+
+def _reference_frames(gauss):
+    g = gauss.space.gram
+    nu, nv = gauss.chart.nu, gauss.chart.nv
+    ic, jc = nu // 2, nv // 2
+    proj_p = np.eye(6) - gauss.proj
+    signs = np.concatenate([gauss.signs_s[ic, jc], gauss.signs_p[ic, jc]]).real
+
+    def orthonormalize(rows_s, rows_p):
+        return np.concatenate([_reference_gram_schmidt(rows_s, signs[0:3], g),
+                               _reference_gram_schmidt(rows_p, signs[3:6], g)])
+
+    def node_basis(i, j, seed_rows):
+        return orthonormalize(np.einsum("ab,kb->ka", gauss.proj[i, j], seed_rows[0:3]),
+                              np.einsum("ab,kb->ka", proj_p[i, j], seed_rows[3:6]))
+
+    base = orthonormalize((gauss.proj[ic, jc] @ gauss.basis_s[ic, jc].T).T,
+                          (proj_p[ic, jc] @ gauss.basis_p[ic, jc].T).T)
+    bases = np.empty((nu, nv, 6, 6), dtype=complex)
+    bases[ic, jc] = node_basis(ic, jc, base)
+    for i in list(range(ic + 1, nu)) + list(range(ic - 1, -1, -1)):
+        bases[i, jc] = node_basis(i, jc, bases[i - 1 if i > ic else i + 1, jc])
+    for j in list(range(jc + 1, nv)) + list(range(jc - 1, -1, -1)):
+        for i in range(nu):
+            bases[i, j] = node_basis(i, j, bases[i, j - 1 if j > jc else j + 1])
+    frames = bases.swapaxes(-1, -2) @ np.linalg.inv(base.T)[None, None]
+    # a real chart's frames keep their real part only, as in frame()
+    return base, reproject_orthogonal(frames, g).real.astype(complex)
+
+
+def test_frame_matches_per_node_reference(ellipsoid_connection):
+    gauss, pair, fr, _ = ellipsoid_connection
+    base, frames = _reference_frames(gauss)
+    assert np.array_equal(pair.basis_o, base)
+    assert np.array_equal(fr.frames, frames)
+
+
+def test_frame_sweeps_columns_in_batches(ellipsoid_connection, monkeypatch):
+    gauss = ellipsoid_connection[0]
+    calls = []
+    batched = lt._gram_schmidt_rows
+    monkeypatch.setattr(lt, "_gram_schmidt_rows",
+                        lambda *args: calls.append(1) or batched(*args))
+    lt.frame(gauss)
+    assert len(calls) <= 2 * (gauss.chart.nu + gauss.chart.nv + 1)
+
+
+def test_gram_schmidt_batch_raises_on_one_broken_node(ellipsoid_connection):
+    gauss, pair, _, _ = ellipsoid_connection
+    g = gauss.space.gram
+    signs = pair.signs_o[0:3]
+    rows = np.broadcast_to(pair.basis_o[0:3], (40, 3, 6)).copy()
+    assert np.allclose(lt._gram_schmidt_rows(rows, signs, g), rows, atol=1e-12)
+    # node 17's first row gets a pairing norm of the opposite sign
+    flip = np.nonzero(pair.signs_o[3:6] != signs[0])[0][0]
+    rows[17, 0] = pair.basis_o[3 + flip]
+    with pytest.raises(SignatureError):
+        lt._gram_schmidt_rows(rows, signs, g)
 
 
 def test_frame_constant_map_identity(torus_gauss65):
