@@ -7,6 +7,7 @@ produce identically-zero connections) are treated as converged rather than
 order-fitted.
 """
 
+import inspect
 import operator
 
 import numpy as np
@@ -74,7 +75,7 @@ def make_asymptotic_graph(n, cx=0.1, cy=0.1):
     return sn.asymptotic_reparametrize(src, n, n, h, h, sampler=samp)
 
 
-def suite_lift_invariants(grids=DEFAULT_GRIDS, tol_null=1e-10, tol_order=1.8, **_):
+def suite_lift_invariants(grids=DEFAULT_GRIDS, tol_null=1e-10, tol_order=1.8):
     """Nullity / contact / focal residuals of the lifts, with O(h^2) decay."""
     legendre_res, focal_res = [], []
     nullity = 0.0
@@ -110,7 +111,7 @@ def suite_lift_invariants(grids=DEFAULT_GRIDS, tol_null=1e-10, tol_order=1.8, **
     }
 
 
-def suite_pq_identity(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
+def suite_pq_identity(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8):
     """<S_u,S_v> = p q, and the density chain across the three functionals."""
     devs = []
     mid = grids[1]
@@ -148,7 +149,7 @@ def suite_pq_identity(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
     }
 
 
-def suite_conformality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
+def suite_conformality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8):
     """max |<S_u,S_u>|, |<S_v,S_v>| with O(h^2) decay."""
     res = []
     for n in grids:
@@ -166,7 +167,7 @@ def suite_conformality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
     }
 
 
-def suite_orthogonality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
+def suite_orthogonality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8):
     """Cross Gram of (l, l_v, l_vv) against (s, s_u, s_uu)."""
     res = []
     for n in grids:
@@ -182,7 +183,7 @@ def suite_orthogonality(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8, **_):
     }
 
 
-def suite_tension_lemma(grids=DEFAULT_GRIDS, tol_angle=1e-2, tol_codazzi=1e-3, **_):
+def suite_tension_lemma(grids=DEFAULT_GRIDS, tol_angle=1e-2, tol_codazzi=1e-3):
     """Tension image/kernel containments, Codazzi check, harmonic controls."""
     n = grids[1]
     gauss = gm.conformal_gauss(lg.lift(make_ellipsoid(n, ELL_WINDOW_TENSION)))
@@ -227,7 +228,7 @@ def suite_tension_lemma(grids=DEFAULT_GRIDS, tol_angle=1e-2, tol_codazzi=1e-3, *
     }
 
 
-def suite_blaschke_roundtrip(grids=DEFAULT_GRIDS, tol_angle=1e-4, **_):
+def suite_blaschke_roundtrip(grids=DEFAULT_GRIDS, tol_angle=1e-4):
     """reconstruct(conformal_gauss(f)) recovers the focal lines of f."""
     n = grids[-1]
     gauss = gm.conformal_gauss(lg.lift(make_ellipsoid(n)))
@@ -259,7 +260,7 @@ def _invariance_max(surface, transforms):
 
 
 def suite_invariance(grids=DEFAULT_GRIDS, tol=1e-4, tol_order=1.8, seed=20260808,
-                     n_group=20, shifts=(0.1, 0.3), **_):
+                     n_group=20, shifts=(0.1, 0.3)):
     """Density invariance under seeded group elements, shifts, SL(4) maps."""
     space = pl.lie_space()
     seeds = np.random.SeedSequence(seed).spawn(n_group)
@@ -317,7 +318,7 @@ def suite_invariance(grids=DEFAULT_GRIDS, tol=1e-4, tol_order=1.8, seed=20260808
     }
 
 
-def suite_flatness(grids=DEFAULT_GRIDS, lam=2.0, tol_order=0.9, factor=10.0, **_):
+def suite_flatness(grids=DEFAULT_GRIDS, lam=2.0, tol_order=0.9, factor=10.0):
     """Spectral flatness discriminates harmonic from non-harmonic maps."""
     torus_res, ell_res1, ell_res2 = [], [], []
     for n in grids:
@@ -344,7 +345,7 @@ def suite_flatness(grids=DEFAULT_GRIDS, lam=2.0, tol_order=0.9, factor=10.0, **_
     }
 
 
-def suite_deform(grids=DEFAULT_GRIDS, lam=2.0, **_):
+def suite_deform(grids=DEFAULT_GRIDS, lam=2.0):
     """Spectral deformation preserves the envelope conditions."""
     n = grids[1]
     tor = gm.conformal_gauss(lg.lift(make_torus(n)))
@@ -376,7 +377,7 @@ def suite_deform(grids=DEFAULT_GRIDS, lam=2.0, **_):
     }
 
 
-def suite_dualize(grids=DEFAULT_GRIDS, tol_dev=1e-3, tol_imag=1e-10, **_):
+def suite_dualize(grids=DEFAULT_GRIDS, tol_dev=1e-3, tol_imag=1e-10):
     """Duality round trip and realness of the dual connection."""
     n = grids[1]
     tor = gm.conformal_gauss(lg.lift(make_torus(n)))
@@ -406,7 +407,7 @@ def suite_dualize(grids=DEFAULT_GRIDS, tol_dev=1e-3, tol_imag=1e-10, **_):
     }
 
 
-def suite_descent(grids=DEFAULT_GRIDS, steps=50, step_size=2e-6, min_drop=0.01, **_):
+def suite_descent(grids=DEFAULT_GRIDS, steps=50, step_size=2e-6, min_drop=0.01):
     """Gradient descent decreases W monotonically by at least `min_drop`."""
     surface = make_ellipsoid(grids[0], ELL_WINDOW_TENSION)
     reports, _ = fn.willmore_descent(surface, steps=steps, step_size=step_size)
@@ -449,11 +450,19 @@ SUITES = {
 ONE_GRID_SUITES = ("blaschke-roundtrip", "descent")
 
 
-def run_suite(name, **kwargs):
+def suite_parameters(name):
+    """Names of the keyword parameters that suite `name` takes."""
     if name not in SUITES:
-        raise UsageError(
-            f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
-        )
+        raise UsageError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+    return tuple(inspect.signature(SUITES[name]).parameters)
+
+
+def run_suite(name, **kwargs):
+    accepted = suite_parameters(name)
+    unknown = [key for key in kwargs if key not in accepted]
+    if unknown:
+        raise UsageError(f"suite {name!r} takes no parameter {', '.join(unknown)}; "
+                         f"accepted: {', '.join(accepted)}")
     grids = kwargs.get("grids", DEFAULT_GRIDS)
     need = 1 if name in ONE_GRID_SUITES else 2
     try:

@@ -76,16 +76,15 @@ def load_config(path):
 
 
 def _parse_value(text):
-    try:
-        return int(text)
-    except ValueError:
+    for kind in (int, float):
         try:
-            return float(text)
+            return kind(text)
         except ValueError:
-            return text
+            pass
+    return text
 
 
-def _generate(args, params):
+def cmd_generate(args, params):
     if args.kind not in GENERATORS:
         raise UsageError(f"unknown surface kind {args.kind!r}")
     factory, names, default_window = GENERATORS[args.kind]
@@ -117,10 +116,6 @@ def _load_surface(path):
 
 def _load_gauss(path):
     return gm.conformal_gauss(lg.lift(_load_surface(path)))
-
-
-def cmd_generate(args, params):
-    return _generate(args, params)
 
 
 def cmd_lift(args, params):
@@ -175,24 +170,23 @@ def cmd_tension(args, params):
 
 
 def cmd_check(args, params):
-    kwargs = {}
+    accepted = checks.suite_parameters(args.suite)
+    kwargs = dict(params)
     grids = args.grids or params.get("grids")
     if isinstance(grids, str):
         kwargs["grids"] = tuple(int(g) for g in grids.split(","))
     if args.tolerance is not None:
         kwargs["tol"] = args.tolerance
-    if args.seed is not None:
+    if args.seed is not None and "seed" in accepted:
         kwargs["seed"] = args.seed
     lam = complex(args.lambda_re, args.lambda_im)
-    if lam not in (0, 1) and args.suite in ("flatness", "deform"):
+    if lam not in (0, 1) and "lam" in accepted:
         kwargs["lam"] = lam.real if lam.imag == 0 else lam
-    for key, val in params.items():
-        kwargs.setdefault(key, _parse_value(val) if isinstance(val, str) else val)
     report = checks.run_suite(args.suite, **kwargs)
     report["config"] = {
         "suite": args.suite,
         "grids": list(kwargs.get("grids", checks.DEFAULT_GRIDS)),
-        "seed": kwargs.get("seed"),
+        "seed": kwargs.get("seed", args.seed),
     }
     _write_json(report, args.out)
     return 0 if report["pass"] else 1
@@ -338,8 +332,8 @@ def main(argv=None):
             if "=" not in item:
                 raise UsageError(f"--param needs key=value, got {item!r}")
             key, val = item.split("=", 1)
-            params[key.replace("-", "_")] = _parse_value(val)
-        params = {k: (_parse_value(v) if isinstance(v, str) else v) for k, v in params.items()}
+            params[key.replace("-", "_")] = val
+        params = {key: _parse_value(val) for key, val in params.items()}
         return COMMANDS[args.command](args, params)
     except (QuadGeoError, ValueError, OSError) as exc:
         print(f"qg {args.command}: {exc}", file=sys.stderr)

@@ -73,5 +73,13 @@ class NonFiniteInputError(QuadGeoError):
     """Input data holds NaN or infinite values."""
 
 
+class GridTooSmallError(QuadGeoError):
+    """A grid has too few nodes for a stencil margin."""
+
+
+class MalformedInputError(QuadGeoError):
+    """An input file lacks a field or holds one of the wrong type or size."""
+
+
 class UsageError(QuadGeoError):
     """Bad CLI / config usage."""

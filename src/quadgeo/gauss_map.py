@@ -13,7 +13,7 @@ derivative on S.  Only the tension field works from the projection field:
 it is the covariant derivative tau = P_perp d_u(S_v) P with
 S_v = P_perp (d_v P) P (the Codazzi-equivalent P_perp d_v(S_u) P is reported
 as a cross-check).  The Grassmannian metric is <A, B> = -tr(B* A) with the
-pairing adjoint B* = G^-1 B^T G.
+pairing adjoint B* = G^-1 B^T G (`PseudoSpace.adjoint`).
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateReconstructionError
-from .grids import GridChart, d_u, d_v, d_uu, d_vv, interior
-from .legendre import LegendreGrid, smooth_phase
+from .grids import GridChart, d_u, d_v, d_uu, d_vv, interior, smooth_phase
+from .legendre import LegendreGrid
 from . import pseudo_linalg as pl
 
 DENSITY_MARGIN = 2
@@ -62,8 +62,7 @@ class TangentHom:
     gauss: GaussMapGrid
 
     def adjoint_op(self):
-        g = self.gauss.space.gram
-        return np.linalg.inv(g) @ self.op.swapaxes(-1, -2) @ g
+        return self.gauss.space.adjoint(self.op)
 
     def norm(self):
         """Per-node Frobenius norm of the operator."""
@@ -222,9 +221,7 @@ def grassmann_pair(a, b):
     """Grassmannian metric <A, B> = -tr(B* A) (pairing adjoint, no conjugation)."""
     if a.gauss is not b.gauss:
         raise ValueError("tangent vectors live at different Gauss maps")
-    g = a.gauss.space.gram
-    ginv = np.linalg.inv(g)
-    return -np.einsum("...ij,...ji->...", ginv @ b.op.swapaxes(-1, -2) @ g, a.op)
+    return -np.einsum("...ij,...ji->...", b.adjoint_op(), a.op)
 
 
 def willmore_density(gauss):

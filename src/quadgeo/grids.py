@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridTooSmallError
+
 REAL = "real"
 COMPLEX_CONJUGATE = "complex_conjugate"
 
@@ -113,6 +115,9 @@ def interior(field, margin=2):
     """View of a node field with `margin` layers stripped from each side."""
     if margin == 0:
         return field
+    if min(field.shape[:2]) < 2 * margin + 1:
+        raise GridTooSmallError(f"a {margin}-node margin needs at least 2*{margin}+1 = "
+                                f"{2 * margin + 1} nodes per axis, got {field.shape[:2]}")
     return field[margin:-margin, margin:-margin]
 
 
@@ -125,3 +130,30 @@ def interior_max(field, margin=2):
 def node_list(mask):
     """(i, j) pairs where a boolean node mask is set."""
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
+
+
+def smooth_phase(fld):
+    """Align per-node phases (signs, in the real case) across the grid.
+
+    Works along the center column, then column by column outward, so the
+    field can be finite differenced; input must span a smooth line field.
+    """
+    out = np.array(fld, dtype=complex)
+    n, m = out.shape[:2]
+    jc = m // 2
+
+    def align(x, ref):
+        inner = np.einsum("...k,...k->...", x, ref.conj())
+        # a node orthogonal to its reference keeps its phase instead of vanishing
+        phase = np.where(inner == 0, 1.0, inner / np.maximum(np.abs(inner), 1e-300))
+        return x * phase.conj()[..., None]
+
+    for i in range(1, n):
+        out[i, jc] = align(out[i, jc], out[i - 1, jc])
+    for j in range(jc + 1, m):
+        out[:, j] = align(out[:, j], out[:, j - 1])
+    for j in range(jc - 1, -1, -1):
+        out[:, j] = align(out[:, j], out[:, j + 1])
+    if np.max(np.abs(out.imag)) < 1e-9 * np.max(np.abs(out.real)):
+        out = out.real.astype(complex)
+    return out

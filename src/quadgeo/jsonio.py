@@ -6,12 +6,13 @@ runs for identical inputs.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .errors import NonFiniteInputError
+from .errors import MalformedInputError, NonFiniteInputError
 from .grids import GridChart
-from .surfaces import EUCLIDEAN3, SurfaceGrid
+from .surfaces import EUCLIDEAN3, PROJECTIVE3, SurfaceGrid
 
 
 def _flat(arr):
@@ -43,29 +44,55 @@ def surface_to_dict(surface):
     return out
 
 
-def _finite(name, values):
+def _field(data, name, shape):
+    """The array `data[name]`, checked for its size and for finite values."""
+    try:
+        values = np.array(data[name], dtype=float)
+    except (TypeError, ValueError):
+        raise MalformedInputError(f"surface field {name!r} is not an array of numbers")
+    if values.size != np.prod(shape):
+        raise MalformedInputError(f"surface field {name!r} has {values.size} values, "
+                                  f"not {np.prod(shape)}")
     if not np.isfinite(values).all():
         raise NonFiniteInputError(f"surface field {name!r} has non-finite values")
-    return values
+    return values.reshape(shape)
+
+
+def _scalar(data, name, kind):
+    """`data[name]` as a finite `kind`; a float field also takes a JSON integer."""
+    value = data[name]
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
+        raise MalformedInputError(f"surface field {name!r} must be a finite {kind.__name__}, "
+                                  f"got {value!r:.40}")
+    return kind(value)
 
 
 def surface_from_dict(data):
-    chart = GridChart(
-        int(data["nu"]), int(data["nv"]), float(data["hu"]), float(data["hv"]),
-        data.get("reality", "real"),
-    )
+    if not isinstance(data, dict):
+        raise MalformedInputError(f"a surface must be a JSON object, got {type(data).__name__}")
+    geometry = data.get("geometry")
+    required = ("geometry", "nu", "nv", "hu", "hv", "points")
+    for name in required + (("normals",) if geometry == EUCLIDEAN3 else ()):
+        if name not in data:
+            raise MalformedInputError(f"surface field {name!r} is missing")
+    if geometry not in (EUCLIDEAN3, PROJECTIVE3):
+        raise MalformedInputError(f"surface field 'geometry' must be {EUCLIDEAN3!r} "
+                                  f"or {PROJECTIVE3!r}, got {geometry!r:.40}")
+    if not isinstance(data.get("meta", {}), dict):
+        raise MalformedInputError("surface field 'meta' must be a JSON object")
+    chart = GridChart(_scalar(data, "nu", int), _scalar(data, "nv", int),
+                      _scalar(data, "hu", float), _scalar(data, "hv", float),
+                      data.get("reality", "real"))
     nu, nv = chart.nu, chart.nv
-    ncomp = 3 if data["geometry"] == EUCLIDEAN3 else 4
-    pts = _finite("points", np.array(data["points"], dtype=float).reshape(nu, nv, ncomp))
+    pts = _field(data, "points", (nu, nv, 3 if geometry == EUCLIDEAN3 else 4))
     kwargs = {}
     if "normals" in data:
-        kwargs["normal"] = _finite(
-            "normals", np.array(data["normals"], dtype=float).reshape(nu, nv, 3))
+        kwargs["normal"] = _field(data, "normals", (nu, nv, 3))
     for key in ("kappa1", "kappa2"):
         if key in data:
-            kwargs[key] = _finite(key, np.array(data[key], dtype=float).reshape(nu, nv))
-    meta = dict(data.get("meta", {}))
-    return SurfaceGrid(data["geometry"], pts, chart, meta=meta, **kwargs)
+            kwargs[key] = _field(data, key, (nu, nv))
+    return SurfaceGrid(geometry, pts, chart, meta=dict(data.get("meta", {})), **kwargs)
 
 
 def write_surface(surface, path):

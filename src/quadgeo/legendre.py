@@ -23,7 +23,7 @@ from .errors import (
     NotImmersedError,
     UmbilicError,
 )
-from .grids import GridChart, d_u, d_v, interior
+from .grids import GridChart, d_u, d_v, interior, smooth_phase
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, SurfaceGrid, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
@@ -60,32 +60,6 @@ class ConjugateCoefficients:
 
 def _enorm(x):
     return np.linalg.norm(x, axis=-1)
-
-
-def smooth_phase(fld):
-    """Align per-node phases (signs, in the real case) across the grid.
-
-    Works column by column from the center so the field can be finite
-    differenced; input must span a smooth line field.
-    """
-    out = np.array(fld, dtype=complex)
-    n, m = out.shape[:2]
-    jc = m // 2
-
-    def align(x, ref):
-        inner = np.einsum("...k,...k->...", x, ref.conj())
-        phase = inner / np.maximum(np.abs(inner), 1e-300)
-        return x * phase.conj()[..., None]
-
-    for i in range(1, n):
-        out[i, jc] = align(out[i, jc], out[i - 1, jc])
-    for j in range(jc + 1, m):
-        out[:, j] = align(out[:, j], out[:, j - 1])
-    for j in range(jc - 1, -1, -1):
-        out[:, j] = align(out[:, j], out[:, j + 1])
-    if np.max(np.abs(out.imag)) < 1e-9 * np.max(np.abs(out.real)):
-        out = out.real.astype(complex)
-    return out
 
 
 # ---------------------------------------------------------------------------

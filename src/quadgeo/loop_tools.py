@@ -12,7 +12,8 @@ whose flatness for all lambda characterizes harmonicity.  Flatness is
 measured as the plaquette-holonomy curvature density; frames integrate back
 from edge exponentials.  The duality between the (3,3) and (4,2) pictures
 evaluates the family at lambda = +-i and re-reads the result in the real
-basis of S_o + i S_o_perp.
+basis of S_o + i S_o_perp.  Pairings go through `PseudoSpace.pair`; group
+elements are inverted by `PseudoSpace.adjoint`, never numerically.
 """
 
 from dataclasses import dataclass, field
@@ -77,20 +78,15 @@ class ConnectionGrid:
         return self.k_v + self.p_v
 
 
-def is_skew(xi, space, tol=1e-8):
-    adj = space.adjoint(xi)
-    return np.linalg.norm(adj + xi) <= tol * max(np.linalg.norm(xi), 1e-300)
-
-
 def symmetric_split(xi, pair):
     """Split a pairing-skew endomorphism into commuting and anticommuting parts."""
     xi = np.asarray(xi, dtype=complex)
-    if not is_skew(xi, pair.space):
+    if np.linalg.norm(pair.space.adjoint(xi) + xi) > 1e-8 * max(np.linalg.norm(xi), 1e-300):
         raise ValueError("element is not skew for the pairing")
     return pair.split(xi)
 
 
-def _gram_schmidt_rows(rows, signs, gram):
+def _gram_schmidt_rows(rows, signs, space):
     """Strict pairing Gram-Schmidt keeping a prescribed sign pattern.
 
     `rows` has shape (..., k, 6); each leading index is orthonormalized on
@@ -102,9 +98,9 @@ def _gram_schmidt_rows(rows, signs, gram):
     for k in range(rows.shape[-2]):
         v = rows[..., k, :]
         for m in range(k):
-            c = np.einsum("...i,ij,...j->...", v, gram, out[..., m, :]) / signs[m]
+            c = space.pair(v, out[..., m, :]) / signs[m]
             v = v - c[..., None] * out[..., m, :]
-        n = np.einsum("...i,ij,...j->...", v, gram, v)
+        n = space.pair(v, v)
         real = np.abs(n.imag) <= 1e-8 * np.abs(n)
         if np.any(real & (n.real * signs[k] <= 0)):
             raise SignatureError("sign pattern broke during orthonormalization")
@@ -112,11 +108,6 @@ def _gram_schmidt_rows(rows, signs, gram):
             root = np.where(real, np.sqrt(np.abs(n.real)), np.sqrt(n))
         out[..., k, :] = v / root[..., None]
     return out
-
-
-def _group_inverse(f, gram):
-    """Inverse of pairing-orthogonal elements (F^T G F = G): G^-1 F^T G."""
-    return np.linalg.inv(gram) @ f.swapaxes(-1, -2) @ gram
 
 
 def make_pair(gauss):
@@ -128,13 +119,13 @@ def make_pair(gauss):
     """
     node = (gauss.chart.nu // 2, gauss.chart.nv // 2)
     signs = np.concatenate([gauss.signs_s[node], gauss.signs_p[node]], axis=0).real
-    g = gauss.space.gram
+    sp = gauss.space
     p = gauss.proj[node]
     rows_s = (p @ gauss.basis_s[node].T).T
     rows_p = ((np.eye(6) - p) @ gauss.basis_p[node].T).T
     basis = np.concatenate(
-        [_gram_schmidt_rows(rows_s, signs[0:3], g),
-         _gram_schmidt_rows(rows_p, signs[3:6], g)],
+        [_gram_schmidt_rows(rows_s, signs[0:3], sp),
+         _gram_schmidt_rows(rows_p, signs[3:6], sp)],
         axis=0,
     )
     return SymmetricPair(
@@ -144,6 +135,19 @@ def make_pair(gauss):
         signs_o=signs,
         eps=gauss.eps,
     )
+
+
+def _center_out_steps(nu, nv):
+    """(target, source, axis) steps outward from the center node.
+
+    The seed column j = nv // 2 node by node, then whole columns; `axis` is
+    0 for u-steps and 1 for v-steps.
+    """
+    ic, jc = nu // 2, nv // 2
+    for i in [*range(ic + 1, nu), *range(ic - 1, -1, -1)]:
+        yield (i, jc), (i - 1 if i > ic else i + 1, jc), 0
+    for j in [*range(jc + 1, nv), *range(jc - 1, -1, -1)]:
+        yield (slice(None), j), (slice(None), j - 1 if j > jc else j + 1), 1
 
 
 def frame(gauss):
@@ -159,36 +163,28 @@ def frame(gauss):
     """
     pair = make_pair(gauss)
     sp = gauss.space
-    g = sp.gram
     nu, nv = gauss.chart.nu, gauss.chart.nv
-    ic, jc = nu // 2, nv // 2
-    proj_s = gauss.proj
     proj_p = np.eye(6) - gauss.proj
     signs = pair.signs_o
     bases = np.empty((nu, nv, 6, 6), dtype=complex)
 
     def node_basis(idx, seed_rows):
-        rows_s = np.einsum("...ab,...kb->...ka", proj_s[idx], seed_rows[..., 0:3, :])
+        rows_s = np.einsum("...ab,...kb->...ka", gauss.proj[idx], seed_rows[..., 0:3, :])
         rows_p = np.einsum("...ab,...kb->...ka", proj_p[idx], seed_rows[..., 3:6, :])
         return np.concatenate(
-            [_gram_schmidt_rows(rows_s, signs[0:3], g),
-             _gram_schmidt_rows(rows_p, signs[3:6], g)],
+            [_gram_schmidt_rows(rows_s, signs[0:3], sp),
+             _gram_schmidt_rows(rows_p, signs[3:6], sp)],
             axis=-2,
         )
 
-    bases[ic, jc] = node_basis((ic, jc), pair.basis_o)
-    for i in range(ic + 1, nu):
-        bases[i, jc] = node_basis((i, jc), bases[i - 1, jc])
-    for i in range(ic - 1, -1, -1):
-        bases[i, jc] = node_basis((i, jc), bases[i + 1, jc])
-    for j in range(jc + 1, nv):
-        bases[:, j] = node_basis((slice(None), j), bases[:, j - 1])
-    for j in range(jc - 1, -1, -1):
-        bases[:, j] = node_basis((slice(None), j), bases[:, j + 1])
+    center = (nu // 2, nv // 2)
+    bases[center] = node_basis(center, pair.basis_o)
+    for target, source, _ in _center_out_steps(nu, nv):
+        bases[target] = node_basis(target, bases[source])
 
     base_cols_inv = np.linalg.inv(pair.basis_o.T)
     frames = bases.swapaxes(-1, -2) @ base_cols_inv[None, None]
-    frames = reproject_orthogonal(frames, g)
+    frames = reproject_orthogonal(frames, sp.gram)
     if gauss.chart.reality == "real" and np.max(np.abs(frames.imag)) < 1e-8:
         frames = frames.real.astype(complex)
     return FrameGrid(space=sp, chart=gauss.chart, frames=frames, pair=pair)
@@ -198,13 +194,12 @@ def maurer_cartan(framegrid):
     """Edge logarithms of the frame transition, split by the decomposition."""
     f = framegrid.frames
     pair = framegrid.pair
-    g = framegrid.space.gram
-    a_u = logm(_group_inverse(f[:-1], g) @ f[1:])
-    a_v = logm(_group_inverse(f[:, :-1], g) @ f[:, 1:])
+    sp = framegrid.space
+    a_u = logm(sp.adjoint(f[:-1]) @ f[1:])
+    a_v = logm(sp.adjoint(f[:, :-1]) @ f[:, 1:])
     # re-project to the skew algebra (kills roundoff drift)
-    ginv = np.linalg.inv(g)
-    k_u, p_u = pair.split(0.5 * (a_u - ginv @ a_u.swapaxes(-1, -2) @ g))
-    k_v, p_v = pair.split(0.5 * (a_v - ginv @ a_v.swapaxes(-1, -2) @ g))
+    k_u, p_u = pair.split(0.5 * (a_u - sp.adjoint(a_u)))
+    k_v, p_v = pair.split(0.5 * (a_v - sp.adjoint(a_v)))
     return ConnectionGrid(
         space=framegrid.space, chart=framegrid.chart, pair=pair,
         k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
@@ -219,21 +214,17 @@ def structure_identity_residual(gauss, framegrid, alpha):
     """
     su, sv = gm.dS(gauss)
     f = framegrid.frames
-    g = framegrid.space.gram
     hu, hv = gauss.chart.hu, gauss.chart.hv
 
     def residual(p_edges, h, hom, axis):
+        target = hom.op - hom.adjoint_op()
         if axis == 0:
             mid = 0.5 * (p_edges[:-1] + p_edges[1:]) / h
-            fc = f[1:-1]
-            target = hom.op - hom.adjoint_op()
-            tgt = target[1:-1]
+            fc, tgt = f[1:-1], target[1:-1]
         else:
             mid = 0.5 * (p_edges[:, :-1] + p_edges[:, 1:]) / h
-            fc = f[:, 1:-1]
-            target = hom.op - hom.adjoint_op()
-            tgt = target[:, 1:-1]
-        conj = fc @ mid @ _group_inverse(fc, g)
+            fc, tgt = f[:, 1:-1], target[:, 1:-1]
+        conj = fc @ mid @ framegrid.space.adjoint(fc)
         num = np.linalg.norm(conj - tgt, axis=(-2, -1))
         den = np.maximum(np.linalg.norm(tgt, axis=(-2, -1)).max(), 1e-300)
         return num / den
@@ -262,18 +253,13 @@ def flatness_residual(alpha):
 
     The holonomy multiplies the four exponentiated edge values around each
     cell; the connection is flat iff the density vanishes with refinement.
-    Edge exponentials are pairing-orthogonal, so they are inverted as
-    G^-1 E^T G.
+    Edge exponentials are pairing-orthogonal, so their inverses are their
+    pairing adjoints.
     """
     eu = expm(alpha.edge_u())
     ev = expm(alpha.edge_v())
-    g = alpha.space.gram
-    hol = (
-        eu[:, :-1]
-        @ ev[1:]
-        @ _group_inverse(eu[:, 1:], g)
-        @ _group_inverse(ev[:-1], g)
-    )
+    sp = alpha.space
+    hol = eu[:, :-1] @ ev[1:] @ sp.adjoint(eu[:, 1:]) @ sp.adjoint(ev[:-1])
     lg = logm(hol)
     return np.linalg.norm(lg, axis=(-2, -1)) / (alpha.chart.hu * alpha.chart.hv)
 
@@ -288,26 +274,17 @@ def integrate_frame(alpha, f0=None):
     the pairing-orthogonal group at every node.
     """
     nu, nv = alpha.chart.nu, alpha.chart.nv
-    ic, jc = nu // 2, nv // 2
-    eu = expm(alpha.edge_u())
-    ev = expm(alpha.edge_v())
-    g = alpha.space.gram
+    sp = alpha.space
+    edges = expm(alpha.edge_u()), expm(alpha.edge_v())
     frames = np.empty((nu, nv, 6, 6), dtype=complex)
-    frames[ic, jc] = np.eye(6) if f0 is None else f0
-    for i in range(ic + 1, nu):
-        frames[i, jc] = reproject_orthogonal(frames[i - 1, jc] @ eu[i - 1, jc], g)
-    for i in range(ic - 1, -1, -1):
-        frames[i, jc] = reproject_orthogonal(
-            frames[i + 1, jc] @ _group_inverse(eu[i, jc], g), g
-        )
-    for j in range(jc + 1, nv):
-        frames[:, j] = reproject_orthogonal(frames[:, j - 1] @ ev[:, j - 1], g)
-    for j in range(jc - 1, -1, -1):
-        frames[:, j] = reproject_orthogonal(
-            frames[:, j + 1] @ _group_inverse(ev[:, j], g), g
-        )
-    # consistency: u-edges off the seed row were not used in propagation
-    mismatch = frames[:-1] @ eu - frames[1:]
+    frames[nu // 2, nv // 2] = np.eye(6) if f0 is None else f0
+    for target, source, axis in _center_out_steps(nu, nv):
+        # edge k joins nodes k and k+1: step forward by it, back by its inverse
+        forward = target[axis] > source[axis]
+        step = edges[axis][source] if forward else sp.adjoint(edges[axis][target])
+        frames[target] = reproject_orthogonal(frames[source] @ step, sp.gram)
+    # consistency: u-edges off the seed column were not used in propagation
+    mismatch = frames[:-1] @ edges[0] - frames[1:]
     scale = np.maximum(np.linalg.norm(frames[1:], axis=(-2, -1)), 1e-300)
     consistency = float(np.max(np.linalg.norm(mismatch, axis=(-2, -1)) / scale))
     out = FrameGrid(space=alpha.space, chart=alpha.chart, frames=frames, pair=alpha.pair)
@@ -318,7 +295,7 @@ def gauss_from_frame(framegrid, reference_gauss=None):
     """Gauss map S(node) = F(node) S_o from a frame field."""
     pair = framegrid.pair
     f = framegrid.frames
-    star = f @ pair.star_o @ _group_inverse(f, framegrid.space.gram)
+    star = f @ pair.star_o @ framegrid.space.adjoint(f)
     proj = 0.5 * (star / pair.eps + np.eye(6))
     rows = pair.basis_o[0:3]
     span_s = (f @ rows.T[None, None]).swapaxes(-1, -2)

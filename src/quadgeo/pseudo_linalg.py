@@ -14,6 +14,8 @@ quadric form.  Two standard spaces are used throughout:
 
 Vectors are plain complex ndarrays of shape (..., 6).  All arithmetic is
 complex internally; reality is an assertion, not a representation choice.
+`PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
+and one adjoint (the inverse of a pairing-orthogonal element).
 """
 
 from dataclasses import dataclass
@@ -65,7 +67,7 @@ class PseudoSpace:
         return np.einsum("...i,ij,...j->...", x, self.gram, y)
 
     def adjoint(self, a):
-        """Pairing adjoint of an operator: a* = gram^-1 a^T gram  (no conjugation)."""
+        """Pairing adjoint a* = gram^-1 a^T gram (no conjugation), batched."""
         gi = np.linalg.inv(self.gram)
         return gi @ np.swapaxes(np.asarray(a), -1, -2) @ self.gram
 
@@ -232,7 +234,7 @@ def star_to_quadric(star, tol=1e-8, seed=20260808):
     sp = plucker_space()
     g = sp.gram
     scale = max(float(np.linalg.norm(star)), 1e-300)
-    if np.linalg.norm(g @ star.T @ g - star) > tol * scale:
+    if np.linalg.norm(sp.adjoint(star) - star) > tol * scale:
         raise NotAQuadricStarError("endomorphism is not symmetric for the (3,3) pairing")
     sq = star @ star
     c = np.trace(sq) / 6.0

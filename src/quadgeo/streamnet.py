@@ -11,24 +11,23 @@ integrated as a batch.
 
 Line fields are unoriented; every field evaluation is sign-aligned to a
 running reference direction, so stored or analytic fields only need to be
-consistent up to sign.
+consistent up to sign.  Grid fields are sign-aligned once by
+`grids.smooth_phase`, the package's one grid alignment sweep.
 """
 
 import numpy as np
 
 from .errors import StreamlineError, UmbilicError
-from .grids import GridChart, d_u, d_v
+from .grids import GridChart, d_u, d_v, smooth_phase
 from .surfaces import (
     EUCLIDEAN3,
     PROJECTIVE3,
     SurfaceGrid,
+    _unit,
     hessian_null_directions,
+    symmetric_eigen_2x2,
     umbilic_mask,
 )
-
-
-def _unit2(d):
-    return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
 def principal_directions_2x2(E, F, G, L, M, N):
@@ -45,18 +44,14 @@ def principal_directions_2x2(E, F, G, L, M, N):
     b11 = i11 * (L * i11)
     b12 = i11 * (L * i12 + M * i22)
     b22 = i12 * (L * i12 + M * i22) + i22 * (M * i12 + N * i22)
-    theta = 0.5 * np.arctan2(2.0 * b12, b11 - b22)
-    emax = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    emin = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    emax, emin, kmax, kmin = symmetric_eigen_2x2(b11, b12, b22)
     # pull back through A^-1
     def pull(e):
-        return _unit2(
+        return _unit(
             np.stack([i11 * e[..., 0] + i12 * e[..., 1], i22 * e[..., 1]], axis=-1)
         )
 
-    half = 0.5 * (b11 + b22)
-    rad = np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
-    return pull(emax), pull(emin), half + rad, half - rad
+    return pull(emax), pull(emin), kmax, kmin
 
 
 class AnalyticLineFields:
@@ -69,7 +64,7 @@ class AnalyticLineFields:
     def eval(self, pts):
         self._check(pts)
         d1, d2 = self.fn(pts[..., 0], pts[..., 1])
-        return _unit2(d1), _unit2(d2)
+        return _unit(d1), _unit(d2)
 
     def _check(self, pts):
         u0, u1, v0, v1 = self.window
@@ -109,33 +104,15 @@ class GridLineFields:
     """Bilinear interpolation of two sign-coherent line fields on a grid."""
 
     def __init__(self, d1, d2, window):
-        self.d1 = orient_line_field(d1)
-        self.d2 = orient_line_field(d2)
+        self.d1 = smooth_phase(d1).real
+        self.d2 = smooth_phase(d2).real
         self.window = window
 
     def eval(self, pts):
         return (
-            _unit2(bilinear_sample(self.d1, self.window, pts)),
-            _unit2(bilinear_sample(self.d2, self.window, pts)),
+            _unit(bilinear_sample(self.d1, self.window, pts)),
+            _unit(bilinear_sample(self.d2, self.window, pts)),
         )
-
-
-def orient_line_field(d):
-    """Flip signs node by node so the field is continuous across the grid."""
-    d = np.array(d, dtype=float)
-    n, m = d.shape[:2]
-    jc = m // 2
-    # central column, then sweep columns outward row-wise
-    for i in range(1, n):
-        if np.dot(d[i, jc], d[i - 1, jc]) < 0:
-            d[i, jc] = -d[i, jc]
-    for j in range(jc + 1, m):
-        flip = np.einsum("ik,ik->i", d[:, j], d[:, j - 1]) < 0
-        d[flip, j] = -d[flip, j]
-    for j in range(jc - 1, -1, -1):
-        flip = np.einsum("ik,ik->i", d[:, j], d[:, j + 1]) < 0
-        d[flip, j] = -d[flip, j]
-    return d
 
 
 def _aligned(d, ref):
@@ -168,21 +145,15 @@ def march_net(fields, center, h1, h2, nu, nv, nsub=4, newton=3):
     pos[ic, jc] = center
     d1c, d2c = fields.eval(np.asarray(center, dtype=float))
 
-    # seed row (family 1) and seed column (family 2), marched incrementally
-    for sgn, rng in ((+1, range(ic + 1, nu)), (-1, range(ic - 1, -1, -1))):
-        ref = sgn * d1c
-        p = np.asarray(center, dtype=float)
-        for i in rng:
-            p, ref = _rk4_flow(fields, 1, p[None], ref[None], np.array([h1]), nsub)
-            p, ref = p[0], ref[0]
-            pos[i, jc] = p
-    for sgn, rng in ((+1, range(jc + 1, nv)), (-1, range(jc - 1, -1, -1))):
-        ref = sgn * d2c
-        p = np.asarray(center, dtype=float)
-        for j in rng:
-            p, ref = _rk4_flow(fields, 2, p[None], ref[None], np.array([h2]), nsub)
-            p, ref = p[0], ref[0]
-            pos[ic, j] = p
+    # seed row (family 1) and seed column (family 2), marched outward
+    for family, d0, h, c, n in ((1, d1c, h1, ic, nu), (2, d2c, h2, jc, nv)):
+        for sgn, rng in ((+1, range(c + 1, n)), (-1, range(c - 1, -1, -1))):
+            ref = sgn * d0
+            p = np.asarray(center, dtype=float)
+            for k in rng:
+                p, ref = _rk4_flow(fields, family, p[None], ref[None], np.array([h]), nsub)
+                p, ref = p[0], ref[0]
+                pos[(k, jc) if family == 1 else (ic, k)] = p
 
     # quadrant fill by anti-diagonals; each new node closes a cell
     for su in (+1, -1):

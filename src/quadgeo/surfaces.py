@@ -20,6 +20,7 @@ from .errors import (
     FocalValueError,
     NotCurvatureLineError,
     NotImmersedError,
+    SignatureError,
     UmbilicError,
 )
 from .grids import GridChart, d_u, d_v, interior
@@ -322,17 +323,24 @@ def hessian_null_directions(h11, h12, h22):
     h11, h12, h22 = np.broadcast_arrays(h11, h12, h22)
     disc = h12 * h12 - h11 * h22
     if np.any(disc <= 0):
-        from .errors import SignatureError
-
         raise SignatureError("second fundamental form is not of signature (1,1) on the patch")
-    theta = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
+    emax, emin, lmax, lmin = symmetric_eigen_2x2(h11, h12, h22)
+    a = np.sqrt(lmax)[..., None]
+    b = np.sqrt(-lmin)[..., None]
+    return _unit(a * emin + b * emax), _unit(a * emin - b * emax)
+
+
+def symmetric_eigen_2x2(a11, a12, a22):
+    """Half-angle eigen-split of the symmetric 2x2 [[a11, a12], [a12, a22]].
+
+    Returns the unit eigenvectors and the eigenvalues (emax, emin, lmax, lmin).
+    """
+    theta = 0.5 * np.arctan2(2.0 * a12, a11 - a22)
     emax = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     emin = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    half = 0.5 * (h11 + h22)
-    rad = np.sqrt(0.25 * (h11 - h22) ** 2 + h12 * h12)
-    a = np.sqrt(half + rad)[..., None]
-    b = np.sqrt(rad - half)[..., None]
-    return _unit(a * emin + b * emax), _unit(a * emin - b * emax)
+    half = 0.5 * (a11 + a22)
+    rad = np.sqrt(0.25 * (a11 - a22) ** 2 + a12 * a12)
+    return emax, emin, half + rad, half - rad
 
 
 def make_surface(sampler, window, nu, nv, with_kappa=True, reality=grids.REAL):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadgeo import checks, cli, jsonio, surfaces as sf
 from quadgeo.errors import UsageError
@@ -143,10 +147,25 @@ def test_deform_and_dualize_commands(tmp_path):
     ["check", "--suite", "conformality", "--grids", "65,33"],
     ["lift", "--surface", "{tmp}/missing.json"],
     ["energy", "--surface", "{tmp}/nan.json"],
+    ["check", "--suite", "lift-invariants", "--grids", "17,33", "--tolerance", "1e-300"],
+    ["check", "--suite", "lift-invariants", "--grids", "17,33", "--param", "tol_typo=1"],
+    ["lift", "--surface", "{tmp}/no_nu.json"],
+    ["lift", "--surface", "{tmp}/list.json"],
+    ["lift", "--surface", "{tmp}/geometry.json"],
+    ["lift", "--surface", "{tmp}/float_nu.json"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    # a surface file with one NaN point
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
+    good = jsonio.surface_to_dict(surf)
+    bad = {  # file name: (content, what the message must name)
+        "no_nu": ({k: v for k, v in good.items() if k != "nu"}, "'nu' is missing"),
+        "list": ([good], "JSON object"),
+        "geometry": (dict(good, geometry="euclidean4"), "'geometry'"),
+        "float_nu": (dict(good, nu=9.7), "'nu' must be"),
+    }
+    for name, (data, _) in bad.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    # a surface file with one NaN point
     surf.points[4, 4, 0] = np.nan
     jsonio.write_surface(surf, tmp_path / "nan.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -154,6 +173,9 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"qg {argv[0]}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    for name, (_, needle) in bad.items():
+        if argv[-1].endswith(f"/{name}.json"):
+            assert needle in err
 
 
 def test_check_grids_from_param(tmp_path):
@@ -161,3 +183,64 @@ def test_check_grids_from_param(tmp_path):
     assert run(["check", "--suite", "orthogonality", "--param", "grids=17,33",
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["grids"] == [17, 33]
+
+
+def test_tension_on_too_small_grid_names_the_minimum(tmp_path, capsys):
+    surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 5, 5)
+    jsonio.write_surface(surf, tmp_path / "small.json")
+    assert run(["tension", "--surface", str(tmp_path / "small.json"),
+                "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and " 7 nodes per axis" in err
+
+
+VALID_9x9 = jsonio.surface_to_dict(
+    sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9))
+REQUIRED = ("geometry", "nu", "nv", "hu", "hv", "points", "normals")
+ARRAYS = ("points", "normals", "kappa1", "kappa2")
+# one value of each JSON type; a key only ever gets one of another type
+SWAPS = (None, True, "x", 7, 1.5, [1.0, 2.0], {"a": 1})
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return bool
+    return float if isinstance(value, (int, float)) else type(value)
+
+
+@st.composite
+def malformed_surfaces(draw):
+    data = dict(VALID_9x9)
+    how = draw(st.sampled_from(("drop", "swap", "truncate", "nan")))
+    if how == "drop":
+        del data[draw(st.sampled_from(REQUIRED))]
+    elif how == "swap":
+        key = draw(st.sampled_from(sorted(data)))
+        data[key] = draw(st.sampled_from(
+            [v for v in SWAPS if _json_type(v) is not _json_type(data[key])]))
+    elif how == "truncate":
+        key = draw(st.sampled_from(ARRAYS))
+        data[key] = data[key][:draw(st.integers(0, len(data[key]) - 1))]
+    else:
+        key = draw(st.sampled_from(ARRAYS + ("hu", "hv")))
+        if key in ("hu", "hv"):
+            data[key] = float("nan")
+        else:
+            data[key] = list(data[key])
+            data[key][draw(st.integers(0, len(data[key]) - 1))] = float("nan")
+    return data
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(malformed_surfaces())
+def test_malformed_surface_exits_2_with_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/surface.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = run(["lift", "--surface", path, "--out", f"{tmp}/out.json"])
+    err = stderr.getvalue()
+    assert code == 2
+    assert err.startswith("qg lift: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from quadgeo import matfun
-from quadgeo.grids import GridChart, d_u, d_uu, d_v, d_vv, interior
+from quadgeo.grids import GridChart, d_u, d_uu, d_v, d_vv, interior, smooth_phase
 
 
 def test_chart_validation():
@@ -106,3 +106,16 @@ def test_reproject_orthogonal(rng):
     fixed = matfun.reproject_orthogonal(drifted, sp.gram)
     assert matfun.orthogonality_defect(fixed, sp.gram) < 1e-12
     assert np.max(np.abs(fixed - g)) < 1e-4
+
+
+def test_smooth_phase_aligns_signs_and_keeps_orthogonal_nodes():
+    rng = np.random.default_rng(3)
+    flips = rng.choice([-1.0, 1.0], size=(7, 9, 1))
+    field = np.tile([0.6, 0.8], (7, 9, 1))
+    out = smooth_phase(flips * field).real
+    assert np.allclose(out, field) or np.allclose(out, -field)
+    # a node orthogonal to the node before it keeps its phase; nothing vanishes
+    field[3, 4] = [0.8, -0.6]
+    out = smooth_phase(field).real
+    assert np.array_equal(out[3, 4], field[3, 4])
+    assert np.all(np.linalg.norm(out, axis=-1) > 0.99)

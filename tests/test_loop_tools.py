@@ -139,15 +139,15 @@ def test_frame_sweeps_columns_in_batches(ellipsoid_connection, monkeypatch):
 
 def test_gram_schmidt_batch_raises_on_one_broken_node(ellipsoid_connection):
     gauss, pair, _, _ = ellipsoid_connection
-    g = gauss.space.gram
+    sp = gauss.space
     signs = pair.signs_o[0:3]
     rows = np.broadcast_to(pair.basis_o[0:3], (40, 3, 6)).copy()
-    assert np.allclose(lt._gram_schmidt_rows(rows, signs, g), rows, atol=1e-12)
+    assert np.allclose(lt._gram_schmidt_rows(rows, signs, sp), rows, atol=1e-12)
     # node 17's first row gets a pairing norm of the opposite sign
     flip = np.nonzero(pair.signs_o[3:6] != signs[0])[0][0]
     rows[17, 0] = pair.basis_o[3 + flip]
     with pytest.raises(SignatureError):
-        lt._gram_schmidt_rows(rows, signs, g)
+        lt._gram_schmidt_rows(rows, signs, sp)
 
 
 def test_frame_constant_map_identity(torus_gauss65):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadgeo import streamnet as sn
 from quadgeo import surfaces as sf
@@ -93,3 +94,25 @@ def test_grid_route_without_sampler():
     out = sn.asymptotic_reparametrize(src, 33, 33, 0.01, 0.01)
     assert out.points.shape == (33, 33, 4)
     assert asymptotic_residual(out) < 5e-3  # bilinear resampling noise floor
+
+
+def test_principal_directions_match_generalized_eigh():
+    rng = np.random.default_rng(7)
+    n = 200
+    a = rng.standard_normal((n, 2, 2))
+    first = a @ a.swapaxes(-1, -2) + 0.5 * np.eye(2)   # positive definite I
+    b = rng.standard_normal((n, 2, 2))
+    second = b + b.swapaxes(-1, -2)                    # symmetric II
+    E, F, G = first[:, 0, 0], first[:, 0, 1], first[:, 1, 1]
+    L, M, N = second[:, 0, 0], second[:, 0, 1], second[:, 1, 1]
+    d1, d2, k1, k2 = sn.principal_directions_2x2(E, F, G, L, M, N)
+    for k in range(n):
+        w, v = scipy.linalg.eigh(second[k], first[k])
+        scale = max(abs(w[0]), abs(w[1]), 1.0)
+        assert abs(k1[k] - w[1]) <= 1e-12 * scale
+        assert abs(k2[k] - w[0]) <= 1e-12 * scale
+        # directions agree up to sign; their error grows as 1/gap
+        tol = 1e-12 * scale / (w[1] - w[0])
+        for d, col in ((d1[k], v[:, 1]), (d2[k], v[:, 0])):
+            col = col / np.linalg.norm(col)
+            assert abs(d[0] * col[1] - d[1] * col[0]) <= tol
