@@ -40,10 +40,9 @@ class GridChart:
     orientation: int = 1
 
     def __post_init__(self):
-        if self.nu < 5 or self.nv < 5:
-            raise ValueError("grid sizes must be >= 5 (2-node stencil margins)")
-        if self.hu <= 0 or self.hv <= 0:
-            raise ValueError("grid spacings must be positive")
+        check_sizes(self.nu, self.nv)
+        if not (np.isfinite(self.hu) and np.isfinite(self.hv) and self.hu > 0 and self.hv > 0):
+            raise ValueError("grid spacings must be positive and finite")
         if self.reality not in (REAL, COMPLEX_CONJUGATE):
             raise ValueError(f"unknown reality flag {self.reality!r}")
 
@@ -57,6 +56,12 @@ class GridChart:
             self.reality,
             self.orientation,
         )
+
+
+def check_sizes(nu, nv):
+    """Raise GridTooSmallError unless both sizes leave 2-node stencil margins."""
+    if nu < 5 or nv < 5:
+        raise GridTooSmallError("grid sizes must be >= 5 (2-node stencil margins)")
 
 
 def _diff_axis(field, h, axis):

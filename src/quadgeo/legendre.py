@@ -160,10 +160,11 @@ def validate(grid):
         np.abs(sp.pair(su, l)), np.abs(sp.pair(sv, l)),
     ]) / (scale_d * scale_f)
 
+    basis = np.stack([l, s], axis=-1)
+    basis_pinv = np.linalg.pinv(basis)
+
     def off_span(w):
-        basis = np.stack([l, s], axis=-1)
-        coef = np.linalg.pinv(basis) @ w[..., None]
-        return _enorm(w - (basis @ coef)[..., 0])
+        return _enorm(w - (basis @ (basis_pinv @ w[..., None]))[..., 0])
 
     foc_f = np.maximum(off_span(lu), off_span(sv)) / scale_d
     return {

@@ -6,8 +6,14 @@ directions for asymptotic charts).  Nodes are propagated cell by cell from two
 seed streamlines through the chart center: the node across a cell is the
 intersection of the family-1 streamline from its left neighbor with the
 family-2 streamline from its lower neighbor, solved by a small Newton
-iteration on RK4 flows.  Cells on an anti-diagonal are independent and are
-integrated as a batch.
+iteration on RK4 flows.
+
+The cost of a field evaluation is per call, not per point, so the marcher
+batches every independent flow: the four seed half-lines march together, and
+the cells on one anti-diagonal index of all four quadrants, with their
+family-1 and family-2 flows stacked, form one batch.  All four quadrants and
+both families thus share one `fields.eval` call per RK stage; each row keeps
+the arithmetic it would have alone.
 
 Line fields are unoriented; every field evaluation is sign-aligned to a
 running reference direction, so stored or analytic fields only need to be
@@ -55,27 +61,33 @@ def principal_directions_2x2(E, F, G, L, M, N):
 
 
 class AnalyticLineFields:
-    """Line fields given by a callable (x, y) -> (d1, d2) with (..., 2) arrays."""
+    """Line fields given by a callable (x, y) -> (d1, d2) with (..., 2) arrays.
+
+    Points may stray 2% of the window beyond its edges.
+    """
 
     def __init__(self, fn, window):
         self.fn = fn
-        self.window = window
+        u0, u1, v0, v1 = window
+        su, sv = 0.02 * (u1 - u0), 0.02 * (v1 - v0)
+        self.box = (u0 - su, u1 + su, v0 - sv, v1 + sv)
 
     def eval(self, pts):
-        self._check(pts)
+        _require_inside(pts[..., 0], pts[..., 1], self.box)
         d1, d2 = self.fn(pts[..., 0], pts[..., 1])
         return _unit(d1), _unit(d2)
 
-    def _check(self, pts):
-        u0, u1, v0, v1 = self.window
-        su, sv = 0.02 * (u1 - u0), 0.02 * (v1 - v0)
-        if (
-            np.any(pts[..., 0] < u0 - su)
-            or np.any(pts[..., 0] > u1 + su)
-            or np.any(pts[..., 1] < v0 - sv)
-            or np.any(pts[..., 1] > v1 + sv)
-        ):
+
+def _require_inside(x, y, box):
+    """Raise StreamlineError unless every point (x, y) lies in the closed box.
+
+    The test is written so that a NaN coordinate fails it.
+    """
+    x0, x1, y0, y1 = box
+    if not np.all((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)):
+        if np.isfinite(x).all() and np.isfinite(y).all():
             raise StreamlineError("streamline left the source chart domain")
+        raise StreamlineError("streamline reached a non-finite point")
 
 
 def bilinear_sample(field, window, pts):
@@ -84,8 +96,7 @@ def bilinear_sample(field, window, pts):
     n, m = field.shape[:2]
     x = (pts[..., 0] - u0) / (u1 - u0) * (n - 1)
     y = (pts[..., 1] - v0) / (v1 - v0) * (m - 1)
-    if np.any(x < -0.5) or np.any(x > n - 0.5) or np.any(y < -0.5) or np.any(y > m - 0.5):
-        raise StreamlineError("streamline left the source chart domain")
+    _require_inside(x, y, (-0.5, n - 0.5, -0.5, m - 0.5))
     x = np.clip(x, 0, n - 1 - 1e-12)
     y = np.clip(y, 0, m - 1 - 1e-12)
     i = np.clip(x.astype(int), 0, n - 2)
@@ -121,17 +132,28 @@ def _aligned(d, ref):
     return d * sign[..., None]
 
 
-def _rk4_flow(fields, family, starts, refs, arcs, nsub=4):
-    """Flow dx/ds = unit direction of `family`, sign-aligned to refs."""
-    pick = (lambda p: fields.eval(p)[0]) if family == 1 else (lambda p: fields.eval(p)[1])
+def _directions(fields, first, pts):
+    """Unit direction of family 1 where `first`, else of family 2, in one evaluation."""
+    d1, d2 = fields.eval(pts)
+    return np.where(first[..., None], d1, d2)
+
+
+def _rk4_flow(fields, first, starts, refs, arcs, nsub=4):
+    """RK4 flows along the line fields, every row in one batch.
+
+    Row k follows family 1 where first[k] and family 2 otherwise, for arclength
+    arcs[k] from starts[k], each direction sign-aligned to the running
+    direction (initially refs[k]).  Each RK stage makes one `fields.eval`
+    call for all rows of both families.  Returns end points and directions.
+    """
     x = np.array(starts, dtype=float)
     ref = np.array(refs, dtype=float)
     h = (np.asarray(arcs, dtype=float) / nsub)[..., None]
     for _ in range(nsub):
-        k1 = _aligned(pick(x), ref)
-        k2 = _aligned(pick(x + 0.5 * h * k1), ref)
-        k3 = _aligned(pick(x + 0.5 * h * k2), ref)
-        k4 = _aligned(pick(x + h * k3), ref)
+        k1 = _aligned(_directions(fields, first, x), ref)
+        k2 = _aligned(_directions(fields, first, x + 0.5 * h * k1), ref)
+        k3 = _aligned(_directions(fields, first, x + 0.5 * h * k2), ref)
+        k4 = _aligned(_directions(fields, first, x + h * k3), ref)
         step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         x = x + h * step
         ref = step
@@ -139,60 +161,70 @@ def _rk4_flow(fields, family, starts, refs, arcs, nsub=4):
 
 
 def march_net(fields, center, h1, h2, nu, nv, nsub=4, newton=3):
-    """Positions (nu, nv, 2) of the family-1 x family-2 coordinate net."""
+    """Positions (nu, nv, 2) of the family-1 x family-2 coordinate net.
+
+    The four seed half-lines from `center` (family 1 along the row, family 2
+    along the column, each both ways) march as one batch; a half-line that is
+    shorter (even or unequal sizes) drops out of the batch once it is done.
+    The four quadrants then fill by anti-diagonal index together: every cell
+    of every quadrant on one anti-diagonal stacks its family-1 flow from the
+    left neighbor and its family-2 flow from the lower neighbor into one
+    `_rk4_flow` batch.  So all four quadrants and both families share one
+    `fields.eval` call per RK stage of each Newton iteration.
+    """
+    center = np.asarray(center, dtype=float)
     ic, jc = nu // 2, nv // 2
     pos = np.full((nu, nv, 2), np.nan)
     pos[ic, jc] = center
-    d1c, d2c = fields.eval(np.asarray(center, dtype=float))
+    d1c, d2c = fields.eval(center)
 
-    # seed row (family 1) and seed column (family 2), marched outward
-    for family, d0, h, c, n in ((1, d1c, h1, ic, nu), (2, d2c, h2, jc, nv)):
-        for sgn, rng in ((+1, range(c + 1, n)), (-1, range(c - 1, -1, -1))):
-            ref = sgn * d0
-            p = np.asarray(center, dtype=float)
-            for k in rng:
-                p, ref = _rk4_flow(fields, family, p[None], ref[None], np.array([h]), nsub)
-                p, ref = p[0], ref[0]
-                pos[(k, jc) if family == 1 else (ic, k)] = p
+    # seed half-lines +u, -u (family 1) and +v, -v (family 2)
+    first = np.array([True, True, False, False])
+    du, dv = np.array([1, -1, 0, 0]), np.array([0, 0, 1, -1])
+    steps = np.array([nu - 1 - ic, ic, nv - 1 - jc, jc])
+    arcs = np.array([h1, h1, h2, h2], dtype=float)
+    p = np.repeat(center[None], 4, axis=0)
+    ref = np.stack([d1c, -d1c, d2c, -d2c])
+    for k in range(1, steps.max() + 1):
+        live = steps >= k
+        p[live], ref[live] = _rk4_flow(fields, first[live], p[live], ref[live], arcs[live], nsub)
+        pos[ic + k * du[live], jc + k * dv[live]] = p[live]
 
-    # quadrant fill by anti-diagonals; each new node closes a cell
-    for su in (+1, -1):
-        kmax = nu - 1 - ic if su > 0 else ic
-        for sv in (+1, -1):
-            mmax = nv - 1 - jc if sv > 0 else jc
-            for diag in range(2, kmax + mmax + 1):
-                ks = np.arange(max(1, diag - mmax), min(kmax, diag - 1) + 1)
-                if ks.size == 0:
-                    continue
-                ms = diag - ks
-                ii = ic + su * ks
-                jj = jc + sv * ms
-                p = pos[ii - su, jj]            # left neighbor in the row
-                q = pos[ii, jj - sv]            # lower neighbor in the column
-                ref1 = np.where(
-                    np.isfinite(pos[ii - 2 * su, jj]).all(axis=-1, keepdims=True),
-                    p - pos[ii - 2 * su, jj],
-                    fields.eval(p)[0] * su,
-                )
-                ref2 = np.where(
-                    np.isfinite(pos[ii, jj - 2 * sv]).all(axis=-1, keepdims=True),
-                    q - pos[ii, jj - 2 * sv],
-                    fields.eval(q)[1] * sv,
-                )
-                s = np.full(ks.shape, h1)
-                t = np.full(ks.shape, h2)
-                for _ in range(newton):
-                    x1, dir1 = _rk4_flow(fields, 1, p, ref1, s, nsub)
-                    x2, dir2 = _rk4_flow(fields, 2, q, ref2, t, nsub)
-                    r = x2 - x1
-                    a, b = dir1[..., 0], -dir2[..., 0]
-                    c, d = dir1[..., 1], -dir2[..., 1]
-                    det = a * d - b * c
-                    ds = (d * r[..., 0] - b * r[..., 1]) / det
-                    dt = (-c * r[..., 0] + a * r[..., 1]) / det
-                    s = s + ds
-                    t = t + dt
-                pos[ii, jj] = 0.5 * (x1 + x2)
+    # every off-seed node of the four quadrants, grouped by anti-diagonal
+    ii, jj = np.nonzero((np.arange(nu) != ic)[:, None] & (np.arange(nv) != jc)[None, :])
+    diag = np.abs(ii - ic) + np.abs(jj - jc)
+    order = np.argsort(diag, kind="stable")
+    cuts = np.flatnonzero(np.diff(diag[order])) + 1
+    for cell in np.split(order, cuts):
+        i, j = ii[cell], jj[cell]
+        su, sv = np.sign(i - ic), np.sign(j - jc)
+        n = cell.size
+        # rows [0, n): family 1 from the left neighbor (i - su, j); rows [n, 2n):
+        # family 2 from the lower neighbor (i, j - sv); row pairs meet at (i, j)
+        first = np.repeat([True, False], n)
+        starts = np.concatenate([pos[i - su, j], pos[i, j - sv]])
+        # running direction: from the node before the neighbor when that node
+        # is in the same quadrant or on a seed line, else the field itself, so
+        # the quadrants never read one another
+        prev = np.concatenate([pos[i - 2 * su, j], pos[i, j - 2 * sv]])
+        back = np.concatenate([np.abs(i - ic) >= 2, np.abs(j - jc) >= 2])
+        refs = starts - prev
+        if not back.all():
+            fresh = ~back
+            refs[fresh] = (_directions(fields, first[fresh], starts[fresh])
+                           * np.concatenate([su, sv])[fresh, None])
+        arcs = np.concatenate([np.full(n, h1), np.full(n, h2)])
+        for _ in range(newton):
+            x, dirs = _rk4_flow(fields, first, starts, refs, arcs, nsub)
+            x1, x2 = x[:n], x[n:]
+            r = x2 - x1
+            a, b = dirs[:n, 0], -dirs[n:, 0]
+            c, d = dirs[:n, 1], -dirs[n:, 1]
+            det = a * d - b * c
+            ds = (d * r[..., 0] - b * r[..., 1]) / det
+            dt = (-c * r[..., 0] + a * r[..., 1]) / det
+            arcs = arcs + np.concatenate([ds, dt])
+        pos[i, j] = 0.5 * (x1 + x2)
     return pos
 
 

@@ -346,6 +346,7 @@ def symmetric_eigen_2x2(a11, a12, a22):
 def make_surface(sampler, window, nu, nv, with_kappa=True, reality=grids.REAL):
     """Sample a generator on a regular chart."""
     u0, u1, v0, v1 = window
+    grids.check_sizes(nu, nv)
     chart = GridChart(nu, nv, (u1 - u0) / (nu - 1), (v1 - v0) / (nv - 1), reality)
     uu, vv = np.meshgrid(np.linspace(u0, u1, nu), np.linspace(v0, v1, nv), indexing="ij")
     pts = sampler.point(uu, vv)

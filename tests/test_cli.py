@@ -153,6 +153,9 @@ def test_deform_and_dualize_commands(tmp_path):
     ["lift", "--surface", "{tmp}/list.json"],
     ["lift", "--surface", "{tmp}/geometry.json"],
     ["lift", "--surface", "{tmp}/float_nu.json"],
+    ["generate", "--kind", "perturbed_graph", "--grid-nu", "9", "--grid-nv", "9",
+     "--asymptotic", "--param", "net_step=nan"],
+    ["generate", "--kind", "torus", "--grid-nu", "1"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)

@@ -12,6 +12,8 @@ def test_chart_validation():
     with pytest.raises(ValueError):
         GridChart(9, 9, -0.1, 0.1)
     with pytest.raises(ValueError):
+        GridChart(9, 9, 0.1, float("nan"))
+    with pytest.raises(ValueError):
         GridChart(9, 9, 0.1, 0.1, reality="imaginary")
 
 
