@@ -179,8 +179,9 @@ def cmd_check(args, params):
         kwargs["tol"] = args.tolerance
     if args.seed is not None and "seed" in accepted:
         kwargs["seed"] = args.seed
-    lam = complex(args.lambda_re, args.lambda_im)
-    if lam not in (0, 1) and "lam" in accepted:
+    given = args.lambda_re is not None or args.lambda_im is not None
+    if given and "lam" in accepted:
+        lam = complex(args.lambda_re or 0.0, args.lambda_im or 0.0)
         kwargs["lam"] = lam.real if lam.imag == 0 else lam
     report = checks.run_suite(args.suite, **kwargs)
     report["config"] = {
@@ -230,6 +231,10 @@ def cmd_dualize(args, params):
 
 
 def cmd_descent(args, params):
+    if args.steps < 0:
+        raise UsageError(f"--steps must be an integer >= 0, got {args.steps}")
+    if not (math.isfinite(args.step_size) and args.step_size >= 0):
+        raise UsageError(f"--step-size must be finite and >= 0, got {args.step_size!r}")
     surface = _load_surface(args.surface)
     reports, _ = fn.willmore_descent(
         surface, steps=args.steps, step_size=args.step_size
@@ -282,8 +287,8 @@ def build_parser():
     p.add_argument("--grids", help="comma-separated refinement sizes")
     p.add_argument("--tolerance", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--lambda-re", type=float, default=0.0)
-    p.add_argument("--lambda-im", type=float, default=0.0)
+    p.add_argument("--lambda-re", type=float)
+    p.add_argument("--lambda-im", type=float)
 
     p = sub.add_parser("deform")
     common(p)

@@ -14,6 +14,12 @@ from edge exponentials.  The duality between the (3,3) and (4,2) pictures
 evaluates the family at lambda = +-i and re-reads the result in the real
 basis of S_o + i S_o_perp.  Pairings go through `PseudoSpace.pair`; group
 elements are inverted by `PseudoSpace.adjoint`, never numerically.
+
+Arrays carry the dtype of their data.  `_splitting` reads a Gauss map's
+splitting as float64 when it is exactly real (a real chart), so frames,
+edges, holonomies and their exp/log stay float64 there; they are complex
+only where the mathematics is: complex-conjugate charts (eps = i), the +-i
+basis of the duality and complex lambda.
 """
 
 from dataclasses import dataclass, field
@@ -80,7 +86,7 @@ class ConnectionGrid:
 
 def symmetric_split(xi, pair):
     """Split a pairing-skew endomorphism into commuting and anticommuting parts."""
-    xi = np.asarray(xi, dtype=complex)
+    xi = np.asarray(xi)
     if np.linalg.norm(pair.space.adjoint(xi) + xi) > 1e-8 * max(np.linalg.norm(xi), 1e-300):
         raise ValueError("element is not skew for the pairing")
     return pair.split(xi)
@@ -110,6 +116,34 @@ def _gram_schmidt_rows(rows, signs, space):
     return out
 
 
+def _splitting(gauss):
+    """The Gauss map's proj, star, basis_s and basis_p, real where exactly real.
+
+    The one place the loop-algebra layer picks its dtype: when every
+    imaginary part of the four arrays is exactly 0 they are read as float64,
+    otherwise they stay complex, and everything downstream follows.
+    """
+    arrays = gauss.proj, gauss.star, gauss.basis_s, gauss.basis_p
+    if any(np.any(a.imag) for a in arrays):
+        return arrays
+    return tuple(a.real for a in arrays)
+
+
+def _project_and_orthonormalize(proj, rows, signs, space):
+    """Project seed rows onto S and S_perp and orthonormalize each half.
+
+    Rows 0:3 go through proj and rows 3:6 through 1 - proj, batched over
+    leading axes; `make_pair` and every node of `frame` share this step.
+    """
+    rows_s = rows[..., 0:3, :] @ proj.swapaxes(-1, -2)
+    rows_p = rows[..., 3:6, :] - rows[..., 3:6, :] @ proj.swapaxes(-1, -2)
+    return np.concatenate(
+        [_gram_schmidt_rows(rows_s, signs[0:3], space),
+         _gram_schmidt_rows(rows_p, signs[3:6], space)],
+        axis=-2,
+    )
+
+
 def make_pair(gauss):
     """Symmetric pair at the splitting of the center node of a Gauss map.
 
@@ -117,21 +151,14 @@ def make_pair(gauss):
     spanning families are only O(h^2)-orthogonal across the splitting), so
     the frames built on it stay in the orthogonal group to roundoff.
     """
+    proj, star, basis_s, basis_p = _splitting(gauss)
     node = (gauss.chart.nu // 2, gauss.chart.nv // 2)
     signs = np.concatenate([gauss.signs_s[node], gauss.signs_p[node]], axis=0).real
-    sp = gauss.space
-    p = gauss.proj[node]
-    rows_s = (p @ gauss.basis_s[node].T).T
-    rows_p = ((np.eye(6) - p) @ gauss.basis_p[node].T).T
-    basis = np.concatenate(
-        [_gram_schmidt_rows(rows_s, signs[0:3], sp),
-         _gram_schmidt_rows(rows_p, signs[3:6], sp)],
-        axis=0,
-    )
+    rows = np.concatenate([basis_s[node], basis_p[node]], axis=0)
     return SymmetricPair(
         space=gauss.space,
-        star_o=gauss.star[node].copy(),
-        basis_o=basis,
+        star_o=star[node].copy(),
+        basis_o=_project_and_orthonormalize(proj[node], rows, signs, gauss.space),
         signs_o=signs,
         eps=gauss.eps,
     )
@@ -159,23 +186,18 @@ def frame(gauss):
     re-orthonormalizing the projections (minimal-rotation propagation from
     the grid center), so there are no gauge jumps.  Only the seed column
     j = nv // 2 runs node by node; every other column is seeded from its
-    neighbor column and orthonormalized in one batch.
+    neighbor column and orthonormalized in one batch.  The frames are
+    float64 when the splitting is exactly real (`_splitting`), complex
+    otherwise.
     """
     pair = make_pair(gauss)
+    proj = _splitting(gauss)[0]
     sp = gauss.space
     nu, nv = gauss.chart.nu, gauss.chart.nv
-    proj_p = np.eye(6) - gauss.proj
-    signs = pair.signs_o
-    bases = np.empty((nu, nv, 6, 6), dtype=complex)
+    bases = np.empty((nu, nv, 6, 6), dtype=pair.basis_o.dtype)
 
     def node_basis(idx, seed_rows):
-        rows_s = np.einsum("...ab,...kb->...ka", gauss.proj[idx], seed_rows[..., 0:3, :])
-        rows_p = np.einsum("...ab,...kb->...ka", proj_p[idx], seed_rows[..., 3:6, :])
-        return np.concatenate(
-            [_gram_schmidt_rows(rows_s, signs[0:3], sp),
-             _gram_schmidt_rows(rows_p, signs[3:6], sp)],
-            axis=-2,
-        )
+        return _project_and_orthonormalize(proj[idx], seed_rows, pair.signs_o, sp)
 
     center = (nu // 2, nv // 2)
     bases[center] = node_basis(center, pair.basis_o)
@@ -183,10 +205,7 @@ def frame(gauss):
         bases[target] = node_basis(target, bases[source])
 
     base_cols_inv = np.linalg.inv(pair.basis_o.T)
-    frames = bases.swapaxes(-1, -2) @ base_cols_inv[None, None]
-    frames = reproject_orthogonal(frames, sp.gram)
-    if gauss.chart.reality == "real" and np.max(np.abs(frames.imag)) < 1e-8:
-        frames = frames.real.astype(complex)
+    frames = reproject_orthogonal(bases.swapaxes(-1, -2) @ base_cols_inv, sp.gram)
     return FrameGrid(space=sp, chart=gauss.chart, frames=frames, pair=pair)
 
 
@@ -271,13 +290,16 @@ def integrate_frame(alpha, f0=None):
     column, as `frame` does; the consistency scalar is the largest mismatch
     of the unused edge transitions against the integrated frames (zero iff
     the discrete connection is exactly flat).  Frames are re-projected to
-    the pairing-orthogonal group at every node.
+    the pairing-orthogonal group at every node.  They take the common dtype
+    of the edges and f0: float64 for a real connection and a real (or
+    default identity) f0, complex otherwise.
     """
     nu, nv = alpha.chart.nu, alpha.chart.nv
     sp = alpha.space
     edges = expm(alpha.edge_u()), expm(alpha.edge_v())
-    frames = np.empty((nu, nv, 6, 6), dtype=complex)
-    frames[nu // 2, nv // 2] = np.eye(6) if f0 is None else f0
+    f0 = np.eye(6) if f0 is None else f0
+    frames = np.empty((nu, nv, 6, 6), dtype=np.result_type(f0, *edges))
+    frames[nu // 2, nv // 2] = f0
     for target, source, axis in _center_out_steps(nu, nv):
         # edge k joins nodes k and k+1: step forward by it, back by its inverse
         forward = target[axis] > source[axis]

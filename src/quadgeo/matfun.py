@@ -1,7 +1,10 @@
 """Batched small-matrix functions: exp, log, pairing-orthogonal projection.
 
 All routines accept stacked arrays (..., n, n) and avoid per-matrix Python
-loops except in the scipy fallback path.  Tuned for 6x6 blocks on grids of a
+loops except in the scipy fallback path.  They compute in the dtype of their
+input: a float64 batch stays float64 (a real matrix has a real exponential,
+and the principal logarithm of a real matrix near the identity is real), a
+complex128 batch stays complex128.  Tuned for 6x6 blocks on grids of a
 few thousand nodes.  The series lengths of `expm` and `logm` are chosen from
 the largest 1-norm in the batch: the fewest terms whose truncation bound
 falls below the unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005;
@@ -19,8 +22,8 @@ LOGM_MAX_TERM = 25      # highest odd power of the Gregory series
 
 
 def _norm1(a):
-    """Batched induced 1-norm."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
+    """Batched induced 1-norm (einsum sums the columns faster than sum(axis=-2))."""
+    return np.einsum("...ij->...j", np.abs(a)).max(axis=-1)
 
 
 def _taylor_degree(theta):
@@ -84,12 +87,14 @@ def logm(a, tol=1e-12):
     matrix whose X has 1-norm >= 1 or whose series is not finite goes to
     scipy.linalg.logm directly; the others are verified under one batched
     expm and fall back to scipy when the result does not reproduce `a` (a
-    non-finite residual counts as a miss).  Raises LinAlgError if (A+I) is
-    singular.
+    non-finite residual counts as a miss).  The result has the dtype of `a`
+    (promoted to complex only if scipy returns a genuinely complex logarithm
+    of a real matrix).  Raises LinAlgError if (A+I) is singular.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, 1.0), copy=False)
     n = a.shape[-1]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n)
     x = np.linalg.solve((a + eye).swapaxes(-1, -2), (a - eye).swapaxes(-1, -2)).swapaxes(-1, -2)
     xnorm = _norm1(x).reshape(-1)
     convergent = xnorm[xnorm < 1.0]
@@ -113,8 +118,10 @@ def logm(a, tol=1e-12):
         check_a, check_o = flat_a, flat_o
     resid = _norm1(expm(check_o) - check_a)
     bad[good] = ~(resid / (1.0 + _norm1(check_a)) <= max(tol, 1e-10))
-    for idx in np.nonzero(bad)[0]:
-        flat_o[idx] = scipy.linalg.logm(flat_a[idx])
+    logs = {idx: scipy.linalg.logm(flat_a[idx]) for idx in np.nonzero(bad)[0]}
+    flat_o = flat_o.astype(np.result_type(flat_o, *logs.values()), copy=False)
+    for idx, log in logs.items():
+        flat_o[idx] = log
     return flat_o.reshape(a.shape)
 
 
@@ -123,9 +130,9 @@ def reproject_orthogonal(f, gram, iterations=2):
 
     One Newton step F <- F (I - G^-1 E / 2), E = F^T G F - G, is quadratically
     convergent; two steps keep frames in the group to ~1e-14 for drifts below
-    1e-4.
+    1e-4.  The result has the dtype of `f`.
     """
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     n = f.shape[-1]
     ginv = np.linalg.inv(gram)
     eye = np.eye(n)

@@ -12,8 +12,10 @@ quadric form.  Two standard spaces are used throughout:
   v_inf): v_1..v_3 orthonormal spacelike, v_-1 timelike, and (v_0, v_inf)
   isotropic with <v_0, v_inf> = -1/2.
 
-Vectors are plain complex ndarrays of shape (..., 6).  All arithmetic is
-complex internally; reality is an assertion, not a representation choice.
+Vectors are plain ndarrays of shape (..., 6).  The lift and the Gauss map
+keep them complex, where reality is an assertion, not a representation
+choice; the loop-algebra arrays (`loop_tools`, `matfun`) are float64 on real
+charts and complex only where the mathematics is complex.
 `PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
 and one adjoint (the inverse of a pairing-orthogonal element).
 """

@@ -156,6 +156,10 @@ def test_deform_and_dualize_commands(tmp_path):
     ["generate", "--kind", "perturbed_graph", "--grid-nu", "9", "--grid-nv", "9",
      "--asymptotic", "--param", "net_step=nan"],
     ["generate", "--kind", "torus", "--grid-nu", "1"],
+    ["check", "--suite", "deform", "--grids", "17,33", "--lambda-re", "0"],
+    ["descent", "--surface", "{tmp}/good.json", "--steps", "-1"],
+    ["descent", "--surface", "{tmp}/good.json", "--step-size", "nan"],
+    ["descent", "--surface", "{tmp}/good.json", "--step-size=-1e-6"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -168,6 +172,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     }
     for name, (data, _) in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    jsonio.write_surface(surf, tmp_path / "good.json")
     # a surface file with one NaN point
     surf.points[4, 4, 0] = np.nan
     jsonio.write_surface(surf, tmp_path / "nan.json")
@@ -179,6 +184,15 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     for name, (_, needle) in bad.items():
         if argv[-1].endswith(f"/{name}.json"):
             assert needle in err
+
+
+@pytest.mark.parametrize("flags,lam", [([], 2.0), (["--lambda-re", "1"], 1.0)])
+def test_check_forwards_lambda(flags, lam, tmp_path):
+    # lambda = 1 is a value like any other, not "unset"
+    out = tmp_path / "deform.json"
+    assert run(["check", "--suite", "deform", "--grids", "17,33", "--out", str(out)]
+               + flags) == 0
+    assert json.loads(out.read_text())["metrics"]["lambda"] == lam
 
 
 def test_check_grids_from_param(tmp_path):

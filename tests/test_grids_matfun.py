@@ -110,6 +110,21 @@ def test_reproject_orthogonal(rng):
     assert np.max(np.abs(fixed - g)) < 1e-4
 
 
+def test_matfun_keeps_the_dtype_of_its_input(rng):
+    from quadgeo import pseudo_linalg as pl
+
+    sp = pl.lie_space()
+    m = rng.standard_normal((50, 6, 6))
+    skew = 0.05 * (m - np.linalg.inv(sp.gram) @ m.swapaxes(-1, -2) @ sp.gram)
+    drifted = matfun.expm(skew) + 1e-6 * rng.standard_normal((50, 6, 6))
+    for fn, arg in ((matfun.expm, skew), (matfun.logm, matfun.expm(skew)),
+                    (lambda f: matfun.reproject_orthogonal(f, sp.gram), drifted)):
+        real = fn(arg)
+        cplx = fn(arg.astype(complex))
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.max(np.abs(cplx - real)) <= 1e-14 * np.max(np.abs(real))
+
+
 def test_smooth_phase_aligns_signs_and_keeps_orthogonal_nodes():
     rng = np.random.default_rng(3)
     flips = rng.choice([-1.0, 1.0], size=(7, 9, 1))

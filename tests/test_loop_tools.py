@@ -95,29 +95,28 @@ def _reference_frames(gauss):
     g = gauss.space.gram
     nu, nv = gauss.chart.nu, gauss.chart.nv
     ic, jc = nu // 2, nv // 2
-    proj_p = np.eye(6) - gauss.proj
+    # a real chart's splitting is exactly real, and frame() reads it as float64
+    assert not np.any(gauss.proj.imag) and not np.any(gauss.basis_s.imag)
+    assert not np.any(gauss.basis_p.imag)
+    proj = gauss.proj.real
     signs = np.concatenate([gauss.signs_s[ic, jc], gauss.signs_p[ic, jc]]).real
 
-    def orthonormalize(rows_s, rows_p):
+    def node_basis(i, j, seed_rows):
+        rows_s = seed_rows[0:3] @ proj[i, j].T
+        rows_p = seed_rows[3:6] - seed_rows[3:6] @ proj[i, j].T
         return np.concatenate([_reference_gram_schmidt(rows_s, signs[0:3], g),
                                _reference_gram_schmidt(rows_p, signs[3:6], g)])
 
-    def node_basis(i, j, seed_rows):
-        return orthonormalize(np.einsum("ab,kb->ka", gauss.proj[i, j], seed_rows[0:3]),
-                              np.einsum("ab,kb->ka", proj_p[i, j], seed_rows[3:6]))
-
-    base = orthonormalize((gauss.proj[ic, jc] @ gauss.basis_s[ic, jc].T).T,
-                          (proj_p[ic, jc] @ gauss.basis_p[ic, jc].T).T)
-    bases = np.empty((nu, nv, 6, 6), dtype=complex)
+    base = node_basis(ic, jc, np.concatenate([gauss.basis_s[ic, jc], gauss.basis_p[ic, jc]]).real)
+    bases = np.empty((nu, nv, 6, 6))
     bases[ic, jc] = node_basis(ic, jc, base)
     for i in list(range(ic + 1, nu)) + list(range(ic - 1, -1, -1)):
         bases[i, jc] = node_basis(i, jc, bases[i - 1 if i > ic else i + 1, jc])
     for j in list(range(jc + 1, nv)) + list(range(jc - 1, -1, -1)):
         for i in range(nu):
             bases[i, j] = node_basis(i, j, bases[i, j - 1 if j > jc else j + 1])
-    frames = bases.swapaxes(-1, -2) @ np.linalg.inv(base.T)[None, None]
-    # a real chart's frames keep their real part only, as in frame()
-    return base, reproject_orthogonal(frames, g).real.astype(complex)
+    frames = bases.swapaxes(-1, -2) @ np.linalg.inv(base.T)
+    return base, reproject_orthogonal(frames, g)
 
 
 def test_frame_matches_per_node_reference(ellipsoid_connection):
@@ -125,6 +124,35 @@ def test_frame_matches_per_node_reference(ellipsoid_connection):
     base, frames = _reference_frames(gauss)
     assert np.array_equal(pair.basis_o, base)
     assert np.array_equal(fr.frames, frames)
+
+
+def test_real_chart_stays_float64(ellipsoid_connection):
+    gauss, _, fr, alpha = ellipsoid_connection
+    assert fr.frames.dtype == np.float64
+    assert all(a.dtype == np.float64 for a in (alpha.k_u, alpha.k_v, alpha.p_u, alpha.p_v))
+    assert lt.flatness_residual(lt.spectral_connection(alpha, 2.0)).dtype == np.float64
+    rebuilt, _ = lt.integrate_frame(alpha)
+    assert rebuilt.frames.dtype == np.float64
+    # the ellipsoid is not harmonic: lift the flatness gate to reach the integration
+    deformed = lt.spectral_deform(gauss, 2.0, harmonic_factor=np.inf)
+    assert deformed.star.dtype == np.float64 and deformed.proj.dtype == np.float64
+
+
+def test_complex_chart_keeps_complex_frames_and_deforms():
+    from quadgeo import surfaces as sf
+
+    conv = sf.make_surface(sf.convex_graph_sampler(0.0), (-0.4, 0.4, -0.4, 0.4),
+                           17, 17, reality="complex_conjugate")
+    gauss = gm.conformal_gauss(lg.proj_lift(conv))
+    assert gauss.signature_z == "(2,0)"
+    fr = lt.frame(gauss)
+    assert fr.frames.dtype == np.complex128
+    assert np.max(orthogonality_defect(fr.frames, gauss.space.gram)) < 1e-11
+    lam = np.exp(0.3j)
+    deformed = lt.spectral_deform(gauss, lam)
+    assert deformed.star.dtype == np.complex128
+    assert deformed.meta["lambda"] == lam
+    assert deformed.meta["integration_consistency"] < 1e-8
 
 
 def test_frame_sweeps_columns_in_batches(ellipsoid_connection, monkeypatch):
