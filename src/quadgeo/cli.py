@@ -11,6 +11,7 @@ config and seed.
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -84,16 +85,43 @@ def _parse_value(text):
     return text
 
 
+def _default_types(func):
+    """Parameter name -> type of its default, for func's defaulted parameters."""
+    return {name: type(p.default) for name, p in inspect.signature(func).parameters.items()
+            if p.default is not p.empty}
+
+
+def _check_types(params, types):
+    """Raise UsageError unless each given value has its parameter's type.
+
+    A float parameter takes any finite number, an int or str parameter only
+    its own type; other types (the tuple `grids`) are checked where used.
+    """
+    wanted = {float: "a finite number", int: "an integer", str: "a string"}
+    for key, kind in types.items():
+        if key not in params or kind not in wanted:
+            continue
+        value = params[key]
+        if kind is float:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            raise UsageError(f"{key} must be {wanted[kind]}, got {value!r}")
+
+
+WINDOW_KEYS = ("window_u0", "window_u1", "window_v0", "window_v1")
+
+
 def cmd_generate(args, params):
     if args.kind not in GENERATORS:
         raise UsageError(f"unknown surface kind {args.kind!r}")
     factory, names, default_window = GENERATORS[args.kind]
+    _check_types(params, {**_default_types(factory),
+                          **dict.fromkeys(WINDOW_KEYS + ("net_step",), float)})
     kwargs = {k: params[k] for k in names if k in params}
     sampler = factory(**kwargs)
-    window = tuple(
-        params.get(key, default_window[i])
-        for i, key in enumerate(("window_u0", "window_u1", "window_v0", "window_v1"))
-    )
+    window = tuple(params.get(key, default_window[i]) for i, key in enumerate(WINDOW_KEYS))
     surface = sf.make_surface(sampler, window, args.grid_nu, args.grid_nv,
                               reality=params.get("reality", "real"))
     if args.asymptotic:
@@ -171,6 +199,7 @@ def cmd_tension(args, params):
 
 def cmd_check(args, params):
     accepted = checks.suite_parameters(args.suite)
+    _check_types(params, _default_types(checks.SUITES[args.suite]))
     kwargs = dict(params)
     grids = args.grids or params.get("grids")
     if isinstance(grids, str):
@@ -330,6 +359,10 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("tolerance", "lambda_re", "lambda_im"):
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")
         params = {}
         if getattr(args, "config", None):
             params.update(load_config(args.config))

@@ -17,10 +17,6 @@ class NotAQuadricStarError(QuadGeoError):
     """Endomorphism fails the symmetry/involution checks of a quadric star."""
 
 
-class DegenerateSubspaceError(QuadGeoError):
-    """Induced pairing on a subspace is degenerate beyond tolerance."""
-
-
 class UmbilicError(QuadGeoError):
     """Principal curvatures coincide on a region; focal data is meaningless there."""
 

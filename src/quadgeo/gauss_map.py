@@ -101,18 +101,15 @@ def conformal_gauss(grid, degenerate_rtol=1e-8):
     b6 = span_s.swapaxes(-1, -2)  # columns
     gram_inv = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(3), gram_s))
     proj = b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram
-    if degenerate.any():
-        proj = _fill_from_neighbors(proj, degenerate)
     eps = 1.0 if ch.reality == "real" else 1.0j
-    star = eps * (2.0 * proj - np.eye(6))
     with np.errstate(all="ignore"):
         basis_s, signs_s = _structured_orthobasis(sp, span_s)
         basis_p, signs_p = _structured_orthobasis(sp, span_p)
     if degenerate.any():
-        basis_s = _fill_from_neighbors(basis_s, degenerate)
-        basis_p = _fill_from_neighbors(basis_p, degenerate)
-        signs_s = _fill_from_neighbors(signs_s, degenerate)
-        signs_p = _fill_from_neighbors(signs_p, degenerate)
+        target, source = _fill_sources(degenerate)
+        for fld in (proj, basis_s, basis_p, signs_s, signs_p):
+            fld[target] = fld[source]
+    star = eps * (2.0 * proj - np.eye(6))
     return GaussMapGrid(
         space=sp, chart=ch, span_s=span_s, span_p=span_p, proj=proj, star=star,
         eps=eps, signature_z="(1,1)" if ch.reality == "real" else "(2,0)",
@@ -121,9 +118,17 @@ def conformal_gauss(grid, degenerate_rtol=1e-8):
     )
 
 
-def _fill_from_neighbors(fld, mask):
-    """Replace flagged nodes by limiting continuation from valid neighbors."""
-    out = np.array(fld)
+def _fill_sources(mask):
+    """(target, source) node indices that fill flagged nodes from valid ones.
+
+    Sweeps the four neighbor directions (+u, -u, +v, -v) until no flagged
+    node has a valid neighbor; each flagged node takes the node it would
+    copy in that sweep, traced back through nodes filled earlier to the
+    valid node whose value it ends up holding.  A field then fills with one
+    gather, fld[target] = fld[source].  Nodes no sweep reaches are left out.
+    """
+    nu, nv = mask.shape
+    root = np.arange(nu * nv).reshape(nu, nv)
     todo = np.array(mask)
     while todo.any():
         progress = False
@@ -138,15 +143,15 @@ def _fill_from_neighbors(fld, mask):
                 shifted[:, 0] = False
             if dj == -1:
                 shifted[:, -1] = False
-            take = todo & shifted
-            if take.any():
-                src = np.roll(out, (di, dj), axis=(0, 1))
-                out[take] = src[take]
-                todo[take] = False
+            ti, tj = np.nonzero(todo & shifted)
+            if ti.size:
+                root[ti, tj] = root[ti - di, tj - dj]
+                todo[ti, tj] = False
                 progress = True
         if not progress:
             break
-    return out
+    target = np.nonzero(mask & ~todo)
+    return target, np.unravel_index(root[target], mask.shape)
 
 
 def orthogonality_residual(gauss):
@@ -165,18 +170,9 @@ def _structured_orthobasis(space, rows):
     """Closed-form orthonormalization of a (l, l_v, l_vv)-structured span.
 
     The first row is null and pairing-orthogonal to the second, so the middle
-    vector normalizes directly and the outer pair is hyperbolic.  Spans that
-    are already orthonormal (frame-produced Gauss maps) pass through.
+    vector normalizes directly and the outer pair is hyperbolic.
     Returns (basis rows, signs) with diagonal Gram = signs = +-1.
     """
-    gram = space.pair(rows[..., :, None, :], rows[..., None, :, :])
-    diag = np.einsum("...kk->...k", gram)
-    off = gram - diag[..., None] * np.eye(3)
-    if (
-        np.max(np.abs(off)) < 1e-10
-        and np.max(np.abs(np.abs(diag) - 1.0)) < 1e-10
-    ):
-        return rows.copy(), diag.real.round()
     a, b, c = rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
     n = space.pair(b, b)
     real_n = np.abs(n.imag) <= 1e-10 * np.abs(n)

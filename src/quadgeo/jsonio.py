@@ -143,5 +143,11 @@ def write_connection(alpha, path):
 
 
 def read_report(path):
+    """A `qg check` report: a JSON object with a string 'suite' and a boolean 'pass'."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("suite"), str)
+            and isinstance(data.get("pass"), bool)):
+        raise MalformedInputError(f"{path} is not a check report "
+                                  "(a JSON object with a string 'suite' and a boolean 'pass')")
+    return data

@@ -325,13 +325,13 @@ def gauss_from_frame(framegrid, reference_gauss=None):
     span_p = (f @ rows_p.T[None, None]).swapaxes(-1, -2)
     sig = "(1,1)" if pair.eps == 1.0 else "(2,0)"
     degenerate = np.zeros(f.shape[:2], dtype=bool)
-    # the spans are orthonormal already, so these are the spans themselves
-    basis_s, signs_s = gm._structured_orthobasis(framegrid.space, span_s)
-    basis_p, signs_p = gm._structured_orthobasis(framegrid.space, span_p)
+    # F is pairing-orthogonal, so the spans are orthonormal bases already,
+    # with the base basis's signs
+    signs = np.broadcast_to(pair.signs_o, f.shape[:2] + (6,))
     return gm.GaussMapGrid(
         space=framegrid.space, chart=framegrid.chart, span_s=span_s, span_p=span_p,
         proj=proj, star=star, eps=pair.eps, signature_z=sig, degenerate=degenerate,
-        basis_s=basis_s, signs_s=signs_s, basis_p=basis_p, signs_p=signs_p,
+        basis_s=span_s, signs_s=signs[..., 0:3], basis_p=span_p, signs_p=signs[..., 3:6],
         source=reference_gauss.source if reference_gauss is not None else None,
     )
 

@@ -160,6 +160,16 @@ def test_deform_and_dualize_commands(tmp_path):
     ["descent", "--surface", "{tmp}/good.json", "--steps", "-1"],
     ["descent", "--surface", "{tmp}/good.json", "--step-size", "nan"],
     ["descent", "--surface", "{tmp}/good.json", "--step-size=-1e-6"],
+    ["generate", "--kind", "torus", "--grid-nu", "9", "--grid-nv", "9", "--param", "r=abc"],
+    ["generate", "--kind", "torus", "--grid-nu", "9", "--grid-nv", "9",
+     "--param", "window_u0=abc"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--config", "{tmp}/tol.cfg"],
+    ["check", "--suite", "invariance", "--grids", "17,33", "--param", "seed=1.5"],
+    ["deform", "--surface", "{tmp}/good.json", "--lambda-re", "nan"],
+    ["check", "--suite", "deform", "--grids", "17,33", "--lambda-re", "nan"],
+    ["check", "--suite", "deform", "--grids", "17,33", "--lambda-im", "inf"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "nan"],
+    ["merge", "{tmp}/good.json"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -172,6 +182,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     }
     for name, (data, _) in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    (tmp_path / "tol.cfg").write_text("tol = abc\n")
     jsonio.write_surface(surf, tmp_path / "good.json")
     # a surface file with one NaN point
     surf.points[4, 4, 0] = np.nan
@@ -184,6 +195,16 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     for name, (_, needle) in bad.items():
         if argv[-1].endswith(f"/{name}.json"):
             assert needle in err
+    # the message names the flag, key or file at fault
+    flag, value = argv[-2], argv[-1]
+    if value in ("nan", "inf"):
+        assert flag in err
+    if flag == "--param":
+        assert value.split("=")[0] in err
+    if flag == "--config":
+        assert "tol must be" in err
+    if argv[0] == "merge":
+        assert "good.json is not a check report" in err
 
 
 @pytest.mark.parametrize("flags,lam", [([], 2.0), (["--lambda-re", "1"], 1.0)])

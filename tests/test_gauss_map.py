@@ -155,18 +155,55 @@ def test_blaschke_residual_small_for_gauss_maps(ellipsoid_gauss65):
     assert np.max(interior(r2)) < 1e-3 * scale
 
 
+def _roll_fill_reference(fld, mask):
+    """Fill flagged nodes by whole-field np.roll sweeps, one per direction."""
+    out = np.array(fld)
+    todo = np.array(mask)
+    while todo.any():
+        progress = False
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            shifted = np.roll(~todo, (di, dj), axis=(0, 1))
+            if di == 1:
+                shifted[0, :] = False
+            if di == -1:
+                shifted[-1, :] = False
+            if dj == 1:
+                shifted[:, 0] = False
+            if dj == -1:
+                shifted[:, -1] = False
+            take = todo & shifted
+            if take.any():
+                src = np.roll(out, (di, dj), axis=(0, 1))
+                out[take] = src[take]
+                todo[take] = False
+                progress = True
+        if not progress:
+            break
+    return out
+
+
+def test_fill_sources_match_roll_fill(rng):
+    masks = [rng.random((int(rng.integers(5, 24)), int(rng.integers(5, 24)))) < density
+             for density in (0.05, 0.3, 0.6, 0.9, 0.99) for _ in range(4)]
+    masks.append(np.ones((6, 7), dtype=bool))  # nothing to fill from
+    for mask in masks:
+        fld = rng.standard_normal(mask.shape + (3, 6)) + 1j * rng.standard_normal(mask.shape + (3, 6))
+        target, source = gm._fill_sources(mask)
+        got = fld.copy()
+        got[target] = got[source]
+        assert np.array_equal(got, _roll_fill_reference(fld, mask))
+
+
 def _smooth_random_splitting(seed=7, n=33):
     """A smooth splitting field that is NOT a conformal Gauss map."""
     rng = np.random.default_rng(seed)
     sp = pl.lie_space()
     ch = GridChart(n, n, 0.05, 0.05)
-    # rotate a fixed orthonormal frame by smooth pairing-skew fields
-    base, signs = pl.indefinite_orthogonalize(list(np.eye(6)), sp)
-    order = np.argsort(-signs)  # (+,+,+,+,-,-) -> pick (2,1) and complement
-    rows = base[order]
-    sel = np.array([0, 1, 4, 2, 3, 5])  # S: ++-; S_perp: ++-
-    rows = rows[sel]
-    signs = signs[order][sel]
+    # rotate a fixed orthonormal frame by smooth pairing-skew fields:
+    # S = (v_1, v_2, v_-1) and S_perp = (v_3, v_0 - v_inf, v_0 + v_inf)
+    e = np.eye(6, dtype=complex)
+    rows = np.stack([e[2], e[3], e[0], e[4], e[1] - e[5], e[1] + e[5]])
+    signs = np.array([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     xs = np.linspace(0, 1, n)
     xi = rng.standard_normal((2, 6, 6))
     xi = xi - np.linalg.inv(sp.gram) @ xi.swapaxes(-1, -2) @ sp.gram

@@ -178,6 +178,20 @@ def test_gram_schmidt_batch_raises_on_one_broken_node(ellipsoid_connection):
         lt._gram_schmidt_rows(rows, signs, sp)
 
 
+def test_gauss_from_frame_bases_are_its_spans(ellipsoid_connection):
+    _, _, fr, alpha = ellipsoid_connection
+    dual_frames, _ = lt.integrate_frame(lt.dual_connection(alpha)[0])
+    for framegrid in (fr, dual_frames):
+        g = lt.gauss_from_frame(framegrid)
+        signs = framegrid.pair.signs_o
+        assert g.basis_s is g.span_s and g.basis_p is g.span_p
+        assert np.array_equal(g.signs_s, np.broadcast_to(signs[0:3], g.signs_s.shape))
+        assert np.array_equal(g.signs_p, np.broadcast_to(signs[3:6], g.signs_p.shape))
+        for basis, sg in ((g.basis_s, signs[0:3]), (g.basis_p, signs[3:6])):
+            gram = g.space.pair(basis[..., :, None, :], basis[..., None, :, :])
+            assert np.max(np.abs(gram - np.diag(sg))) < 1e-10
+
+
 def test_frame_constant_map_identity(torus_gauss65):
     fr = lt.frame(torus_gauss65)
     assert np.max(np.abs(fr.frames - np.eye(6))) < 1e-9

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from quadgeo import pseudo_linalg as pl
 from quadgeo.errors import (
-    DegenerateSubspaceError,
     GroupElementError,
     NotAQuadricStarError,
     NotDecomposableError,
@@ -67,6 +66,76 @@ def test_pair_symmetric_bilinear(seed):
     assert SP42.pair(x + 2.0 * z, y) == pytest.approx(
         SP42.pair(x, y) + 2.0 * SP42.pair(z, y)
     )
+
+
+# a diagonal Gram whose entries are not powers of two, as dual_connection builds
+SP_DIAG = pl.PseudoSpace(3, 3, np.diag([1.0 - 2.0**-52, 1.0, 0.7, -1.0, -1.3, -1.0]))
+
+
+def _same_bits(a, b):
+    """Equal values and equal sign bits (so +0 and -0 differ)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+    )
+
+
+def _with_zeros(rng, shape, dtype):
+    """Samples of a real chart with exact zeros of both signs.
+
+    float64: about a third of the entries are +0 or -0.  complex128: real
+    parts are normal samples and imaginary parts +0 or -0.  (Where a complex
+    matmul result has an exactly zero real part, the sign of that zero
+    depends on the BLAS kernel's accumulation order.)
+    """
+    x = rng.standard_normal(shape)
+    zero = rng.random(shape)
+    if dtype is float:
+        x[zero < 0.2] = 0.0
+        x[zero > 0.85] = -0.0
+        return x
+    return x + np.where(zero < 0.5, 0.0, -0.0) * 1j
+
+
+@pytest.mark.parametrize("sp", [SP42, SP33, SP_DIAG], ids=["lie", "plucker", "diag"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pair_and_adjoint_bit_identical_to_dense_forms(sp, dtype, rng):
+    ginv = np.linalg.inv(sp.gram)
+    for shape in [(6,), (7, 6), (200, 200, 6)]:
+        x = _with_zeros(rng, shape, dtype)
+        y = _with_zeros(rng, shape, dtype)
+        assert _same_bits(sp.pair(x, y), np.einsum("...i,ij,...j->...", x, sp.gram, y))
+        a = _with_zeros(rng, shape[:-1] + (6, 6), dtype)
+        assert _same_bits(sp.adjoint(a), ginv @ np.swapaxes(a, -1, -2) @ sp.gram)
+    # the broadcast 3x3 span Grams of the Gauss map
+    rows = _with_zeros(rng, (5, 4, 3, 6), dtype)
+    xs, ys = rows[..., :, None, :], rows[..., None, :, :]
+    assert _same_bits(sp.pair(xs, ys), np.einsum("...i,ij,...j->...", xs, sp.gram, ys))
+
+
+@pytest.mark.parametrize("sp", [SP42, SP33, SP_DIAG], ids=["lie", "plucker", "diag"])
+def test_pair_and_adjoint_on_complex_data_agree_to_roundoff(sp, rng):
+    x, y = rng.standard_normal((2, 50, 6)) + 1j * rng.standard_normal((2, 50, 6))
+    want = np.einsum("...i,ij,...j->...", x, sp.gram, y)
+    assert np.max(np.abs(sp.pair(x, y) - want) / np.abs(want)) < 1e-14
+    a = rng.standard_normal((50, 6, 6)) + 1j * rng.standard_normal((50, 6, 6))
+    want = np.linalg.inv(sp.gram) @ np.swapaxes(a, -1, -2) @ sp.gram
+    assert np.max(np.abs(sp.adjoint(a) - want)) < 1e-14 * np.max(np.abs(want))
+
+
+def test_non_monomial_gram_rejected():
+    g = np.diag([1.0, 1, 1, -1, -1, -1])
+    g[0, 1] = g[1, 0] = 0.25  # still symmetric, invertible and of signature (3,3)
+    with pytest.raises(ValueError, match="monomial"):
+        pl.PseudoSpace(3, 3, g)
+
+
+def test_standard_spaces_cached_read_only():
+    assert pl.lie_space() is SP42 and pl.plucker_space() is SP33
+    with pytest.raises(ValueError):
+        SP42.gram[0, 0] = 1.0
 
 
 def test_klein_plane_examples(rng):
@@ -181,30 +250,6 @@ def test_star_to_quadric_conjugated(rng):
 def test_star_to_quadric_rejects_junk():
     with pytest.raises(NotAQuadricStarError):
         pl.star_to_quadric(np.diag([1.0, 1, 1, -1, -1, -1]) + 0.1)
-
-
-def test_orthogonalize_elementary():
-    g = np.diag([1.0, 1, 1, -1, -1, -1])
-    sp = pl.PseudoSpace(3, 3, g)
-    basis, signs = pl.indefinite_orthogonalize([E6[0], E6[0] + E6[1]], sp)
-    assert np.allclose(np.abs(basis), np.stack([E6[0], E6[1]]), atol=1e-12)
-    assert list(signs) == [1.0, 1.0]
-
-
-def test_orthogonalize_lie_examples():
-    v0_plus_vinf = E6[1] + E6[5]
-    basis, signs = pl.indefinite_orthogonalize([v0_plus_vinf], SP42)
-    # <v0+vinf, v0+vinf> = -1: normalized timelike unit
-    assert signs[0] == -1.0
-    assert abs(SP42.pair(basis[0], basis[0]) + 1.0) < 1e-12
-    with pytest.raises(DegenerateSubspaceError):
-        pl.indefinite_orthogonalize([E6[1]], SP42)  # lightlike line
-
-
-def test_orthogonalize_hyperbolic_pair():
-    basis, signs = pl.indefinite_orthogonalize([E6[1], E6[5]], SP42)
-    gram = np.array([[SP42.pair(a, b) for b in basis] for a in basis])
-    assert np.allclose(gram, np.diag(signs), atol=1e-12)
 
 
 def test_double_cover_preserves_pairing(rng):
