@@ -262,6 +262,8 @@ def _invariance_max(surface, transforms):
 def suite_invariance(grids=DEFAULT_GRIDS, tol=1e-4, tol_order=1.8, seed=20260808,
                      n_group=20, shifts=(0.1, 0.3)):
     """Density invariance under seeded group elements, shifts, SL(4) maps."""
+    if n_group < 1:
+        raise UsageError(f"n_group must be an integer >= 1, got {n_group!r}")
     space = pl.lie_space()
     seeds = np.random.SeedSequence(seed).spawn(n_group)
     group = [

@@ -94,20 +94,25 @@ def _default_types(func):
 def _check_types(params, types):
     """Raise UsageError unless each given value has its parameter's type.
 
-    A float parameter takes any finite number, an int or str parameter only
-    its own type; other types (the tuple `grids`) are checked where used.
+    A float takes any finite number, an int or str only its own type, and a
+    tuple a comma-separated list of finite numbers (parsed in place).
     """
-    wanted = {float: "a finite number", int: "an integer", str: "a string"}
+    wanted = {float: "a finite number", int: "an integer", str: "a string",
+              tuple: "a comma-separated list of finite numbers"}
     for key, kind in types.items():
         if key not in params or kind not in wanted:
             continue
         value = params[key]
-        if kind is float:
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        if kind is tuple:
+            value = tuple(_parse_value(v) for v in str(value).split(","))
+        if kind in (float, tuple):
+            ok = all(isinstance(v, (int, float)) and math.isfinite(v)
+                     for v in (value if kind is tuple else [value]))
         else:
             ok = isinstance(value, kind)
         if not ok:
-            raise UsageError(f"{key} must be {wanted[kind]}, got {value!r}")
+            raise UsageError(f"{key} must be {wanted[kind]}, got {params[key]!r}")
+        params[key] = value
 
 
 WINDOW_KEYS = ("window_u0", "window_u1", "window_v0", "window_v1")
@@ -199,12 +204,13 @@ def cmd_tension(args, params):
 
 def cmd_check(args, params):
     accepted = checks.suite_parameters(args.suite)
+    if args.grids:
+        params["grids"] = args.grids
     _check_types(params, _default_types(checks.SUITES[args.suite]))
     kwargs = dict(params)
-    grids = args.grids or params.get("grids")
-    if isinstance(grids, str):
-        kwargs["grids"] = tuple(int(g) for g in grids.split(","))
     if args.tolerance is not None:
+        if args.tolerance <= 0:
+            raise UsageError(f"--tolerance must be > 0, got {args.tolerance!r}")
         kwargs["tol"] = args.tolerance
     if args.seed is not None and "seed" in accepted:
         kwargs["seed"] = args.seed

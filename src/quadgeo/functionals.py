@@ -136,7 +136,7 @@ def willmore_gradient_density(gauss):
     if np.max(np.abs(np.einsum("...k,...k->...", wh, w) - 1.0)) > 1e-6:
         raise ValueError("<s, .> degenerates on the stored S_perp basis")
     sigma = np.einsum("...k,...ki->...i", wh, basis_p)
-    tau_star = gm.tension(gauss).hom.adjoint_op()
+    tau_star = sp.adjoint(gm.tension(gauss).tau)
     img = np.einsum("...ij,...j->...i", tau_star, sigma)
     num = np.einsum("...k,...k->...", img, l.conj())
     den = np.einsum("...k,...k->...", l, l.conj()).real

@@ -117,13 +117,13 @@ def _gram_schmidt_rows(rows, signs, space):
 
 
 def _splitting(gauss):
-    """The Gauss map's proj, star, basis_s and basis_p, real where exactly real.
+    """The Gauss map's proj, basis_s and basis_p, real where exactly real.
 
     The one place the loop-algebra layer picks its dtype: when every
-    imaginary part of the four arrays is exactly 0 they are read as float64,
+    imaginary part of the three arrays is exactly 0 they are read as float64,
     otherwise they stay complex, and everything downstream follows.
     """
-    arrays = gauss.proj, gauss.star, gauss.basis_s, gauss.basis_p
+    arrays = gauss.proj, gauss.basis_s, gauss.basis_p
     if any(np.any(a.imag) for a in arrays):
         return arrays
     return tuple(a.real for a in arrays)
@@ -151,13 +151,13 @@ def make_pair(gauss):
     spanning families are only O(h^2)-orthogonal across the splitting), so
     the frames built on it stay in the orthogonal group to roundoff.
     """
-    proj, star, basis_s, basis_p = _splitting(gauss)
+    proj, basis_s, basis_p = _splitting(gauss)
     node = (gauss.chart.nu // 2, gauss.chart.nv // 2)
     signs = np.concatenate([gauss.signs_s[node], gauss.signs_p[node]], axis=0).real
     rows = np.concatenate([basis_s[node], basis_p[node]], axis=0)
     return SymmetricPair(
         space=gauss.space,
-        star_o=star[node].copy(),
+        star_o=gauss.eps * (2.0 * proj[node] - np.eye(6)),
         basis_o=_project_and_orthonormalize(proj[node], rows, signs, gauss.space),
         signs_o=signs,
         eps=gauss.eps,
@@ -231,12 +231,12 @@ def structure_identity_residual(gauss, framegrid, alpha):
     Edge values are node-centered by averaging adjacent edges; the identity
     holds to O(h).
     """
-    su, sv = gm.dS(gauss)
+    su, sv = gauss.derivatives
     f = framegrid.frames
     hu, hv = gauss.chart.hu, gauss.chart.hv
 
-    def residual(p_edges, h, hom, axis):
-        target = hom.op - hom.adjoint_op()
+    def residual(p_edges, h, op, axis):
+        target = op - gauss.space.adjoint(op)
         if axis == 0:
             mid = 0.5 * (p_edges[:-1] + p_edges[1:]) / h
             fc, tgt = f[1:-1], target[1:-1]
@@ -317,20 +317,18 @@ def gauss_from_frame(framegrid, reference_gauss=None):
     """Gauss map S(node) = F(node) S_o from a frame field."""
     pair = framegrid.pair
     f = framegrid.frames
-    star = f @ pair.star_o @ framegrid.space.adjoint(f)
-    proj = 0.5 * (star / pair.eps + np.eye(6))
+    proj = 0.5 * (f @ pair.star_o @ framegrid.space.adjoint(f) / pair.eps + np.eye(6))
     rows = pair.basis_o[0:3]
     span_s = (f @ rows.T[None, None]).swapaxes(-1, -2)
     rows_p = pair.basis_o[3:6]
     span_p = (f @ rows_p.T[None, None]).swapaxes(-1, -2)
-    sig = "(1,1)" if pair.eps == 1.0 else "(2,0)"
     degenerate = np.zeros(f.shape[:2], dtype=bool)
     # F is pairing-orthogonal, so the spans are orthonormal bases already,
     # with the base basis's signs
     signs = np.broadcast_to(pair.signs_o, f.shape[:2] + (6,))
     return gm.GaussMapGrid(
         space=framegrid.space, chart=framegrid.chart, span_s=span_s, span_p=span_p,
-        proj=proj, star=star, eps=pair.eps, signature_z=sig, degenerate=degenerate,
+        proj=proj, eps=pair.eps, degenerate=degenerate,
         basis_s=span_s, signs_s=signs[..., 0:3], basis_p=span_p, signs_p=signs[..., 3:6],
         source=reference_gauss.source if reference_gauss is not None else None,
     )
@@ -354,7 +352,9 @@ def spectral_deform(gauss, lam, harmonic_factor=10.0, floor=1e-6):
 
     Frames the map, deforms its Maurer-Cartan form to alpha_lambda, and
     integrates back; admissible lambda are real for (1,1) charts and
-    unimodular for (2,0) charts.  Raises NonHarmonicInputError when the
+    unimodular for (2,0) charts, but `frame` raises SignatureError on every
+    curved (2,0) chart tried (`convex_graph_sampler(0.05)` at 33^2), so only
+    flat (2,0) charts deform.  Raises NonHarmonicInputError when the
     spectral family is measurably non-flat (test residual at lambda=2 beyond
     `harmonic_factor` times the lambda=1 discretization floor).
     """

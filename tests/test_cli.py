@@ -170,6 +170,12 @@ def test_deform_and_dualize_commands(tmp_path):
     ["check", "--suite", "deform", "--grids", "17,33", "--lambda-im", "inf"],
     ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "nan"],
     ["merge", "{tmp}/good.json"],
+    ["check", "--suite", "invariance", "--grids", "17,33", "--param", "n_group=-3"],
+    ["check", "--suite", "invariance", "--grids", "17,33", "--param", "n_group=0"],
+    ["check", "--suite", "invariance", "--grids", "17,33", "--param", "shifts=abc"],
+    ["check", "--suite", "invariance", "--grids", "17,33", "--param", "shifts=0.1,nan"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "-1"],
+    ["check", "--suite", "conformality", "--grids", "17,abc"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -197,10 +203,12 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
             assert needle in err
     # the message names the flag, key or file at fault
     flag, value = argv[-2], argv[-1]
-    if value in ("nan", "inf"):
+    if value in ("nan", "inf", "-1"):
         assert flag in err
     if flag == "--param":
         assert value.split("=")[0] in err
+    if flag == "--grids":
+        assert "grid" in err
     if flag == "--config":
         assert "tol must be" in err
     if argv[0] == "merge":
@@ -221,6 +229,18 @@ def test_check_grids_from_param(tmp_path):
     assert run(["check", "--suite", "orthogonality", "--param", "grids=17,33",
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["grids"] == [17, 33]
+
+
+def test_tuple_param_reads_comma_separated_numbers(tmp_path, monkeypatch):
+    def invariance(grids=checks.DEFAULT_GRIDS, shifts=(0.1, 0.3)):
+        return {"suite": "invariance", "pass": True, "metrics": {"shifts": list(shifts)}}
+
+    monkeypatch.setitem(checks.SUITES, "invariance", invariance)
+    out = tmp_path / "inv.json"
+    for text, want in (("0.1", [0.1]), ("0.2, 1", [0.2, 1])):
+        assert run(["check", "--suite", "invariance", "--grids", "17,33",
+                    "--param", f"shifts={text}", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["metrics"]["shifts"] == want
 
 
 def test_tension_on_too_small_grid_names_the_minimum(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,31 @@ def test_orthogonality_of_bundles():
     assert np.all(orders > 1.8)
 
 
+def test_derivatives_computed_once_read_only_and_cycle_free(ellipsoid_lift65, monkeypatch):
+    calls = []
+    real_dS = gm.dS
+    monkeypatch.setattr(gm, "dS", lambda gauss: calls.append(1) or real_dS(gauss))
+    gauss = gm.conformal_gauss(ellipsoid_lift65)
+    su, sv = gauss.derivatives
+    again = gauss.derivatives
+    assert again[0] is su and again[1] is sv and len(calls) == 1
+    assert not su.flags.writeable and not sv.flags.writeable
+    with pytest.raises(ValueError):
+        su[0, 0, 0, 0] = 1.0
+    gm.willmore_density(gauss)
+    gm.reconstruct(gauss)
+    assert len(calls) == 1
+    # the cached pair holds no reference back to the map: without the
+    # cyclic collector, dropping the last reference frees it at once
+    ref = weakref.ref(gauss)
+    gc.disable()
+    try:
+        del gauss
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_orthonormal_bases_have_unit_gram(ellipsoid_gauss65):
     bs, ds = ellipsoid_gauss65.basis_s, ellipsoid_gauss65.signs_s
     bp = ellipsoid_gauss65.basis_p
@@ -62,9 +90,9 @@ def test_orthonormal_bases_have_unit_gram(ellipsoid_gauss65):
 
 
 def test_dS_rank_structure(ellipsoid_gauss65):
-    su, sv = gm.dS(ellipsoid_gauss65)
+    su, sv = ellipsoid_gauss65.derivatives
     # im S_u = span{s}: dominant direction of the operator against the s field
-    img, svals = gm.image_direction(su.op)
+    img, svals = gm.image_direction(su)
     ang = gm.line_angle(img, ellipsoid_gauss65.span_p[..., 0, :])
     assert np.max(interior(ang)) < 1e-4
     assert np.min(interior(svals[..., 0] / svals[..., 1])) > 1e3  # near rank one
@@ -72,20 +100,20 @@ def test_dS_rank_structure(ellipsoid_gauss65):
 
 def test_constant_gauss_map_derivatives(quadric_lift65):
     gauss = gm.conformal_gauss(quadric_lift65)
-    su, sv = gm.dS(gauss)
-    assert np.max(interior(su.norm())) < 1e-10
-    assert np.max(interior(sv.norm())) < 1e-8
+    su, sv = gauss.derivatives
+    assert np.max(interior(np.linalg.norm(su, axis=(-2, -1)))) < 1e-10
+    assert np.max(interior(np.linalg.norm(sv, axis=(-2, -1)))) < 1e-8
     tf = gm.tension(gauss)
     assert np.max(interior(tf.norm, 3)) < 1e-10
 
 
 def test_grassmann_pair_symmetric_and_zero(ellipsoid_gauss65):
-    su, sv = gm.dS(ellipsoid_gauss65)
-    a = gm.grassmann_pair(su, sv)
-    b = gm.grassmann_pair(sv, su)
+    sp = ellipsoid_gauss65.space
+    su, sv = ellipsoid_gauss65.derivatives
+    a = gm.grassmann_pair(sp, su, sv)
+    b = gm.grassmann_pair(sp, sv, su)
     assert np.max(np.abs(a - b)) < 1e-9 * (1 + np.max(np.abs(a)))
-    zero = gm.TangentHom(np.zeros_like(su.op), ellipsoid_gauss65)
-    assert np.max(np.abs(gm.grassmann_pair(zero, su))) == 0.0
+    assert np.max(np.abs(gm.grassmann_pair(sp, np.zeros_like(su), su))) == 0.0
 
 
 def test_conformality_convergence():
@@ -146,10 +174,10 @@ def test_torus_tension_small(torus_gauss65):
 
 def test_blaschke_residual_small_for_gauss_maps(ellipsoid_gauss65):
     r1, r2 = gm.blaschke_residual(ellipsoid_gauss65)
-    su, sv = gm.dS(ellipsoid_gauss65)
+    su, sv = ellipsoid_gauss65.derivatives
     scale = max(
-        np.max(interior(np.linalg.norm(su.op, axis=(-2, -1)))) ** 2,
-        np.max(interior(np.linalg.norm(sv.op, axis=(-2, -1)))) ** 2,
+        np.max(interior(np.linalg.norm(su, axis=(-2, -1)))) ** 2,
+        np.max(interior(np.linalg.norm(sv, axis=(-2, -1)))) ** 2,
     )
     assert np.max(interior(r1)) < 1e-3 * scale
     assert np.max(interior(r2)) < 1e-3 * scale
@@ -220,8 +248,7 @@ def _smooth_random_splitting(seed=7, n=33):
     b6 = span_s.swapaxes(-1, -2)
     proj = b6 @ np.linalg.inv(gram_s) @ b6.swapaxes(-1, -2) @ sp.gram
     return gm.GaussMapGrid(
-        space=sp, chart=ch, span_s=span_s, span_p=span_p, proj=proj,
-        star=2.0 * proj - np.eye(6), eps=1.0, signature_z="(1,1)",
+        space=sp, chart=ch, span_s=span_s, span_p=span_p, proj=proj, eps=1.0,
         degenerate=np.zeros((n, n), dtype=bool),
         basis_s=span_s, signs_s=np.broadcast_to(signs[0:3], (n, n, 3)).copy(),
         basis_p=span_p, signs_p=np.broadcast_to(signs[3:6], (n, n, 3)).copy(),
@@ -231,10 +258,10 @@ def _smooth_random_splitting(seed=7, n=33):
 def test_blaschke_residual_large_for_random_field():
     fake = _smooth_random_splitting()
     r1, r2 = gm.blaschke_residual(fake)
-    su, sv = gm.dS(fake)
+    su, sv = fake.derivatives
     scale = max(
-        np.max(interior(np.linalg.norm(su.op, axis=(-2, -1)))) ** 2,
-        np.max(interior(np.linalg.norm(sv.op, axis=(-2, -1)))) ** 2,
+        np.max(interior(np.linalg.norm(su, axis=(-2, -1)))) ** 2,
+        np.max(interior(np.linalg.norm(sv, axis=(-2, -1)))) ** 2,
     )
     assert max(np.max(interior(r1)), np.max(interior(r2))) > 1e-2 * scale
 
@@ -279,9 +306,9 @@ def test_channel_surface_degeneracy():
     cc = lg.conjugate_coefficients(grid)
     assert np.max(np.abs(interior(cc.q))) < 1e-12
     gauss = gm.conformal_gauss(grid)
-    su, sv = gm.dS(gauss)
-    assert np.max(interior(sv.norm())) < 1e-8
-    assert np.max(interior(su.norm())) > 0.1
+    su, sv = gauss.derivatives
+    assert np.max(interior(np.linalg.norm(sv, axis=(-2, -1)))) < 1e-8
+    assert np.max(interior(np.linalg.norm(su, axis=(-2, -1)))) > 0.1
     assert np.max(np.abs(interior(gm.willmore_density(gauss)))) < 1e-9
     with pytest.raises(DegenerateReconstructionError):
         gm.reconstruct(gauss)
