@@ -36,7 +36,7 @@ ELL_WINDOW_TENSION = (1.16, 1.28, 2.46, 2.64)
 TORUS_WINDOW = (0.3, 1.7, 0.2, 1.8)
 GRAPH_WINDOW = (-0.5, 0.5, -0.5, 0.5)
 DEFAULT_GRIDS = (33, 65, 129)
-FLAT_FLOOR = 1e-6
+FLAT_FLOOR = lt.FLAT_FLOOR
 
 
 def fit_order(residuals, floor=FLOOR):
@@ -68,8 +68,8 @@ def make_quadric(n):
     return sf.make_surface(sf.quadric_graph_sampler(), GRAPH_WINDOW, n, n)
 
 
-def make_asymptotic_graph(n, cx=0.1, cy=0.1):
-    samp = sf.perturbed_graph_sampler(cx, cy)
+def make_asymptotic_graph(n):
+    samp = sf.perturbed_graph_sampler(0.1, 0.1)
     src = sf.make_surface(samp, GRAPH_WINDOW, 65, 65)
     h = 0.45 / (n - 1)
     return sn.asymptotic_reparametrize(src, n, n, h, h, sampler=samp)

@@ -115,6 +115,16 @@ def _check_types(params, types):
         params[key] = value
 
 
+def _check_ranges(values, flags):
+    """Raise UsageError unless tol and tol_* are finite > 0 and steps, step_size finite >= 0."""
+    for key, value in values.items():
+        label = flags.get(key, key)
+        if (key == "tol" or key.startswith("tol_")) and not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{label} must be finite and > 0, got {value!r}")
+        if key in ("steps", "step_size") and not (math.isfinite(value) and value >= 0):
+            raise UsageError(f"{label} must be finite and >= 0, got {value!r}")
+
+
 WINDOW_KEYS = ("window_u0", "window_u1", "window_v0", "window_v1")
 
 
@@ -208,10 +218,10 @@ def cmd_check(args, params):
         params["grids"] = args.grids
     _check_types(params, _default_types(checks.SUITES[args.suite]))
     kwargs = dict(params)
+    flags = {}
     if args.tolerance is not None:
-        if args.tolerance <= 0:
-            raise UsageError(f"--tolerance must be > 0, got {args.tolerance!r}")
-        kwargs["tol"] = args.tolerance
+        kwargs["tol"], flags["tol"] = args.tolerance, "--tolerance"
+    _check_ranges({k: v for k, v in kwargs.items() if k in accepted or k in flags}, flags)
     if args.seed is not None and "seed" in accepted:
         kwargs["seed"] = args.seed
     given = args.lambda_re is not None or args.lambda_im is not None
@@ -266,10 +276,8 @@ def cmd_dualize(args, params):
 
 
 def cmd_descent(args, params):
-    if args.steps < 0:
-        raise UsageError(f"--steps must be an integer >= 0, got {args.steps}")
-    if not (math.isfinite(args.step_size) and args.step_size >= 0):
-        raise UsageError(f"--step-size must be finite and >= 0, got {args.step_size!r}")
+    _check_ranges({"steps": args.steps, "step_size": args.step_size},
+                  {"steps": "--steps", "step_size": "--step-size"})
     surface = _load_surface(args.surface)
     reports, _ = fn.willmore_descent(
         surface, steps=args.steps, step_size=args.step_size
@@ -365,7 +373,7 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("tolerance", "lambda_re", "lambda_im"):
+        for flag in ("lambda_re", "lambda_im"):
             value = getattr(args, flag, None)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")

@@ -16,7 +16,7 @@ import numpy as np
 from . import gauss_map as gm
 from . import legendre as lg
 from . import surfaces as sf
-from .errors import UmbilicError
+from .errors import NotAsymptoticChartError, UmbilicError
 from .grids import GridChart, d_u, d_v, interior, node_list
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
@@ -34,10 +34,10 @@ class EnergyReport:
     meta: dict = field(default_factory=dict)
 
 
-def _integrate(density, chart, excluded_mask=None, margin=MARGIN):
+def _integrate(density, chart, excluded_mask=None):
     area = chart.hu * chart.hv
     inside = np.zeros(density.shape, dtype=bool)
-    inside[margin:-margin, margin:-margin] = True
+    inside[MARGIN:-MARGIN, MARGIN:-MARGIN] = True
     if excluded_mask is not None:
         inside &= ~excluded_mask
     return float(np.sum(np.where(inside, density, 0.0)).real * area), inside
@@ -55,14 +55,14 @@ def willmore_energy(gauss):
     )
 
 
-def lie_density(kappa1, kappa2, chart, umbilic_rtol=1e-6):
+def lie_density(kappa1, kappa2, chart):
     """Curvature-line density du(k1) dv(k2) / (k1 - k2)^2.
 
     This is the sign convention of the curvature-line functional; its negative
     (matching the Gauss-map density <S_u,S_v>) is returned alongside in the
     pair (density, negated).
     """
-    if umbilic_mask(kappa1, kappa2, umbilic_rtol).any():
+    if umbilic_mask(kappa1, kappa2).any():
         raise UmbilicError("umbilic nodes in the density domain")
     dk1 = d_u(kappa1, chart)
     dk2 = d_v(kappa2, chart)
@@ -70,7 +70,7 @@ def lie_density(kappa1, kappa2, chart, umbilic_rtol=1e-6):
     return rho, -rho
 
 
-def proj_density(surface, chart_tol=5e-2):
+def proj_density(surface):
     """Asymptotic-coordinate density p q from the homogeneous lift.
 
     The coefficients are extracted as determinant ratios
@@ -79,7 +79,8 @@ def proj_density(surface, chart_tol=5e-2):
     would pick up transform-dependent errors through its Euclidean residual.
     The mixed derivative completes the frame (f_uv leaves span{f, f_u, f_v}
     precisely when the net is nondegenerate), and the components of f_uu,
-    f_vv off that span witness the asymptotic property of the chart.
+    f_vv off that span witness the asymptotic property of the chart (at most
+    `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_density needs a projective surface")
@@ -108,9 +109,7 @@ def proj_density(surface, chart_tol=5e-2):
         np.max(interior(np.abs(np.einsum("...k,...k->...", fstar, fuu)))),
         np.max(interior(np.abs(np.einsum("...k,...k->...", fstar, fvv)))),
     ) / scale
-    if worst > chart_tol:
-        from .errors import NotAsymptoticChartError
-
+    if worst > lg.ASYMPTOTIC_CHART_TOL:
         raise NotAsymptoticChartError(
             f"off-span residual {worst:.2e}: chart is not asymptotic"
         )
@@ -188,17 +187,16 @@ def _move_surface(surface, amplitude):
     )
 
 
-def willmore_descent(surface, steps=50, step_size=2e-6, max_halvings=20,
-                     residual_tol=0.2):
+def willmore_descent(surface, steps=50, step_size=2e-6):
     """Explicit gradient descent of W by normal motion of the point surface.
 
     The descent direction is the Euler-Lagrange density g of the starting
     state, shaped by a smooth bump so the variation is compactly supported in
     the chart.  Each step moves f along n by -step * g, transports the
-    normal to first order, refits curvatures from the Rodrigues equations,
-    and rebuilds the lift / Gauss map to evaluate W; steps that fail to
-    decrease W are halved (up to `max_halvings`), so the reported energy
-    sequence is non-increasing.
+    normal to first order, refits curvatures from the Rodrigues equations
+    (residual at most 0.2) and rebuilds the lift / Gauss map to evaluate W;
+    steps that fail to decrease W are halved (up to 20 times), so the
+    reported energy sequence is non-increasing.
 
     The direction is evaluated once, at the analytic-quality starting state:
     the tension field takes three derivatives of the splitting, so refreshing
@@ -223,7 +221,7 @@ def willmore_descent(surface, steps=50, step_size=2e-6, max_halvings=20,
 
     def attempt(amplitude):
         cand = _move_surface(current, amplitude)
-        cand, _ = sf.principal_data(cand, residual_tol=residual_tol)
+        cand, _ = sf.principal_data(cand, residual_tol=0.2)
         return cand, _surface_energy(cand)[0]
 
     for _ in range(steps):
@@ -243,7 +241,7 @@ def willmore_descent(surface, steps=50, step_size=2e-6, max_halvings=20,
             if orientation == 0.0:
                 reports.append(reports[-1])
                 continue
-        for _ in range(max_halvings + 1):
+        for _ in range(21):  # one try, then up to 20 halvings
             try:
                 cand, rep = attempt(-orientation * size * direction)
             except UmbilicError:

@@ -75,10 +75,11 @@ class TensionField:
     codazzi_diff: np.ndarray
 
 
-def conformal_gauss(grid, degenerate_rtol=1e-8):
+def conformal_gauss(grid):
     """Conformal Gauss map S = span{l, l_v, l_vv} of a focal-normalized grid.
 
-    Nodes where the induced pairing on the span degenerates are flagged and
+    Nodes where the induced pairing on the span degenerates (|det Gram| below
+    1e-8 of the product of the squared row norms) are flagged and
     their splitting filled from the nearest valid neighbor (the congruence of
     a Dupin patch continues smoothly); flagged nodes are excluded from
     tension/reconstruction statistics downstream.
@@ -93,7 +94,7 @@ def conformal_gauss(grid, degenerate_rtol=1e-8):
     gram_s = sp.pair(span_s[..., :, None, :], span_s[..., None, :, :])
     scale = np.linalg.norm(span_s, axis=-1) ** 2
     scale3 = scale[..., 0] * scale[..., 1] * scale[..., 2]
-    degenerate = np.abs(np.linalg.det(gram_s)) < degenerate_rtol * np.maximum(scale3, 1e-300)
+    degenerate = np.abs(np.linalg.det(gram_s)) < 1e-8 * np.maximum(scale3, 1e-300)
     b6 = span_s.swapaxes(-1, -2)  # columns
     gram_inv = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(3), gram_s))
     proj = b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram
@@ -285,11 +286,11 @@ def blaschke_residual(gauss):
     return r1, r2
 
 
-def envelope_degeneracy(gauss, rtol=1e-3):
+def envelope_degeneracy(gauss):
     """Classify nodes by which envelope conditions hold with u, v swapped.
 
     generic: only the defining conditions; godeaux_rozet_u / _v: one swapped
-    condition also holds; demoulin: both (vacuously for constant S).
+    condition also holds (to 1e-3); demoulin: both (vacuously for constant S).
     """
     su, sv = gauss.derivatives
     swap_u = np.linalg.norm(su @ gauss.space.adjoint(su), ord=2, axis=(-2, -1))
@@ -298,9 +299,9 @@ def envelope_degeneracy(gauss, rtol=1e-3):
         np.linalg.norm(su, ord=2, axis=(-2, -1)) ** 2,
         np.linalg.norm(sv, ord=2, axis=(-2, -1)) ** 2,
     )
-    floor = rtol * np.max(scale) + 1e-14
-    u_holds = swap_u <= np.maximum(rtol * scale, floor)
-    v_holds = swap_v <= np.maximum(rtol * scale, floor)
+    floor = 1e-3 * np.max(scale) + 1e-14
+    u_holds = swap_u <= np.maximum(1e-3 * scale, floor)
+    v_holds = swap_v <= np.maximum(1e-3 * scale, floor)
     out = np.full(u_holds.shape, "generic", dtype="<U16")
     out[u_holds & ~v_holds] = "godeaux_rozet_u"
     out[v_holds & ~u_holds] = "godeaux_rozet_v"
@@ -308,13 +309,13 @@ def envelope_degeneracy(gauss, rtol=1e-3):
     return out
 
 
-def reconstruct(gauss, degenerate_rtol=1e-6):
+def reconstruct(gauss):
     """Recover the Legendre map from its conformal Gauss map.
 
     Extracts span{s} = im S_u and span{l} = im S_v* by dominant-direction
     extraction and returns the focal-normalized grid.  Raises
-    DegenerateReconstructionError when <S_u, S_v> vanishes (constant or
-    degenerate focal surfaces).
+    DegenerateReconstructionError when <S_u, S_v> vanishes (median below
+    1e-6 of |S_u| |S_v|: constant or degenerate focal surfaces).
     """
     su, sv = gauss.derivatives
     density = np.abs(grassmann_pair(gauss.space, su, sv))
@@ -326,7 +327,7 @@ def reconstruct(gauss, degenerate_rtol=1e-6):
         raise DegenerateReconstructionError(
             "a partial derivative of S vanishes (constant or channel-type congruence)"
         )
-    if np.median(interior(density, margin) / np.maximum(den, 1e-300)) < degenerate_rtol:
+    if np.median(interior(density, margin) / np.maximum(den, 1e-300)) < 1e-6:
         raise DegenerateReconstructionError("<S_u, S_v> ~ 0: focal surfaces degenerate")
     l_dir, svals_v = image_direction(gauss.space.adjoint(sv))
     rank_gap = min(

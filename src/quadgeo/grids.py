@@ -29,7 +29,7 @@ class GridChart:
     nu, nv: grid sizes (>= 5 so central stencils leave a 2-node margin).
     hu, hv: spacings in parameter units.
     reality: 'real' or 'complex_conjugate'.
-    orientation: +1 or -1 (sign of du^dv against the stored index order).
+    The stored index order is the chart's orientation: du^dv is positive.
     """
 
     nu: int
@@ -37,7 +37,6 @@ class GridChart:
     hu: float
     hv: float
     reality: str = REAL
-    orientation: int = 1
 
     def __post_init__(self):
         check_sizes(self.nu, self.nv)
@@ -46,16 +45,9 @@ class GridChart:
         if self.reality not in (REAL, COMPLEX_CONJUGATE):
             raise ValueError(f"unknown reality flag {self.reality!r}")
 
-    def refine(self, factor=2):
-        """Chart covering the same window with (n-1)*factor+1 nodes per axis."""
-        return GridChart(
-            (self.nu - 1) * factor + 1,
-            (self.nv - 1) * factor + 1,
-            self.hu / factor,
-            self.hv / factor,
-            self.reality,
-            self.orientation,
-        )
+    def refine(self):
+        """Chart covering the same window at half the spacing: 2(n-1)+1 nodes per axis."""
+        return GridChart(2 * self.nu - 1, 2 * self.nv - 1, self.hu / 2, self.hv / 2, self.reality)
 
 
 def check_sizes(nu, nv):
@@ -126,9 +118,9 @@ def interior(field, margin=2):
     return field[margin:-margin, margin:-margin]
 
 
-def interior_max(field, margin=2):
-    """Max absolute value over the interior sub-grid, NaNs ignored."""
-    sub = interior(np.abs(np.asarray(field)), margin)
+def interior_max(field):
+    """Max absolute value over the interior sub-grid (2-node margin), NaNs ignored."""
+    sub = interior(np.abs(np.asarray(field)))
     return float(np.nanmax(sub))
 
 

@@ -28,6 +28,7 @@ from .surfaces import EUCLIDEAN3, PROJECTIVE3, SurfaceGrid, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
 V_MINUS, V_ZERO, V_INF = 0, 1, 5
+ASYMPTOTIC_CHART_TOL = 5e-2  # off-span residual bound of an asymptotic chart
 
 
 @dataclass
@@ -66,7 +67,7 @@ def _enorm(x):
 # lifts
 
 
-def lie_lift(surface, umbilic_rtol=1e-6):
+def lie_lift(surface):
     """Contact lift of a Euclidean surface by its curvature spheres.
 
     Builds phi = v_0 + f + f^2 v_inf (stereographic point sphere) and
@@ -75,7 +76,7 @@ def lie_lift(surface, umbilic_rtol=1e-6):
     """
     if surface.geometry != EUCLIDEAN3 or not surface.has_kappa():
         raise ValueError("lie_lift needs a Euclidean surface with kappa fields")
-    umb = umbilic_mask(surface.kappa1, surface.kappa2, umbilic_rtol)
+    umb = umbilic_mask(surface.kappa1, surface.kappa2)
     if umb.any():
         raise UmbilicError("umbilic nodes in the lift domain",
                            nodes=[tuple(ij) for ij in np.argwhere(umb)])
@@ -96,12 +97,12 @@ def lie_lift(surface, umbilic_rtol=1e-6):
                         meta=dict(surface.meta))
 
 
-def proj_lift(surface, chart_tol=5e-2):
+def proj_lift(surface):
     """Contact lift of a projective surface in asymptotic coordinates.
 
     l = f ^ f_u and s = f ^ f_v via the Plucker embedding.  Raises
-    NotAsymptoticChartError when the focal normalization fails beyond
-    `chart_tol` (the chart is not asymptotic).
+    NotAsymptoticChartError when the focal residual exceeds
+    ASYMPTOTIC_CHART_TOL = 5e-2 (the chart is not asymptotic).
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_lift needs a projective surface")
@@ -115,9 +116,9 @@ def proj_lift(surface, chart_tol=5e-2):
     s = pl.plucker_embed(f, fv)
     grid = LegendreGrid(pl.plucker_space(), l, s, surface.chart, meta=dict(surface.meta))
     rep = validate(grid)
-    if rep["focal_max"] > chart_tol:
+    if rep["focal_max"] > ASYMPTOTIC_CHART_TOL:
         raise NotAsymptoticChartError(
-            f"focal residual {rep['focal_max']:.2e} exceeds {chart_tol:.1e}: "
+            f"focal residual {rep['focal_max']:.2e} exceeds {ASYMPTOTIC_CHART_TOL:.1e}: "
             "chart is not asymptotic"
         )
     return grid
@@ -244,12 +245,12 @@ def focal_frame(grid):
     return out
 
 
-def conjugate_coefficients(grid, cond_limit=1e8):
-    """Least-squares conjugate coefficients p, q of a focal-normalized grid."""
+def conjugate_coefficients(grid):
+    """Least-squares conjugate coefficients p, q of a focal-normalized grid (cond(l, s) <= 1e8)."""
     ch = grid.chart
     basis = np.stack([grid.l, grid.s], axis=-1)
     svals = np.linalg.svd(basis, compute_uv=False)
-    if np.max(svals[..., 0] / svals[..., 1]) > cond_limit:
+    if np.max(svals[..., 0] / svals[..., 1]) > 1e8:
         raise IllConditionedFrameError("(l, s) basis is numerically dependent")
     pinv = np.linalg.pinv(basis)
     lu = d_u(grid.l, ch)
@@ -299,13 +300,13 @@ def conformal_structure(grid):
 # point-surface recovery and group action
 
 
-def point_surface(grid, singular_rtol=1e-8):
+def point_surface(grid):
     """Recover the classical surface enveloped by a Legendre grid.
 
     (3,3): per node the planes of l and s intersect in the homogeneous point.
     (4,2): the point sphere in span{l, s} (vanishing v_-1 coefficient) is
-    de-stereographed to R^3; nodes where the Euclidean projection degenerates
-    are flagged (NaN points + meta['singular_nodes']), not fatal.
+    de-stereographed to R^3; nodes where its v_0 coefficient is below 1e-8
+    of its norm are flagged (NaN points + meta['singular_nodes']), not fatal.
     """
     if grid.space == pl.plucker_space():
         L = pl.bivector_matrix(grid.l)
@@ -331,7 +332,7 @@ def point_surface(grid, singular_rtol=1e-8):
     # (4,2): point sphere = s_-1 * l - l_-1 * s has no v_-1 component
     w = grid.s[..., V_MINUS, None] * grid.l - grid.l[..., V_MINUS, None] * grid.s
     denom = w[..., V_ZERO]
-    bad = np.abs(denom) < singular_rtol * _enorm(w)
+    bad = np.abs(denom) < 1e-8 * _enorm(w)
     denom_safe = np.where(bad, 1.0, denom)
     phi = w / denom_safe[..., None]
     pts = phi[..., 2:5].real
@@ -350,9 +351,9 @@ def point_surface(grid, singular_rtol=1e-8):
     return out
 
 
-def apply_group(grid, g, tol=1e-10):
-    """Transform the focal frame by a pairing-preserving 6x6 map."""
-    pl.check_group_element(g, grid.space, tol)
+def apply_group(grid, g):
+    """Transform the focal frame by a pairing-preserving 6x6 map (`pl.check_group_element`)."""
+    pl.check_group_element(g, grid.space)
     g = np.asarray(g, dtype=complex)
     mapped = {
         name: None if getattr(grid, name) is None

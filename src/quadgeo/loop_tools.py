@@ -32,6 +32,8 @@ from .errors import NonHarmonicInputError, SignatureError
 from .grids import GridChart, interior
 from .matfun import expm, logm, reproject_orthogonal
 
+FLAT_FLOOR = 1e-6  # a flatness residual this small counts as flat at any lambda
+
 
 @dataclass
 class SymmetricPair:
@@ -252,15 +254,15 @@ def structure_identity_residual(gauss, framegrid, alpha):
 
 
 def spectral_connection(alpha, lam):
-    """The loop-family member alpha_k + lambda alpha_p' + lambda^-1 alpha_p''."""
+    """The loop-family member alpha_k + lambda alpha_p' + lambda^-1 alpha_p'' (shares k_u, k_v)."""
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     return ConnectionGrid(
         space=alpha.space,
         chart=alpha.chart,
         pair=alpha.pair,
-        k_u=alpha.k_u.copy(),
-        k_v=alpha.k_v.copy(),
+        k_u=alpha.k_u,
+        k_v=alpha.k_v,
         p_u=lam * alpha.p_u,
         p_v=alpha.p_v / lam,
         lam=lam,
@@ -334,20 +336,20 @@ def gauss_from_frame(framegrid, reference_gauss=None):
     )
 
 
-def harmonicity_ratio(alpha, lam_test=2.0):
-    """Flatness of the spectral family at a test lambda against lambda = 1.
+def harmonicity_ratio(alpha):
+    """Flatness of the spectral family at lambda = 2 against lambda = 1.
 
     Harmonic maps have the whole family flat; the ratio (test residual over
     the lambda=1 discretization floor) is the scale-free harmonicity witness.
     """
     base = flatness_residual(spectral_connection(alpha, 1.0))
-    test = flatness_residual(spectral_connection(alpha, lam_test))
+    test = flatness_residual(spectral_connection(alpha, 2.0))
     b = float(np.max(interior(base, 1))) if min(base.shape) > 2 else float(np.max(base))
     t = float(np.max(interior(test, 1))) if min(test.shape) > 2 else float(np.max(test))
     return t, b
 
 
-def spectral_deform(gauss, lam, harmonic_factor=10.0, floor=1e-6):
+def spectral_deform(gauss, lam, harmonic_factor=10.0):
     """Associated-family deformation S -> S_lambda of a harmonic Gauss map.
 
     Frames the map, deforms its Maurer-Cartan form to alpha_lambda, and
@@ -355,8 +357,8 @@ def spectral_deform(gauss, lam, harmonic_factor=10.0, floor=1e-6):
     unimodular for (2,0) charts, but `frame` raises SignatureError on every
     curved (2,0) chart tried (`convex_graph_sampler(0.05)` at 33^2), so only
     flat (2,0) charts deform.  Raises NonHarmonicInputError when the
-    spectral family is measurably non-flat (test residual at lambda=2 beyond
-    `harmonic_factor` times the lambda=1 discretization floor).
+    spectral family is measurably non-flat: the lambda=2 residual exceeds
+    FLAT_FLOOR and `harmonic_factor` times the lambda=1 floor.
     """
     if gauss.signature_z == "(1,1)":
         if abs(complex(lam).imag) > 1e-12:
@@ -366,7 +368,7 @@ def spectral_deform(gauss, lam, harmonic_factor=10.0, floor=1e-6):
     fr = frame(gauss)
     alpha = maurer_cartan(fr)
     test, base = harmonicity_ratio(alpha)
-    if test > max(harmonic_factor * base, floor):
+    if test > max(harmonic_factor * base, FLAT_FLOOR):
         raise NonHarmonicInputError(
             f"flatness at lambda=2 is {test:.2e} vs {base:.2e} at lambda=1: "
             "input Gauss map is not harmonic"

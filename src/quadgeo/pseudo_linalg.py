@@ -65,7 +65,6 @@ class PseudoSpace:
     m: int
     n: int
     gram: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         g = np.array(self.gram, dtype=float)
@@ -135,7 +134,7 @@ def plucker_space():
     for k, s in enumerate((1.0, -1.0, 1.0)):
         g[k, 5 - k] = s
         g[5 - k, k] = s
-    return PseudoSpace(3, 3, g, name="plucker(3,3)")
+    return PseudoSpace(3, 3, g)
 
 
 @functools.cache
@@ -144,7 +143,7 @@ def lie_space():
     g[0, 0] = -1.0          # v_-1 timelike
     g[1, 5] = g[5, 1] = -0.5  # <v_0, v_inf> = -1/2
     g[2, 2] = g[3, 3] = g[4, 4] = 1.0
-    return PseudoSpace(4, 2, g, name="lie(4,2)")
+    return PseudoSpace(4, 2, g)
 
 
 def plucker_embed(x, y):
@@ -213,11 +212,6 @@ class QuadricForm:
             raise ValueError("quadric must have signature (2,2) or Lorentz")
         object.__setattr__(self, "q", q)
 
-    @property
-    def signature(self):
-        ev = np.linalg.eigvalsh(self.q)
-        return int((ev > 0).sum()), int((ev < 0).sum())
-
     def normalized(self):
         """Rescale so |det q| = 1 (vol_Q = vol)."""
         d = abs(np.linalg.det(self.q))
@@ -271,28 +265,29 @@ def _null_directions(basis, gram_restricted, rng, count):
     return out
 
 
-def star_to_quadric(star, tol=1e-8, seed=20260808):
+def star_to_quadric(star):
     """Recover the quadric form (up to scale) from its bivector Hodge star.
 
     Uses the eigenvector characterization: null eigenvectors of the star are
     decomposable and their Klein planes are planes on which Q vanishes; three
     planes per ruling family give a linear system whose 1-dimensional kernel
-    is Q.
+    is Q.  Symmetry and star^2 = +-1 are checked to 1e-8 relative; the null
+    directions are drawn with the fixed seed 20260808.
     """
     star = np.asarray(star, dtype=complex)
     sp = plucker_space()
     g = sp.gram
     scale = max(float(np.linalg.norm(star)), 1e-300)
-    if np.linalg.norm(sp.adjoint(star) - star) > tol * scale:
+    if np.linalg.norm(sp.adjoint(star) - star) > 1e-8 * scale:
         raise NotAQuadricStarError("endomorphism is not symmetric for the (3,3) pairing")
     sq = star @ star
     c = np.trace(sq) / 6.0
-    if np.linalg.norm(sq - c * np.eye(6)) > tol * scale ** 2 or abs(abs(c) - 1.0) > 1e-6:
+    if np.linalg.norm(sq - c * np.eye(6)) > 1e-8 * scale ** 2 or abs(abs(c) - 1.0) > 1e-6:
         raise NotAQuadricStarError("star^2 is not +-identity within tolerance")
     eps = 1.0 if c.real > 0 else 1.0j
 
     evals, evecs = np.linalg.eig(star)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20260808)
     rows = []
     for sign in (+1.0, -1.0):
         sel = np.abs(evals - sign * eps) < 1e-6 * max(1.0, abs(eps))
@@ -333,11 +328,11 @@ def star_to_quadric(star, tol=1e-8, seed=20260808):
     return quadric
 
 
-def check_group_element(g, space, tol=1e-10):
-    """Raise unless g^T gram g = gram within tolerance."""
+def check_group_element(g, space):
+    """Raise GroupElementError unless |g^T gram g - gram| <= 1e-10 |gram|."""
     g = np.asarray(g)
     defect = np.linalg.norm(g.T @ space.gram @ g - space.gram)
-    if defect > tol * np.linalg.norm(space.gram):
+    if defect > 1e-10 * np.linalg.norm(space.gram):
         raise GroupElementError(f"map does not preserve the pairing (defect {defect:.2e})")
 
 

@@ -138,18 +138,18 @@ def _directions(fields, first, pts):
     return np.where(first[..., None], d1, d2)
 
 
-def _rk4_flow(fields, first, starts, refs, arcs, nsub=4):
+def _rk4_flow(fields, first, starts, refs, arcs):
     """RK4 flows along the line fields, every row in one batch.
 
     Row k follows family 1 where first[k] and family 2 otherwise, for arclength
-    arcs[k] from starts[k], each direction sign-aligned to the running
-    direction (initially refs[k]).  Each RK stage makes one `fields.eval`
+    arcs[k] from starts[k] in 4 RK4 steps, each direction sign-aligned to the
+    running direction (initially refs[k]); each RK stage is one `fields.eval`
     call for all rows of both families.  Returns end points and directions.
     """
     x = np.array(starts, dtype=float)
     ref = np.array(refs, dtype=float)
-    h = (np.asarray(arcs, dtype=float) / nsub)[..., None]
-    for _ in range(nsub):
+    h = (np.asarray(arcs, dtype=float) / 4)[..., None]
+    for _ in range(4):
         k1 = _aligned(_directions(fields, first, x), ref)
         k2 = _aligned(_directions(fields, first, x + 0.5 * h * k1), ref)
         k3 = _aligned(_directions(fields, first, x + 0.5 * h * k2), ref)
@@ -160,7 +160,7 @@ def _rk4_flow(fields, first, starts, refs, arcs, nsub=4):
     return x, ref
 
 
-def march_net(fields, center, h1, h2, nu, nv, nsub=4, newton=3):
+def march_net(fields, center, h1, h2, nu, nv):
     """Positions (nu, nv, 2) of the family-1 x family-2 coordinate net.
 
     The four seed half-lines from `center` (family 1 along the row, family 2
@@ -169,8 +169,9 @@ def march_net(fields, center, h1, h2, nu, nv, nsub=4, newton=3):
     The four quadrants then fill by anti-diagonal index together: every cell
     of every quadrant on one anti-diagonal stacks its family-1 flow from the
     left neighbor and its family-2 flow from the lower neighbor into one
-    `_rk4_flow` batch.  So all four quadrants and both families share one
-    `fields.eval` call per RK stage of each Newton iteration.
+    `_rk4_flow` batch, and 3 Newton iterations on the two arclengths close the
+    cell.  So all four quadrants and both families share one `fields.eval`
+    call per RK stage of each Newton iteration.
     """
     center = np.asarray(center, dtype=float)
     ic, jc = nu // 2, nv // 2
@@ -187,7 +188,7 @@ def march_net(fields, center, h1, h2, nu, nv, nsub=4, newton=3):
     ref = np.stack([d1c, -d1c, d2c, -d2c])
     for k in range(1, steps.max() + 1):
         live = steps >= k
-        p[live], ref[live] = _rk4_flow(fields, first[live], p[live], ref[live], arcs[live], nsub)
+        p[live], ref[live] = _rk4_flow(fields, first[live], p[live], ref[live], arcs[live])
         pos[ic + k * du[live], jc + k * dv[live]] = p[live]
 
     # every off-seed node of the four quadrants, grouped by anti-diagonal
@@ -214,8 +215,8 @@ def march_net(fields, center, h1, h2, nu, nv, nsub=4, newton=3):
             refs[fresh] = (_directions(fields, first[fresh], starts[fresh])
                            * np.concatenate([su, sv])[fresh, None])
         arcs = np.concatenate([np.full(n, h1), np.full(n, h2)])
-        for _ in range(newton):
-            x, dirs = _rk4_flow(fields, first, starts, refs, arcs, nsub)
+        for _ in range(3):
+            x, dirs = _rk4_flow(fields, first, starts, refs, arcs)
             x1, x2 = x[:n], x[n:]
             r = x2 - x1
             a, b = dirs[:n, 0], -dirs[n:, 0]
@@ -272,7 +273,7 @@ def principal_fields(surface, sampler=None, src_refine=4):
     return GridLineFields(d1, d2, window)
 
 
-def asymptotic_fields(surface, sampler=None, src_refine=4):
+def asymptotic_fields(surface, sampler=None):
     """Line fields of the asymptotic directions (projective surfaces)."""
     window = _surface_window(surface)
     if sampler is not None and hasattr(sampler, "asymptotic_directions"):
@@ -325,7 +326,7 @@ def _net_center(surface):
 
 
 def curvature_line_reparametrize(
-    surface, out_nu, out_nv, h1, h2, sampler=None, src_refine=4, nsub=4
+    surface, out_nu, out_nv, h1, h2, sampler=None, src_refine=4
 ):
     """Resample a Euclidean surface on a chart following principal directions.
 
@@ -336,18 +337,16 @@ def curvature_line_reparametrize(
     if surface.geometry != EUCLIDEAN3:
         raise ValueError("curvature-line reparametrization needs a Euclidean surface")
     fields = principal_fields(surface, sampler, src_refine)
-    pos = march_net(fields, _net_center(surface), h1, h2, out_nu, out_nv, nsub=nsub)
+    pos = march_net(fields, _net_center(surface), h1, h2, out_nu, out_nv)
     return _resample(surface, sampler, pos, h1, h2, with_kappa=True)
 
 
-def asymptotic_reparametrize(
-    surface, out_nu, out_nv, h1, h2, sampler=None, src_refine=4, nsub=4
-):
+def asymptotic_reparametrize(surface, out_nu, out_nv, h1, h2, sampler=None):
     """Resample a projective surface on a chart following asymptotic directions."""
     if surface.geometry != PROJECTIVE3:
         raise ValueError("asymptotic reparametrization needs a projective surface")
-    fields = asymptotic_fields(surface, sampler, src_refine)
-    pos = march_net(fields, _net_center(surface), h1, h2, out_nu, out_nv, nsub=nsub)
+    fields = asymptotic_fields(surface, sampler)
+    pos = march_net(fields, _net_center(surface), h1, h2, out_nu, out_nv)
     out = _resample(surface, sampler, pos, h1, h2, with_kappa=False)
     out.meta["asymptotic"] = True
     return out

@@ -367,11 +367,12 @@ def make_surface(sampler, window, nu, nv, with_kappa=True, reality=grids.REAL):
 # principal data and parallel surfaces
 
 
-def umbilic_mask(k1, k2, rtol=UMBILIC_RTOL):
-    return np.abs(k1 - k2) < rtol * (np.abs(k1) + np.abs(k2) + 1.0)
+def umbilic_mask(k1, k2):
+    """Umbilic nodes, |k1 - k2| < UMBILIC_RTOL (|k1| + |k2| + 1): the one umbilic test."""
+    return np.abs(k1 - k2) < UMBILIC_RTOL * (np.abs(k1) + np.abs(k2) + 1.0)
 
 
-def principal_data(surface, residual_tol=1e-2, umbilic_rtol=UMBILIC_RTOL):
+def principal_data(surface, residual_tol=1e-2):
     """Principal curvatures from the Rodrigues equations on a curvature-line chart.
 
     Per node, kappa1 solves n_u ~ -kappa1 f_u in least squares (and kappa2 the
@@ -398,7 +399,7 @@ def principal_data(surface, residual_tol=1e-2, umbilic_rtol=UMBILIC_RTOL):
     res2 = np.linalg.norm(nv_ + k2[..., None] * fv, axis=-1) / (
         np.linalg.norm(nv_, axis=-1) + np.abs(k2) * np.linalg.norm(fv, axis=-1) + 1e-30
     )
-    umb = umbilic_mask(k1, k2, umbilic_rtol)
+    umb = umbilic_mask(k1, k2)
     umb_interior = interior(umb)
     if umb_interior.any():
         # a region (not an isolated node): flag when a node and most neighbors agree
@@ -428,13 +429,13 @@ def principal_data(surface, residual_tol=1e-2, umbilic_rtol=UMBILIC_RTOL):
     return out, report
 
 
-def normal_shift(surface, t, tol=1e-8):
-    """Parallel surface f + t n; curvatures map to kappa/(1 - t kappa)."""
+def normal_shift(surface, t):
+    """Parallel surface f + t n, kappa -> kappa/(1 - t kappa); focal if |1 - t kappa| < 1e-8."""
     if surface.geometry != EUCLIDEAN3 or not surface.has_kappa():
         raise ValueError("normal_shift needs a Euclidean surface with kappa fields")
     den1 = 1.0 - t * surface.kappa1
     den2 = 1.0 - t * surface.kappa2
-    if min(np.min(np.abs(den1)), np.min(np.abs(den2))) < tol:
+    if min(np.min(np.abs(den1)), np.min(np.abs(den2))) < 1e-8:
         raise FocalValueError(f"normal shift t={t} hits a focal distance")
     return replace(
         surface,

@@ -176,6 +176,11 @@ def test_deform_and_dualize_commands(tmp_path):
     ["check", "--suite", "invariance", "--grids", "17,33", "--param", "shifts=0.1,nan"],
     ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "-1"],
     ["check", "--suite", "conformality", "--grids", "17,abc"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--param", "tol=-1"],
+    ["check", "--suite", "lift-invariants", "--grids", "17,33", "--param", "tol_order=0"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--config", "{tmp}/neg_tol.cfg"],
+    ["check", "--suite", "descent", "--grids", "17", "--param", "step_size=-1e-6"],
+    ["check", "--suite", "descent", "--grids", "17", "--param", "steps=-1"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -189,6 +194,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     for name, (data, _) in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     (tmp_path / "tol.cfg").write_text("tol = abc\n")
+    (tmp_path / "neg_tol.cfg").write_text("tol = -1e-3\n")
     jsonio.write_surface(surf, tmp_path / "good.json")
     # a surface file with one NaN point
     surf.points[4, 4, 0] = np.nan
@@ -301,4 +307,70 @@ def test_malformed_surface_exits_2_with_one_line(data):
     err = stderr.getvalue()
     assert code == 2
     assert err.startswith("qg lift: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+TWO_GRID_SUITES = sorted(set(checks.SUITES) - set(checks.ONE_GRID_SUITES))
+
+
+@st.composite
+def bad_check_args(draw):
+    """(argv, config text or None) for `qg check` with exactly one invalid value."""
+    how = draw(st.sampled_from(("unknown", "not_number", "non_finite", "tol", "descent",
+                                "grids", "config_line")))
+    suite = "descent" if how == "descent" else draw(
+        st.sampled_from(TWO_GRID_SUITES if how == "grids" else sorted(checks.SUITES)))
+    types = cli._default_types(checks.SUITES[suite])
+    floats = sorted(k for k, kind in types.items() if kind is float)
+    argv = ["check", "--suite", suite,
+            "--grids", "17" if suite in checks.ONE_GRID_SUITES else "17,33"]
+    key = value = config = None
+    if how == "unknown":
+        key = draw(st.from_regex(r"[a-z][a-z_]{0,8}", fullmatch=True).filter(
+            lambda k: k not in types))
+        value = "1"
+    elif how == "not_number":
+        key = draw(st.sampled_from(floats))
+        value = draw(st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True))
+    elif how == "non_finite":
+        value = draw(st.sampled_from(("nan", "inf", "-inf", "NaN", "Infinity")))
+        key = draw(st.sampled_from(floats + ["--tolerance", "--lambda-re", "--lambda-im"]))
+    elif how == "tol":
+        tols = [k for k in types if k == "tol" or k.startswith("tol_")]
+        key = draw(st.sampled_from(tols + ["--tolerance"]))
+        value = repr(draw(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)))
+    elif how == "descent":
+        key = draw(st.sampled_from(("steps", "step_size")))
+        value = (str(draw(st.integers(max_value=-1))) if key == "steps" else repr(draw(
+            st.floats(max_value=-5e-324, allow_infinity=False))))
+    elif how == "grids":
+        argv = argv[:3]
+        first = draw(st.integers(5, 65))
+        value = draw(st.sampled_from((str(first), f"{first},{draw(st.integers(5, first))}")))
+        key = draw(st.sampled_from(("--grids", "grids")))
+    else:
+        config = draw(st.from_regex(r"[a-z][a-z ._-]{0,12}", fullmatch=True)) + "\n"
+    if key is not None and key.startswith("--"):
+        argv.append(f"{key}={value}")  # argparse reads "--tolerance -1e-3" as a missing value
+    elif key is not None and draw(st.booleans()):
+        argv += ["--param", f"{key}={value}"]
+    elif key is not None:
+        config = f"{key} = {value}\n"
+    return argv, config
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(bad_check_args())
+def test_bad_check_arguments_exit_2_with_one_line(case):
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            with open(f"{tmp}/run.cfg", "w") as fh:
+                fh.write(config)
+            argv = argv + ["--config", f"{tmp}/run.cfg"]
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = run(argv + ["--out", f"{tmp}/out.json"])
+    err = stderr.getvalue()
+    assert code == 2
+    assert err.startswith("qg check: ") and err.count("\n") == 1
     assert "Traceback" not in err
