@@ -116,13 +116,15 @@ def _check_types(params, types):
 
 
 def _check_ranges(values, flags):
-    """Raise UsageError unless tol and tol_* are finite > 0 and steps, step_size finite >= 0."""
+    """The one range rule: tol, tol_* finite > 0; steps, step_size finite >= 0; n_group >= 1."""
     for key, value in values.items():
         label = flags.get(key, key)
         if (key == "tol" or key.startswith("tol_")) and not (math.isfinite(value) and value > 0):
             raise UsageError(f"{label} must be finite and > 0, got {value!r}")
         if key in ("steps", "step_size") and not (math.isfinite(value) and value >= 0):
             raise UsageError(f"{label} must be finite and >= 0, got {value!r}")
+        if key == "n_group" and value < 1:
+            raise UsageError(f"{label} must be an integer >= 1, got {value!r}")
 
 
 WINDOW_KEYS = ("window_u0", "window_u1", "window_v0", "window_v1")
@@ -162,16 +164,8 @@ def _load_gauss(path):
 
 
 def cmd_lift(args, params):
-    grid = lg.lift(_load_surface(args.surface))
-    rep = lg.validate(grid)
-    _write_json(
-        {
-            "nullity_max": rep["nullity_max"],
-            "legendre_max": rep["legendre_max"],
-            "focal_max": rep["focal_max"],
-        },
-        args.out,
-    )
+    rep = lg.validate(lg.lift(_load_surface(args.surface)))
+    _write_json({k: rep[k] for k in ("nullity_max", "legendre_max", "focal_max")}, args.out)
     return 0
 
 
@@ -191,24 +185,15 @@ def cmd_gauss(args, params):
 
 
 def cmd_energy(args, params):
-    gauss = _load_gauss(args.surface)
-    report = fn.willmore_energy(gauss)
-    _write_json(jsonio.energy_to_dict(report), args.out)
+    _write_json(jsonio.energy_to_dict(fn.willmore_energy(_load_gauss(args.surface))), args.out)
     return 0
 
 
 def cmd_tension(args, params):
-    gauss = _load_gauss(args.surface)
-    tf = gm.tension(gauss)
-    margin = gm.TENSION_MARGIN
-    _write_json(
-        {
-            "tau_max": float(np.max(interior(tf.norm, margin))),
-            "tau_min": float(np.min(interior(tf.norm, margin))),
-            "codazzi_max": float(np.max(interior(tf.codazzi_diff, margin))),
-        },
-        args.out,
-    )
+    tf = gm.tension(_load_gauss(args.surface))
+    norm, codazzi = (interior(f, gm.TENSION_MARGIN) for f in (tf.norm, tf.codazzi_diff))
+    _write_json({"tau_max": float(np.max(norm)), "tau_min": float(np.min(norm)),
+                 "codazzi_max": float(np.max(codazzi))}, args.out)
     return 0
 
 
@@ -279,18 +264,10 @@ def cmd_descent(args, params):
     _check_ranges({"steps": args.steps, "step_size": args.step_size},
                   {"steps": "--steps", "step_size": "--step-size"})
     surface = _load_surface(args.surface)
-    reports, _ = fn.willmore_descent(
-        surface, steps=args.steps, step_size=args.step_size
-    )
+    reports, _ = fn.willmore_descent(surface, steps=args.steps, step_size=args.step_size)
     w = [r.total for r in reports]
-    _write_json(
-        {
-            "energy_sequence": w,
-            "drop": w[0] - w[-1],
-            "monotone": all(b <= a + 1e-15 for a, b in zip(w, w[1:])),
-        },
-        args.out,
-    )
+    _write_json({"energy_sequence": w, "drop": w[0] - w[-1],
+                 "monotone": all(b <= a + 1e-15 for a, b in zip(w, w[1:]))}, args.out)
     return 0
 
 
@@ -301,8 +278,29 @@ def cmd_merge(args, params):
     return 0 if merged["pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise a one-line UsageError instead of printing usage and exiting."""
+        raise UsageError(f"{self.prog}: {message}")
+
+
+NUMBER_FLAGS = ("--tolerance", "--lambda-re", "--lambda-im", "--steps", "--step-size")
+
+
+def _join_signed_values(argv):
+    """Spell `--tolerance -1e-3` as `--tolerance=-1e-3` for the numeric flags:
+    argparse takes a value such as -1e-3 or -inf for the next option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in NUMBER_FLAGS and not isinstance(_parse_value(token), str):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser():
-    top = argparse.ArgumentParser(prog="qg", description=__doc__)
+    top = _Parser(prog="qg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -371,7 +369,12 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = _join_signed_values(sys.argv[1:] if argv is None else argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         for flag in ("lambda_re", "lambda_im"):
             value = getattr(args, flag, None)

@@ -118,12 +118,6 @@ def interior(field, margin=2):
     return field[margin:-margin, margin:-margin]
 
 
-def interior_max(field):
-    """Max absolute value over the interior sub-grid (2-node margin), NaNs ignored."""
-    sub = interior(np.abs(np.asarray(field)))
-    return float(np.nanmax(sub))
-
-
 def node_list(mask):
     """(i, j) pairs where a boolean node mask is set."""
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]

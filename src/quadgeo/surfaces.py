@@ -413,7 +413,7 @@ def principal_data(surface, residual_tol=1e-2):
             raise UmbilicError(
                 "umbilic region on the chart", nodes=grids.node_list(region)
             )
-    worst = max(grids.interior_max(res1), grids.interior_max(res2))
+    worst = max(float(np.nanmax(interior(np.abs(res)))) for res in (res1, res2))
     if worst > residual_tol:
         raise NotCurvatureLineError(
             f"Rodrigues residual {worst:.3e} exceeds {residual_tol:.1e}: "

@@ -132,6 +132,9 @@ def test_deform_and_dualize_commands(tmp_path):
     out = str(tmp_path / "deform.json")
     assert run(["deform", "--surface", surf_path, "--lambda-re", "2.0", "--out", out]) == 0
     assert json.loads(open(out).read())["blaschke_u"] < 1e-3
+    # a negative value in exponent form is read as the flag's value
+    assert run(["deform", "--surface", surf_path, "--lambda-re", "-2e0", "--out", out]) == 0
+    assert json.loads(open(out).read())["lambda_re"] == -2.0
     out2 = str(tmp_path / "dual.json")
     conn = str(tmp_path / "conn.json")
     assert run(["dualize", "--surface", surf_path, "--out", out2,
@@ -181,6 +184,10 @@ def test_deform_and_dualize_commands(tmp_path):
     ["check", "--suite", "conformality", "--grids", "17,33", "--config", "{tmp}/neg_tol.cfg"],
     ["check", "--suite", "descent", "--grids", "17", "--param", "step_size=-1e-6"],
     ["check", "--suite", "descent", "--grids", "17", "--param", "steps=-1"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "-1e-3"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "-inf"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "abc"],
+    ["descent", "--surface", "{tmp}/good.json", "--step-size", "-1e-6"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -209,7 +216,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
             assert needle in err
     # the message names the flag, key or file at fault
     flag, value = argv[-2], argv[-1]
-    if value in ("nan", "inf", "-1"):
+    if value in ("nan", "inf", "-inf", "-1", "-1e-3", "-1e-6", "abc"):
         assert flag in err
     if flag == "--param":
         assert value.split("=")[0] in err
@@ -221,7 +228,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         assert "good.json is not a check report" in err
 
 
-@pytest.mark.parametrize("flags,lam", [([], 2.0), (["--lambda-re", "1"], 1.0)])
+@pytest.mark.parametrize("flags,lam", [([], 2.0), (["--lambda-re", "1"], 1.0),
+                                       (["--lambda-re", "-1e-3"], -1e-3)])
 def test_check_forwards_lambda(flags, lam, tmp_path):
     # lambda = 1 is a value like any other, not "unset"
     out = tmp_path / "deform.json"
@@ -330,7 +338,7 @@ def bad_check_args(draw):
             lambda k: k not in types))
         value = "1"
     elif how == "not_number":
-        key = draw(st.sampled_from(floats))
+        key = draw(st.sampled_from(floats + ["--tolerance", "--lambda-re", "--lambda-im"]))
         value = draw(st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True))
     elif how == "non_finite":
         value = draw(st.sampled_from(("nan", "inf", "-inf", "NaN", "Infinity")))
@@ -351,7 +359,7 @@ def bad_check_args(draw):
     else:
         config = draw(st.from_regex(r"[a-z][a-z ._-]{0,12}", fullmatch=True)) + "\n"
     if key is not None and key.startswith("--"):
-        argv.append(f"{key}={value}")  # argparse reads "--tolerance -1e-3" as a missing value
+        argv += draw(st.sampled_from(([key, value], [f"{key}={value}"])))
     elif key is not None and draw(st.booleans()):
         argv += ["--param", f"{key}={value}"]
     elif key is not None:
