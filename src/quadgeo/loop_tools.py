@@ -99,8 +99,9 @@ def _gram_schmidt_rows(rows, signs, space):
 
     `rows` has shape (..., k, 6); each leading index is orthonormalized on
     its own, and SignatureError is raised if any of them breaks the pattern.
-    A node whose squared norm is real to 1e-8 is scaled by the real root of
-    its magnitude, any other by the complex root.
+    A node whose squared norm n is real to 1e-8 is scaled by the real root of
+    its magnitude, any other by the complex root of n times its expected
+    sign, so that every row's squared norm comes out as that sign.
     """
     out = np.empty_like(rows)
     for k in range(rows.shape[-2]):
@@ -113,7 +114,7 @@ def _gram_schmidt_rows(rows, signs, space):
         if np.any(real & (n.real * signs[k] <= 0)):
             raise SignatureError("sign pattern broke during orthonormalization")
         with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.where(real, np.sqrt(np.abs(n.real)), np.sqrt(n))
+            root = np.where(real, np.sqrt(np.abs(n.real)), np.sqrt(n * signs[k]))
         out[..., k, :] = v / root[..., None]
     return out
 
@@ -354,11 +355,12 @@ def spectral_deform(gauss, lam, harmonic_factor=10.0):
 
     Frames the map, deforms its Maurer-Cartan form to alpha_lambda, and
     integrates back; admissible lambda are real for (1,1) charts and
-    unimodular for (2,0) charts, but `frame` raises SignatureError on every
-    curved (2,0) chart tried (`convex_graph_sampler(0.05)` at 33^2), so only
-    flat (2,0) charts deform.  Raises NonHarmonicInputError when the
-    spectral family is measurably non-flat: the lambda=2 residual exceeds
-    FLAT_FLOOR and `harmonic_factor` times the lambda=1 floor.
+    unimodular for (2,0) charts.  Curved (2,0) charts frame like any other
+    (`convex_graph_sampler(0.05)` on (-0.4, 0.4)^2 at 33^2 and 65^2, with
+    flatness at the roundoff floor at lambda=1), but those graphs are not
+    harmonic, so they are refused here.  Raises NonHarmonicInputError when
+    the spectral family is measurably non-flat: the lambda=2 residual
+    exceeds FLAT_FLOOR and `harmonic_factor` times the lambda=1 floor.
     """
     if gauss.signature_z == "(1,1)":
         if abs(complex(lam).imag) > 1e-12:

@@ -9,6 +9,15 @@ few thousand nodes.  The series lengths of `expm` and `logm` are chosen from
 the largest 1-norm in the batch: the fewest terms whose truncation bound
 falls below the unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005;
 Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
+
+`logm` routes each matrix A by r = |A - I|_1.  Near the identity
+(r <= LOGM_MERCATOR_RADIUS = 1/4), which is every edge transition and
+plaquette holonomy of the loop-algebra layer, it sums the Mercator series
+log(I + E) directly: no linear solve and no verifying exponential, since the
+a-priori tail bound holds for any E of that norm (Higham, Functions of
+Matrices, SIAM 2008, ch. 11; Al-Mohy & Higham, SIAM J. Sci. Comput. 34,
+2012).  Other matrices take the Gregory series, verified under `expm`, with
+scipy as the fallback.
 """
 
 import math
@@ -19,6 +28,7 @@ import scipy.linalg
 UNIT_ROUNDOFF = 2.0 ** -53
 EXPM_MAX_DEGREE = 16
 LOGM_MAX_TERM = 25      # highest odd power of the Gregory series
+LOGM_MERCATOR_RADIUS = 0.25  # |A - I|_1 up to which logm sums log(I + E) directly
 
 
 def _norm1(a):
@@ -50,6 +60,19 @@ def _gregory_terms(r):
     return LOGM_MAX_TERM
 
 
+def _mercator_terms(r):
+    """Fewest K with r^(K+1) / ((K+1)(1 - r)) <= u, for 0 <= r < 1.
+
+    That bounds the 1-norm of the tail sum_{k>K} (-1)^(k+1) E^k / k of
+    log(I + E) whenever |E|_1 <= r, normal or not: K = 1 at r = 5e-11,
+    10 at r = 0.032, 24 at r = 1/4.
+    """
+    k = 1
+    while r ** (k + 1) / ((k + 1) * (1.0 - r)) > UNIT_ROUNDOFF:
+        k += 1
+    return k
+
+
 def expm(a):
     """exp(a) by scaling and squaring around a Taylor polynomial.
 
@@ -77,27 +100,38 @@ def expm(a):
     return out
 
 
-def logm(a):
-    """Principal log for matrices near the identity.
+def _mercator_log(e, r):
+    """log(I + E) = sum_{k=1..K} (-1)^(k+1) E^k / k for a batch with |E|_1 <= r.
 
-    Uses the Gregory series 2 sum_{k odd} X^k / k in X = (A-I)(A+I)^-1, which
-    converges for spectra in the open right half-plane.  The series runs up
-    to the smallest odd power K with 2 r^(K+2) / (1 - r^2) <= 2^-53, where r
-    is the largest 1-norm of X below 1 in the batch, capped at K = 25.  A
-    matrix whose X has 1-norm >= 1 or whose series is not finite goes to
-    scipy.linalg.logm directly; the others are verified under one batched
-    expm and fall back to scipy when the relative acceptance residual
-    |expm(log) - a|_1 / (1 + |a|_1) exceeds 1e-10 or is not finite.  The
-    result has the dtype of `a` (promoted to complex only if scipy returns a
-    genuinely complex logarithm of a real matrix).  Raises LinAlgError if
-    (A+I) is singular.
+    K is `_mercator_terms(r)`; Horner's rule E (c_1 I + E (c_2 I + ...))
+    adds each coefficient to the diagonal in place.  At K = 1 the result is
+    E itself.
     """
-    a = np.asarray(a)
-    a = a.astype(np.result_type(a, 1.0), copy=False)
+    last = _mercator_terms(r)
+    out = e * ((-1) ** (last + 1) / last)
+    for k in range(last - 1, 0, -1):
+        diag = np.einsum("...ii->...i", out)
+        diag += (-1) ** (k + 1) / k
+        out = e @ out
+    return out
+
+
+def _gregory_log(a):
+    """Principal log of a (m, n, n) batch by the verified Gregory series.
+
+    The series 2 sum_{k odd} X^k / k in X = (A-I)(A+I)^-1 converges for
+    spectra in the open right half-plane; it runs to the smallest odd power
+    K with 2 r^(K+2) / (1 - r^2) <= 2^-53, r the largest 1-norm of X below 1
+    in the batch, capped at K = 25.  A matrix whose X has 1-norm >= 1 or
+    whose series is not finite goes to scipy.linalg.logm directly; the
+    others are verified under one batched expm and fall back to scipy when
+    the relative acceptance residual |expm(log) - a|_1 / (1 + |a|_1) exceeds
+    1e-10 or is not finite.  Raises LinAlgError if (A+I) is singular.
+    """
     n = a.shape[-1]
     eye = np.eye(n)
     x = np.linalg.solve((a + eye).swapaxes(-1, -2), (a - eye).swapaxes(-1, -2)).swapaxes(-1, -2)
-    xnorm = _norm1(x).reshape(-1)
+    xnorm = _norm1(x)
     convergent = xnorm[xnorm < 1.0]
     last = _gregory_terms(float(convergent.max()) if convergent.size else 0.0)
     out = x.copy()
@@ -107,23 +141,54 @@ def logm(a):
             power = power @ x2
             out += power * (1.0 / k)
     out *= 2.0
-    flat_a = a.reshape(-1, n, n)
-    flat_o = out.reshape(-1, n, n)
     # divergent series stay out of the check: the batch expm scales by the
     # largest norm it sees, and one huge matrix would spoil every residual
-    bad = (xnorm >= 1.0) | ~np.isfinite(flat_o).all(axis=(-2, -1))
+    bad = (xnorm >= 1.0) | ~np.isfinite(out).all(axis=(-2, -1))
     good = ~bad
     if bad.any():
-        check_a, check_o = flat_a[good], flat_o[good]
+        check_a, check_o = a[good], out[good]
     else:  # the common case checks the whole batch without copying it
-        check_a, check_o = flat_a, flat_o
+        check_a, check_o = a, out
     resid = _norm1(expm(check_o) - check_a)
     bad[good] = ~(resid / (1.0 + _norm1(check_a)) <= 1e-10)
-    logs = {idx: scipy.linalg.logm(flat_a[idx]) for idx in np.nonzero(bad)[0]}
-    flat_o = flat_o.astype(np.result_type(flat_o, *logs.values()), copy=False)
+    logs = {idx: scipy.linalg.logm(a[idx]) for idx in np.nonzero(bad)[0]}
+    out = out.astype(np.result_type(out, *logs.values()), copy=False)
     for idx, log in logs.items():
-        flat_o[idx] = log
-    return flat_o.reshape(a.shape)
+        out[idx] = log
+    return out
+
+
+def logm(a):
+    """Principal log for matrices near the identity, routed by r = |A - I|_1.
+
+    Matrices with r <= LOGM_MERCATOR_RADIUS (1/4) take the Mercator series
+    log(I + E), E = A - I, to the fewest terms K with
+    r^(K+1) / ((K+1)(1 - r)) <= 2^-53, r the largest such norm in the batch
+    (`_mercator_log`); that bound holds for non-normal E, so they are
+    neither solved nor verified.  A batch entirely that near the identity,
+    as every Maurer-Cartan edge and holonomy batch is, goes through without
+    a gather or scatter copy.  The other matrices (and any non-finite one)
+    take the verified Gregory series with its scipy.linalg.logm fallback
+    (`_gregory_log`).  The result has the dtype of `a` (promoted to complex
+    only if scipy returns a genuinely complex logarithm of a real matrix).
+    Raises LinAlgError if (A+I) is singular, which only a matrix outside the
+    Mercator radius can be.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, 1.0), copy=False)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    e = flat - np.eye(n)
+    r = _norm1(e)
+    near = r <= LOGM_MERCATOR_RADIUS
+    if near.all():
+        return _mercator_log(e, float(r.max(initial=0.0))).reshape(a.shape)
+    out = np.empty_like(flat)
+    out[near] = _mercator_log(e[near], float(r[near].max(initial=0.0)))
+    far = _gregory_log(flat[~near])
+    out = out.astype(np.result_type(out, far), copy=False)
+    out[~near] = far
+    return out.reshape(a.shape)
 
 
 def reproject_orthogonal(f, gram):

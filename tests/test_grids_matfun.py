@@ -99,6 +99,74 @@ def test_logm_far_rotation_falls_back_alone(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], a[17])
 
 
+def _logm_of_known(norm, seed, dtype=float):
+    # x scaled to the given 1-norm per matrix and its exponential
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((48, 6, 6)).astype(dtype)
+    if dtype is complex:
+        x += 1j * r.standard_normal((48, 6, 6))
+    x *= (norm / matfun._norm1(x))[:, None, None]
+    return x, matfun.expm(x)
+
+
+def _rel_err(log, x):
+    return np.max(np.linalg.norm(log - x, axis=(-2, -1)) / np.linalg.norm(x, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("norm", [1e-11, 1e-8, 1e-6, 1e-3, 0.03, 0.1, 0.235, 0.25, 0.3])
+def test_logm_mercator_branch_no_worse_than_gregory(norm):
+    # against the known x (scipy's logm is off by 3e-4 relative at 1e-11);
+    # the verified Gregory path on the same input is the yardstick, and both
+    # are dominated by the rounding of expm(x) itself
+    x, a = _logm_of_known(norm, seed=11)
+    near = matfun._norm1(a - np.eye(6)) <= matfun.LOGM_MERCATOR_RADIUS
+    # up to 0.235 all near the identity, at 0.25 a mix, at 0.3 none
+    assert near.all() == (norm <= 0.235) and near.any() == (norm <= 0.25)
+    err = _rel_err(matfun.logm(a), x)
+    assert err <= 1.1 * _rel_err(matfun._gregory_log(a), x)
+    assert err <= 1e-4 * 1e-11 / norm + 1e-14
+
+
+def test_logm_single_mercator_term_is_a_minus_identity():
+    x, a = _logm_of_known(1e-11, seed=12)
+    assert matfun._mercator_terms(float(np.max(matfun._norm1(a - np.eye(6))))) == 1
+    assert np.array_equal(matfun.logm(a), a - np.eye(6))
+
+
+def test_mercator_terms_follow_the_tail_bound():
+    assert [matfun._mercator_terms(r) for r in (0.0, 5e-11, 0.032, 0.25)] == [1, 1, 10, 24]
+
+
+def test_logm_empty_and_complex_near_identity_batches():
+    empty = matfun.logm(np.empty((0, 6, 6)))
+    assert empty.shape == (0, 6, 6) and empty.dtype == np.float64
+    x, a = _logm_of_known(0.05, seed=13, dtype=complex)
+    log = matfun.logm(a)
+    assert log.dtype == np.complex128
+    assert _rel_err(log, x) <= 1e-13
+
+
+def test_logm_routes_only_far_matrices_through_solve_and_scipy(monkeypatch):
+    # 62 rotations by 0.05 rad, one by 0.6 rad and one by 3 rad: the near ones
+    # take the Mercator series, 0.6 rad the verified Gregory series, 3 rad scipy
+    r = np.random.default_rng(4)
+    m = r.standard_normal((64, 6, 6))
+    x = m - m.swapaxes(-1, -2)
+    angle = np.full(64, 0.05)
+    angle[[9, 40]] = 0.6, 3.0
+    x *= (angle / np.max(np.abs(np.linalg.eigvals(x)), axis=-1))[:, None, None]
+    a = matfun.expm(x)
+    solved, logged = [], []
+    solve, scipy_logm = np.linalg.solve, scipy.linalg.logm
+    monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: solved.append(lhs) or solve(lhs, rhs))
+    monkeypatch.setattr(scipy.linalg, "logm", lambda b: logged.append(b) or scipy_logm(b))
+    log = matfun.logm(a)
+    assert np.max(np.abs(log - x)) < 1e-10
+    assert len(solved) == 1
+    assert np.array_equal(solved[0], (a[[9, 40]] + np.eye(6)).swapaxes(-1, -2))
+    assert len(logged) == 1 and np.array_equal(logged[0], a[40])
+
+
 def test_reproject_orthogonal(rng):
     from quadgeo import pseudo_linalg as pl
 

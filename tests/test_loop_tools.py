@@ -259,6 +259,23 @@ def test_flatness_discriminates(ellipsoid_connection):
     assert test_t < 1e-6
 
 
+def test_near_identity_logs_skip_solve_and_verification(ellipsoid_connection, monkeypatch):
+    # every edge transition and holonomy is within the Mercator radius, so
+    # neither the Gregory solve, its verifying expm nor scipy is reached
+    from quadgeo import matfun
+    import scipy.linalg
+
+    torus = lt.frame(gm.conformal_gauss(lg.lift(checks.make_torus(33))))
+    calls = []
+    for owner, name in ((np.linalg, "solve"), (matfun, "expm"), (scipy.linalg, "logm")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    for fr in (ellipsoid_connection[2], torus):
+        alpha = lt.maurer_cartan(fr)
+        for lam in (1.0, 2.0):
+            assert np.all(np.isfinite(lt.flatness_residual(lt.spectral_connection(alpha, lam))))
+    assert calls == []
+
+
 def test_integrate_frame_roundtrip(ellipsoid_connection):
     gauss, _, fr, alpha = ellipsoid_connection
     ic, jc = gauss.chart.nu // 2, gauss.chart.nv // 2
@@ -282,6 +299,33 @@ def test_integrate_nonflat_reports_mismatch(ellipsoid_connection):
     _, _, _, alpha = ellipsoid_connection
     _, consistency = lt.integrate_frame(lt.spectral_connection(alpha, 2.0))
     assert consistency > 1e-6  # path dependence is data, not an error
+
+
+@pytest.fixture(scope="module", params=[(0.05, 33), (0.05, 65), (0.1, 65)],
+                ids=lambda p: f"cx={p[0]}-{p[1]}")
+def curved_20_connection(request):
+    from quadgeo import surfaces as sf
+
+    cx, n = request.param
+    conv = sf.make_surface(sf.convex_graph_sampler(cx), (-0.4, 0.4, -0.4, 0.4),
+                           n, n, reality="complex_conjugate")
+    gauss = gm.conformal_gauss(lg.proj_lift(conv))
+    fr = lt.frame(gauss)
+    return gauss, fr, lt.maurer_cartan(fr)
+
+
+def test_frame_on_curved_20_chart(curved_20_connection):
+    gauss, fr, alpha = curved_20_connection
+    assert gauss.signature_z == "(2,0)"
+    assert np.max(orthogonality_defect(fr.frames, gauss.space.gram)) <= 1e-11
+    assert np.max(lt.flatness_residual(lt.spectral_connection(alpha, 1.0))) <= 1e-10
+
+
+def test_spectral_deform_rejects_curved_20_chart(curved_20_connection):
+    # z = x^2 + y^2 + cx x^4 is not harmonic: lambda = 2 flatness is O(1)
+    gauss = curved_20_connection[0]
+    with pytest.raises(NonHarmonicInputError):
+        lt.spectral_deform(gauss, np.exp(0.3j))
 
 
 def test_spectral_deform_torus(torus_gauss65):
