@@ -123,7 +123,7 @@ def suite_pq_identity(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8):
         rho = gm.willmore_density(gauss)
         devs.append(float(np.max(interior(np.abs(rho - (cc.p * cc.q).real)))))
         if n == mid:
-            lie_rho, _ = fn.lie_density(surface.kappa1, surface.kappa2, surface.chart)
+            lie_rho = fn.lie_density(surface.kappa1, surface.kappa2, surface.chart)
             chain_lie = float(np.max(interior(np.abs(lie_rho + rho))))
     graph = make_asymptotic_graph(mid)
     ggauss = gm.conformal_gauss(lg.lift(graph))
@@ -478,11 +478,12 @@ def run_suite(name, **kwargs):
 
 
 def report_merge(reports):
-    """Aggregate pass/fail and convergence orders across reports.
+    """Aggregate pass/fail and the suites' own convergence orders.
 
-    Reports of the same suite at several refinements get a fitted order per
-    residual sequence where the individual reports carry 'residual_by_grid'-
-    style metrics.
+    Each report's 'convergence_orders' are copied under '<suite>.<key>' as
+    the suite fitted them; nothing is re-fitted here, so a later report of
+    the same suite replaces an earlier one's orders rather than being
+    combined with it.
     """
     if not reports:
         raise UsageError("no reports to merge")
@@ -493,9 +494,6 @@ def report_merge(reports):
         suites.setdefault(name, []).append(bool(rep.get("pass", False)))
         for key, val in rep.get("convergence_orders", {}).items():
             orders[f"{name}.{key}"] = val
-        for key, val in rep.get("metrics", {}).items():
-            if key.endswith("_by_grid") and isinstance(val, list) and len(val) >= 2:
-                orders[f"{name}.{key}"] = fit_order(val)
     return {
         "pass": all(all(v) for v in suites.values()),
         "suites": {k: all(v) for k, v in suites.items()},

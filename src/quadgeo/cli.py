@@ -27,17 +27,9 @@ GENERATORS = {
     "torus": (sf.TorusSampler, ("r", "R"), checks.TORUS_WINDOW),
     "ellipsoid": (sf.EllipsoidConfocalSampler, ("a", "b", "c"), checks.ELL_WINDOW),
     "sphere": (sf.SphereSampler, ("radius",), (0.4, 1.2, 0.1, 1.2)),
-    "quadric_graph": (lambda: sf.quadric_graph_sampler(), (), checks.GRAPH_WINDOW),
-    "perturbed_graph": (
-        lambda cx=0.1, cy=0.1: sf.perturbed_graph_sampler(cx, cy),
-        ("cx", "cy"),
-        checks.GRAPH_WINDOW,
-    ),
-    "revolution": (
-        lambda profile="catenoid", c=1.0, slope=0.5: sf.RevolutionSampler(profile, c, slope),
-        ("profile", "c", "slope"),
-        (-0.8, 0.8, 0.1, 1.5),
-    ),
+    "quadric_graph": (sf.quadric_graph_sampler, (), checks.GRAPH_WINDOW),
+    "perturbed_graph": (sf.perturbed_graph_sampler, ("cx", "cy"), checks.GRAPH_WINDOW),
+    "revolution": (sf.RevolutionSampler, ("profile", "c", "slope"), (-0.8, 0.8, 0.1, 1.5)),
 }
 
 

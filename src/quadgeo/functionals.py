@@ -9,7 +9,7 @@ agree to discretization error, and all are invariant under the appropriate
 transformation groups.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class EnergyReport:
     density: np.ndarray
     excluded_nodes: list
     chart: GridChart
-    meta: dict = field(default_factory=dict)
 
 
 def _integrate(density, chart, excluded_mask=None):
@@ -58,16 +57,14 @@ def willmore_energy(gauss):
 def lie_density(kappa1, kappa2, chart):
     """Curvature-line density du(k1) dv(k2) / (k1 - k2)^2.
 
-    This is the sign convention of the curvature-line functional; its negative
-    (matching the Gauss-map density <S_u,S_v>) is returned alongside in the
-    pair (density, negated).
+    This is the sign convention of the curvature-line functional; its
+    negative matches the Gauss-map density <S_u,S_v>.
     """
     if umbilic_mask(kappa1, kappa2).any():
         raise UmbilicError("umbilic nodes in the density domain")
     dk1 = d_u(kappa1, chart)
     dk2 = d_v(kappa2, chart)
-    rho = (dk1 * dk2 / (kappa1 - kappa2) ** 2).real
-    return rho, -rho
+    return (dk1 * dk2 / (kappa1 - kappa2) ** 2).real
 
 
 def proj_density(surface):
@@ -206,8 +203,11 @@ def willmore_descent(surface, steps=50, step_size=2e-6):
     noise ~1e-6 at 33^2, two orders below a single step's decrease).
 
     The sign convention between g and a W-decreasing normal motion carries an
-    undetermined positive constant, so the orientation is probed on the first
-    step.  Returns (energy reports, final surface).
+    undetermined positive constant, so the first step probes both
+    orientations at the full step size: the candidate that decreases W more
+    is that step's result and fixes the orientation.  If neither decreases
+    W, the step repeats W and the next step probes again.  Returns (energy
+    reports, final surface).
     """
     if surface.geometry != EUCLIDEAN3 or not surface.has_kappa():
         raise ValueError("descent needs a Euclidean surface with kappa fields")
@@ -225,32 +225,30 @@ def willmore_descent(surface, steps=50, step_size=2e-6):
         return cand, _surface_energy(cand)[0]
 
     for _ in range(steps):
-        size = step_size
         accepted = None
         if orientation == 0.0:
-            best = (0.0, 0.0)
+            # the probe's better decreasing candidate is this step's result
+            best_drop = 0.0
             for sgn in (+1.0, -1.0):
                 try:
-                    _, rep = attempt(-sgn * size * direction)
+                    cand, rep = attempt(-sgn * step_size * direction)
                 except UmbilicError:
                     continue
                 drop = reports[-1].total - rep.total
-                if drop > best[0]:
-                    best = (drop, sgn)
-            orientation = best[1]
-            if orientation == 0.0:
-                reports.append(reports[-1])
-                continue
-        for _ in range(21):  # one try, then up to 20 halvings
-            try:
-                cand, rep = attempt(-orientation * size * direction)
-            except UmbilicError:
+                if drop > best_drop:
+                    best_drop, orientation, accepted = drop, sgn, (cand, rep)
+        else:
+            size = step_size
+            for _ in range(21):  # one try, then up to 20 halvings
+                try:
+                    cand, rep = attempt(-orientation * size * direction)
+                except UmbilicError:
+                    size *= 0.5
+                    continue
+                if rep.total <= reports[-1].total:
+                    accepted = (cand, rep)
+                    break
                 size *= 0.5
-                continue
-            if rep.total <= reports[-1].total:
-                accepted = (cand, rep)
-                break
-            size *= 0.5
         if accepted is None:
             reports.append(reports[-1])
             continue

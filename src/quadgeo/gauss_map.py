@@ -70,7 +70,6 @@ class TensionField:
     """Tension field tau_S with its Codazzi cross-check, as 6x6 operator fields."""
 
     tau: np.ndarray           # (nu, nv, 6, 6), equals P_perp tau P
-    alt: np.ndarray           # the Codazzi-equivalent expression
     norm: np.ndarray          # per-node Frobenius norm of tau
     codazzi_diff: np.ndarray
 
@@ -243,7 +242,7 @@ def tension(gauss):
     dv_op = pp @ d_v(gauss.proj, gauss.chart) @ gauss.proj
     tau = pp @ d_u(dv_op, gauss.chart) @ gauss.proj
     alt = pp @ d_v(du_op, gauss.chart) @ gauss.proj
-    return TensionField(tau=tau, alt=alt, norm=np.linalg.norm(tau, axis=(-2, -1)),
+    return TensionField(tau=tau, norm=np.linalg.norm(tau, axis=(-2, -1)),
                         codazzi_diff=np.linalg.norm(tau - alt, axis=(-2, -1)))
 
 

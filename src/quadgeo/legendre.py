@@ -55,8 +55,6 @@ class ConjugateCoefficients:
 
     p: np.ndarray
     q: np.ndarray
-    residual_u: np.ndarray
-    residual_v: np.ndarray
 
 
 def _enorm(x):
@@ -257,15 +255,12 @@ def conjugate_coefficients(grid):
     sv = d_v(grid.s, ch)
     xu = (pinv @ lu[..., None])[..., 0]
     xv = (pinv @ sv[..., None])[..., 0]
-    ru = _enorm(lu - (basis @ xu[..., None])[..., 0])
-    rv = _enorm(sv - (basis @ xv[..., None])[..., 0])
-    scale = max(np.max(interior(_enorm(lu))), np.max(interior(_enorm(sv))), 1e-300)
     p, q = xu[..., 1], xv[..., 0]
     if ch.reality == "real" and max(np.max(np.abs(p.imag)), np.max(np.abs(q.imag))) < 1e-9 * (
         1.0 + np.max(np.abs(p)) + np.max(np.abs(q))
     ):
         p, q = p.real, q.real
-    return ConjugateCoefficients(p, q, ru / scale, rv / scale)
+    return ConjugateCoefficients(p, q)
 
 
 def conformal_structure(grid):

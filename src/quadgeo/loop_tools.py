@@ -53,12 +53,18 @@ class SymmetricPair:
 
 @dataclass
 class FrameGrid:
-    """Per-node pairing-orthogonal frames moving the base splitting to S."""
+    """Per-node pairing-orthogonal frames moving the base splitting to S.
 
-    space: pl.PseudoSpace
+    The space is the pair's, read through the `space` property.
+    """
+
     chart: GridChart
     frames: np.ndarray        # (nu, nv, 6, 6)
     pair: SymmetricPair
+
+    @property
+    def space(self):
+        return self.pair.space
 
 
 @dataclass
@@ -67,9 +73,9 @@ class ConnectionGrid:
 
     u-edge arrays have shape (nu-1, nv, 6, 6), v-edge arrays (nu, nv-1, 6, 6);
     the p'-part is supported on u-edges only and the p''-part on v-edges only.
+    The space is the pair's, read through the `space` property.
     """
 
-    space: pl.PseudoSpace
     chart: GridChart
     pair: SymmetricPair
     k_u: np.ndarray
@@ -78,6 +84,10 @@ class ConnectionGrid:
     p_v: np.ndarray
     lam: complex = 1.0
     meta: dict = field(default_factory=dict)
+
+    @property
+    def space(self):
+        return self.pair.space
 
     def edge_u(self):
         return self.k_u + self.p_u
@@ -208,8 +218,8 @@ def frame(gauss):
         bases[target] = node_basis(target, bases[source])
 
     base_cols_inv = np.linalg.inv(pair.basis_o.T)
-    frames = reproject_orthogonal(bases.swapaxes(-1, -2) @ base_cols_inv, sp.gram)
-    return FrameGrid(space=sp, chart=gauss.chart, frames=frames, pair=pair)
+    frames = reproject_orthogonal(bases.swapaxes(-1, -2) @ base_cols_inv, sp)
+    return FrameGrid(chart=gauss.chart, frames=frames, pair=pair)
 
 
 def maurer_cartan(framegrid):
@@ -223,8 +233,7 @@ def maurer_cartan(framegrid):
     k_u, p_u = pair.split(0.5 * (a_u - sp.adjoint(a_u)))
     k_v, p_v = pair.split(0.5 * (a_v - sp.adjoint(a_v)))
     return ConnectionGrid(
-        space=framegrid.space, chart=framegrid.chart, pair=pair,
-        k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
+        chart=framegrid.chart, pair=pair, k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
     )
 
 
@@ -259,7 +268,6 @@ def spectral_connection(alpha, lam):
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     return ConnectionGrid(
-        space=alpha.space,
         chart=alpha.chart,
         pair=alpha.pair,
         k_u=alpha.k_u,
@@ -307,12 +315,12 @@ def integrate_frame(alpha, f0=None):
         # edge k joins nodes k and k+1: step forward by it, back by its inverse
         forward = target[axis] > source[axis]
         step = edges[axis][source] if forward else sp.adjoint(edges[axis][target])
-        frames[target] = reproject_orthogonal(frames[source] @ step, sp.gram)
+        frames[target] = reproject_orthogonal(frames[source] @ step, sp)
     # consistency: u-edges off the seed column were not used in propagation
     mismatch = frames[:-1] @ edges[0] - frames[1:]
     scale = np.maximum(np.linalg.norm(frames[1:], axis=(-2, -1)), 1e-300)
     consistency = float(np.max(np.linalg.norm(mismatch, axis=(-2, -1)) / scale))
-    out = FrameGrid(space=alpha.space, chart=alpha.chart, frames=frames, pair=alpha.pair)
+    out = FrameGrid(chart=alpha.chart, frames=frames, pair=alpha.pair)
     return out, consistency
 
 
@@ -435,8 +443,7 @@ def dual_connection(alpha):
     k_u, p_u = pair_d.split(b_u)
     k_v, p_v = pair_d.split(b_v)
     alpha_d = ConnectionGrid(
-        space=space_d, chart=alpha.chart, pair=pair_d,
-        k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
+        chart=alpha.chart, pair=pair_d, k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
     )
     alpha_d.meta["basis_map"] = c
     alpha_d.meta["dual_branch"] = lam

@@ -191,20 +191,18 @@ def logm(a):
     return out.reshape(a.shape)
 
 
-def reproject_orthogonal(f, gram):
-    """Pull f back onto the gram-orthogonal group: F^T G F = G.
+def reproject_orthogonal(f, space):
+    """Pull f back onto the pairing-orthogonal group of `space`: F* F = I.
 
-    Two Newton steps F <- F (I - G^-1 E / 2), E = F^T G F - G; the step is
-    quadratically convergent, so two keep frames in the group to ~1e-14 for
-    drifts below 1e-4.  The result has the dtype of `f`.
+    Two Newton steps F <- F (I - (F* F - I) / 2), with F* the pairing
+    adjoint `space.adjoint(F)`; the step is quadratically convergent, so two
+    keep frames in the group to ~1e-14 for drifts below 1e-4.  The result
+    has the dtype of `f`.
     """
     f = np.asarray(f)
-    n = f.shape[-1]
-    ginv = np.linalg.inv(gram)
-    eye = np.eye(n)
+    eye = np.eye(f.shape[-1])
     for _ in range(2):
-        e = f.swapaxes(-1, -2) @ gram @ f - gram
-        f = f @ (eye - 0.5 * (ginv @ e))
+        f = f @ (eye - 0.5 * (space.adjoint(f) @ f - eye))
     return f
 
 

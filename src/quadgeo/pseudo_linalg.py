@@ -197,7 +197,6 @@ class QuadricForm:
     """A nondegenerate symmetric pairing on R^4, determined up to scale."""
 
     q: np.ndarray
-    vol_normalized: bool = False
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -215,7 +214,7 @@ class QuadricForm:
     def normalized(self):
         """Rescale so |det q| = 1 (vol_Q = vol)."""
         d = abs(np.linalg.det(self.q))
-        return QuadricForm(self.q / d ** 0.25, vol_normalized=True)
+        return QuadricForm(self.q / d ** 0.25)
 
 
 def lambda2(a):
@@ -231,12 +230,12 @@ def lambda2(a):
 def hodge_star(quadric):
     """Hodge star of a quadric form: vol(v ^ star w) = Q(v, w) on bivectors.
 
-    The input is normalized to unit |det| first, so star^2 = +1 for signature
-    (2,2) and -1 for Lorentz Q.
+    The input is always normalized to unit |det| first (even one that
+    `normalized` returned), so star^2 = +1 for signature (2,2) and -1 for
+    Lorentz Q.
     """
-    qn = quadric if quadric.vol_normalized else quadric.normalized()
     g = plucker_space().gram  # involutive: g @ g = identity
-    return g @ lambda2(qn.q)
+    return g @ lambda2(quadric.normalized().q)
 
 
 def _null_directions(basis, gram_restricted, rng, count):

@@ -94,8 +94,19 @@ def test_merge_reports(tmp_path):
     merged = json.loads(open(out).read())
     assert merged["pass"] is True
     assert merged["suites"] == {"orthogonality": True}
-    fitted = merged["convergence_orders"]["orthogonality.residual_by_grid"]
+    fitted = merged["convergence_orders"]["orthogonality.residual"]
     assert 1.7 < fitted < 2.3
+
+
+def test_merge_copies_the_suites_own_orders(tmp_path):
+    # the flatness suite fits its torus residual against FLAT_FLOOR; merge
+    # must not re-fit that or the other *_by_grid metrics with FLOOR
+    report, out = str(tmp_path / "flatness.json"), str(tmp_path / "merged.json")
+    assert run(["check", "--suite", "flatness", "--out", report]) == 0
+    assert run(["merge", "--out", out, report]) == 0
+    orders = json.loads(open(out).read())["convergence_orders"]
+    assert not any(key.endswith("_by_grid") for key in orders)
+    assert orders["flatness.torus_residual"] == "inf"
 
 
 def test_merge_empty_is_usage_error():

@@ -173,9 +173,27 @@ def test_reproject_orthogonal(rng):
     sp = pl.lie_space()
     g = pl.random_pseudo_orthogonal(sp, rng)
     drifted = g + 1e-5 * rng.standard_normal((6, 6))
-    fixed = matfun.reproject_orthogonal(drifted, sp.gram)
+    fixed = matfun.reproject_orthogonal(drifted, sp)
     assert matfun.orthogonality_defect(fixed, sp.gram) < 1e-12
     assert np.max(np.abs(fixed - g)) < 1e-4
+
+
+@pytest.mark.parametrize("space", ["lie", "plucker"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_reproject_orthogonal_matches_dense_inverse_form(rng, space, dtype):
+    # the adjoint step equals F (I - G^-1 (F^T G F - G) / 2) bit for bit
+    from quadgeo import pseudo_linalg as pl
+
+    sp = pl.lie_space() if space == "lie" else pl.plucker_space()
+    g = np.stack([pl.random_pseudo_orthogonal(sp, rng) for _ in range(8)])
+    f = (g + 1e-5 * rng.standard_normal(g.shape)).astype(dtype)
+    dense, ginv, eye = f, np.linalg.inv(sp.gram), np.eye(6)
+    for _ in range(2):
+        e = dense.swapaxes(-1, -2) @ sp.gram @ dense - sp.gram
+        dense = dense @ (eye - 0.5 * (ginv @ e))
+    out = matfun.reproject_orthogonal(f, sp)
+    assert out.dtype == dtype
+    assert np.array_equal(out, dense)
 
 
 def test_matfun_keeps_the_dtype_of_its_input(rng):
@@ -186,7 +204,7 @@ def test_matfun_keeps_the_dtype_of_its_input(rng):
     skew = 0.05 * (m - np.linalg.inv(sp.gram) @ m.swapaxes(-1, -2) @ sp.gram)
     drifted = matfun.expm(skew) + 1e-6 * rng.standard_normal((50, 6, 6))
     for fn, arg in ((matfun.expm, skew), (matfun.logm, matfun.expm(skew)),
-                    (lambda f: matfun.reproject_orthogonal(f, sp.gram), drifted)):
+                    (lambda f: matfun.reproject_orthogonal(f, sp), drifted)):
         real = fn(arg)
         cplx = fn(arg.astype(complex))
         assert real.dtype == np.float64 and cplx.dtype == np.complex128

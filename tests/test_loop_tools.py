@@ -116,7 +116,7 @@ def _reference_frames(gauss):
         for i in range(nu):
             bases[i, j] = node_basis(i, j, bases[i, j - 1 if j > jc else j + 1])
     frames = bases.swapaxes(-1, -2) @ np.linalg.inv(base.T)
-    return base, reproject_orthogonal(frames, g)
+    return base, reproject_orthogonal(frames, gauss.space)
 
 
 def test_frame_matches_per_node_reference(ellipsoid_connection):
@@ -207,7 +207,6 @@ def test_maurer_cartan_structure_identity(ellipsoid_connection):
 def test_maurer_cartan_identity_frame(ellipsoid_connection):
     gauss, pair, _, _ = ellipsoid_connection
     const = lt.FrameGrid(
-        space=gauss.space,
         chart=gauss.chart,
         frames=np.broadcast_to(np.eye(6, dtype=complex), gauss.star.shape).copy(),
         pair=pair,
@@ -236,7 +235,7 @@ def test_spectral_connection_identities(ellipsoid_connection):
 def test_flatness_zero_connection(ellipsoid_connection):
     gauss, pair, _, alpha = ellipsoid_connection
     zero = lt.ConnectionGrid(
-        space=alpha.space, chart=alpha.chart, pair=pair,
+        chart=alpha.chart, pair=pair,
         k_u=np.zeros_like(alpha.k_u), k_v=np.zeros_like(alpha.k_v),
         p_u=np.zeros_like(alpha.p_u), p_v=np.zeros_like(alpha.p_v),
     )
@@ -286,7 +285,7 @@ def test_integrate_frame_roundtrip(ellipsoid_connection):
     assert dev < 1e-10
     assert consistency < 1e-10
     zero = lt.ConnectionGrid(
-        space=alpha.space, chart=alpha.chart, pair=alpha.pair,
+        chart=alpha.chart, pair=alpha.pair,
         k_u=np.zeros_like(alpha.k_u), k_v=np.zeros_like(alpha.k_v),
         p_u=np.zeros_like(alpha.p_u), p_v=np.zeros_like(alpha.p_v),
     )
