@@ -33,22 +33,16 @@ class EnergyReport:
     chart: GridChart
 
 
-def _integrate(density, chart, excluded_mask=None):
-    area = chart.hu * chart.hv
-    inside = np.zeros(density.shape, dtype=bool)
-    inside[MARGIN:-MARGIN, MARGIN:-MARGIN] = True
-    if excluded_mask is not None:
-        inside &= ~excluded_mask
-    return float(np.sum(np.where(inside, density, 0.0)).real * area), inside
-
-
 def willmore_energy(gauss):
     """Energy of the conformal Gauss map: midpoint sum of <S_u, S_v>."""
     density = gm.willmore_density(gauss)
-    total, inside = _integrate(density.real, gauss.chart, gauss.degenerate)
+    inside = np.zeros(density.shape, dtype=bool)
+    inside[MARGIN:-MARGIN, MARGIN:-MARGIN] = True
+    inside &= ~gauss.degenerate
+    area = gauss.chart.hu * gauss.chart.hv
     return EnergyReport(
-        total=total,
-        density=density.real if np.isrealobj(density) else density,
+        total=float(np.sum(np.where(inside, density.real, 0.0)).real * area),
+        density=density,
         excluded_nodes=node_list(gauss.degenerate & ~inside),
         chart=gauss.chart,
     )
@@ -257,64 +251,7 @@ def willmore_descent(surface, steps=50, step_size=2e-6):
     return reports, current
 
 
-def invariance_report(surface, transforms):
-    """Density invariance under group elements, shifts and lift rescalings.
-
-    `transforms` is a list of dicts with a 'kind' key:
-      {'kind': 'identity'}
-      {'kind': 'normal_shift', 't': 0.3}            (Euclidean)
-      {'kind': 'group', 'matrix': G}                (pairing-orthogonal 6x6)
-      {'kind': 'unimodular', 'matrix': A}           (projective, SL(4))
-      {'kind': 'rescale', 'exponent': h_field}      (projective lift)
-    Each entry reports the max relative density deviation and the relative
-    total-energy deviation against the untransformed pipeline.
-    """
-    results = {}
-    base_grid = lg.lift(surface)
-    base = willmore_energy(gm.conformal_gauss(base_grid))
-    if surface.geometry == EUCLIDEAN3:
-        rho_base, base_total = base.density.real, base.total
-    else:
-        rho_base = proj_density(surface).real
-        base_total, _ = _integrate(rho_base, surface.chart)
-    rho0 = interior(rho_base)
-    scale = np.max(np.abs(rho0))
-
-    rho_gauss0 = interior(base.density.real)
-
-    for k, tr in enumerate(transforms):
-        kind = tr["kind"]
-        if kind == "identity":
-            ref, tot_ref = rho0, base_total
-            rho1, tot1 = rho0, base_total
-        elif kind == "normal_shift":
-            # recompute from scratch: refit curvatures from the shifted
-            # points/normals rather than trusting the analytic update
-            shifted, _ = sf.principal_data(sf.normal_shift(surface, tr["t"]))
-            rep, _ = _surface_energy(shifted)
-            ref, tot_ref = rho_gauss0, base.total
-            rho1, tot1 = interior(rep.density.real), rep.total
-        elif kind == "group":
-            moved = lg.apply_group(base_grid, tr["matrix"])
-            rep = willmore_energy(gm.conformal_gauss(moved))
-            ref, tot_ref = rho_gauss0, base.total
-            rho1, tot1 = interior(rep.density.real), rep.total
-        elif kind in ("unimodular", "rescale"):
-            if kind == "unimodular":
-                a = np.asarray(tr["matrix"])
-                pts = surface.points @ a.T
-            else:
-                pts = surface.points * np.exp(np.asarray(tr["exponent"]))[..., None]
-            moved = sf.SurfaceGrid(PROJECTIVE3, pts, surface.chart,
-                                   meta=dict(surface.meta))
-            rho = proj_density(moved).real
-            ref, tot_ref = rho0, base_total
-            rho1 = interior(rho)
-            tot1, _ = _integrate(rho, moved.chart)
-        else:
-            raise ValueError(f"unknown transform kind {kind!r}")
-        results[f"{k}:{kind}"] = {
-            "max_rel_density_dev": float(np.max(np.abs(rho1 - ref)) / scale),
-            "rel_total_dev": float(abs(tot1 - tot_ref) / max(abs(tot_ref), 1e-30)),
-        }
-    return results
+def density_deviation(density, reference):
+    """max |density - reference| over interior nodes, relative to max |reference|."""
+    ref = interior(reference)
+    return float(np.max(np.abs(interior(density) - ref)) / np.max(np.abs(ref)))

@@ -39,8 +39,6 @@ class LegendreGrid:
     l: np.ndarray
     s: np.ndarray
     chart: GridChart
-    phi: np.ndarray = None
-    nu_sphere: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -91,8 +89,7 @@ def lie_lift(surface):
     nu[..., V_INF] = 2.0 * np.einsum("...k,...k->...", n, f)
     l = nu + surface.kappa1[..., None] * phi
     s = nu + surface.kappa2[..., None] * phi
-    return LegendreGrid(pl.lie_space(), l, s, surface.chart, phi=phi, nu_sphere=nu,
-                        meta=dict(surface.meta))
+    return LegendreGrid(pl.lie_space(), l, s, surface.chart, meta=dict(surface.meta))
 
 
 def proj_lift(surface):
@@ -350,11 +347,7 @@ def apply_group(grid, g):
     """Transform the focal frame by a pairing-preserving 6x6 map (`pl.check_group_element`)."""
     pl.check_group_element(g, grid.space)
     g = np.asarray(g, dtype=complex)
-    mapped = {
-        name: None if getattr(grid, name) is None
-        else np.einsum("ij,...j->...i", g, getattr(grid, name))
-        for name in ("l", "s", "phi", "nu_sphere")
-    }
-    out = replace(grid, **mapped)
+    out = replace(grid, l=np.einsum("ij,...j->...i", g, grid.l),
+                  s=np.einsum("ij,...j->...i", g, grid.s))
     out.meta = dict(grid.meta)
     return out

@@ -33,6 +33,7 @@ from .grids import GridChart, interior
 from .matfun import expm, logm, reproject_orthogonal
 
 FLAT_FLOOR = 1e-6  # a flatness residual this small counts as flat at any lambda
+HARMONIC_FACTOR = 10.0  # lambda=2 over lambda=1 flatness above this is not harmonic
 
 
 @dataclass
@@ -346,19 +347,20 @@ def gauss_from_frame(framegrid, reference_gauss=None):
 
 
 def harmonicity_ratio(alpha):
-    """Flatness of the spectral family at lambda = 2 against lambda = 1.
+    """Flatness of the spectral family at lambda = 2 and at lambda = 1.
 
-    Harmonic maps have the whole family flat; the ratio (test residual over
-    the lambda=1 discretization floor) is the scale-free harmonicity witness.
+    Harmonic maps have the whole family flat; the lambda=2 residual over the
+    lambda=1 discretization floor is the scale-free harmonicity witness.
+    Returns (lambda=2, lambda=1) maxima over the plaquettes off a
+    one-plaquette border: a GridChart has at least 5 nodes per axis, so at
+    least 4 x 4 plaquettes.
     """
     base = flatness_residual(spectral_connection(alpha, 1.0))
     test = flatness_residual(spectral_connection(alpha, 2.0))
-    b = float(np.max(interior(base, 1))) if min(base.shape) > 2 else float(np.max(base))
-    t = float(np.max(interior(test, 1))) if min(test.shape) > 2 else float(np.max(test))
-    return t, b
+    return float(np.max(interior(test, 1))), float(np.max(interior(base, 1)))
 
 
-def spectral_deform(gauss, lam, harmonic_factor=10.0):
+def spectral_deform(gauss, lam):
     """Associated-family deformation S -> S_lambda of a harmonic Gauss map.
 
     Frames the map, deforms its Maurer-Cartan form to alpha_lambda, and
@@ -368,7 +370,7 @@ def spectral_deform(gauss, lam, harmonic_factor=10.0):
     flatness at the roundoff floor at lambda=1), but those graphs are not
     harmonic, so they are refused here.  Raises NonHarmonicInputError when
     the spectral family is measurably non-flat: the lambda=2 residual
-    exceeds FLAT_FLOOR and `harmonic_factor` times the lambda=1 floor.
+    exceeds FLAT_FLOOR and HARMONIC_FACTOR = 10 times the lambda=1 floor.
     """
     if gauss.signature_z == "(1,1)":
         if abs(complex(lam).imag) > 1e-12:
@@ -378,7 +380,7 @@ def spectral_deform(gauss, lam, harmonic_factor=10.0):
     fr = frame(gauss)
     alpha = maurer_cartan(fr)
     test, base = harmonicity_ratio(alpha)
-    if test > max(harmonic_factor * base, FLAT_FLOOR):
+    if test > max(HARMONIC_FACTOR * base, FLAT_FLOOR):
         raise NonHarmonicInputError(
             f"flatness at lambda=2 is {test:.2e} vs {base:.2e} at lambda=1: "
             "input Gauss map is not harmonic"

@@ -83,6 +83,26 @@ def test_check_report_determinism(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+def test_check_seed_reaches_the_suite_and_report_goes_to_stdout(capsys):
+    # no --out: the report is printed
+    run(["check", "--suite", "invariance", "--grids", "17,33", "--param", "n_group=2",
+         "--seed", "7"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["seed"] == 7
+    assert rep["metrics"]["seed"] == 7
+
+
+def test_euclidean_file_without_curvatures_is_refit(tmp_path):
+    surf = checks.make_torus(17)
+    data = {k: v for k, v in jsonio.surface_to_dict(surf).items()
+            if k not in ("kappa1", "kappa2")}
+    path = tmp_path / "no_kappa.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "lift.json"
+    assert run(["lift", "--surface", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["nullity_max"] < 1e-10
+
+
 def test_merge_reports(tmp_path):
     paths = []
     for k, grids in enumerate(("9,17,33", "17,33,65")):
@@ -199,6 +219,8 @@ def test_deform_and_dualize_commands(tmp_path):
     ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "-inf"],
     ["check", "--suite", "conformality", "--grids", "17,33", "--tolerance", "abc"],
     ["descent", "--surface", "{tmp}/good.json", "--step-size", "-1e-6"],
+    ["generate", "--kind", "torus", "--grid-nu", "9", "--grid-nv", "9", "--asymptotic"],
+    ["check", "--suite", "conformality", "--grids", "17,33", "--param", "tol"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -123,34 +124,45 @@ def test_descent_keeps_the_probe_candidate(monkeypatch):
     ]
 
 
-def test_invariance_report_identity(ellipsoid65):
-    rep = fn.invariance_report(ellipsoid65, [{"kind": "identity"}])
-    entry = rep["0:identity"]
-    assert entry["max_rel_density_dev"] == 0.0
-    assert entry["rel_total_dev"] == 0.0
+def test_density_deviation_of_a_density_with_itself_is_zero(ellipsoid_gauss65):
+    rho = fn.willmore_energy(ellipsoid_gauss65).density
+    assert fn.density_deviation(rho, rho) == 0.0
 
 
-def test_invariance_report_group_and_shift(ellipsoid65, rng):
+def test_group_and_shift_invariance(ellipsoid65, ellipsoid_lift65, ellipsoid_gauss65, rng):
+    base = fn.willmore_energy(ellipsoid_gauss65)
     g = pl.random_pseudo_orthogonal(pl.lie_space(), rng, nsteps=6, amplitude=0.15)
-    rep = fn.invariance_report(
-        ellipsoid65,
-        [{"kind": "group", "matrix": g}, {"kind": "normal_shift", "t": 0.3}],
-    )
-    assert rep["0:group"]["rel_total_dev"] < 1e-9
-    assert rep["0:group"]["max_rel_density_dev"] < 1e-6
-    assert rep["1:normal_shift"]["max_rel_density_dev"] < 1e-4
+    moved = fn.willmore_energy(gm.conformal_gauss(lg.apply_group(ellipsoid_lift65, g)))
+    assert abs(moved.total - base.total) / abs(base.total) < 1e-9
+    assert fn.density_deviation(moved.density, base.density) < 1e-6
+    shifted, _ = sf.principal_data(sf.normal_shift(ellipsoid65, 0.3))
+    rep = fn.willmore_energy(gm.conformal_gauss(lg.lift(shifted)))
+    assert fn.density_deviation(rep.density, base.density) < 1e-4
 
 
-def test_invariance_report_unimodular(rng):
+def test_unimodular_invariance(rng):
     graph = checks.make_asymptotic_graph(33)
     a = pl.random_unimodular(rng, 0.1)
-    rep = fn.invariance_report(graph, [{"kind": "unimodular", "matrix": a}])
-    assert rep["0:unimodular"]["max_rel_density_dev"] < 1e-9
+    moved = dataclasses.replace(graph, points=graph.points @ a.T)
+    assert fn.density_deviation(fn.proj_density(moved), fn.proj_density(graph)) < 1e-9
 
 
-def test_invariance_report_rejects_unknown(ellipsoid65):
-    with pytest.raises(ValueError):
-        fn.invariance_report(ellipsoid65, [{"kind": "nope"}])
+def test_invariance_suite_builds_each_base_once(monkeypatch):
+    # one ellipsoid lift per grid plus one per shifted surface; the graph
+    # side reads proj_density alone and lifts nothing
+    calls = []
+
+    def counted(name):
+        original = getattr(lg, name)
+        return lambda *a, **k: calls.append(name) or original(*a, **k)
+
+    for name in ("lie_lift", "proj_lift"):
+        monkeypatch.setattr(lg, name, counted(name))
+    grids = (17, 33)
+    shifts = inspect.signature(checks.suite_invariance).parameters["shifts"].default
+    checks.run_suite("invariance", grids=grids, n_group=2)
+    assert calls.count("proj_lift") == 0
+    assert calls.count("lie_lift") == len(grids) * (1 + len(shifts))
 
 
 def test_op_level_density_invariance_precision():
@@ -163,30 +175,22 @@ def test_op_level_density_invariance_precision():
     devs_by_n = []
     for n in (65, 129, 257):
         surface = checks.make_ellipsoid(n)
-        base = lg.lie_lift(surface)
-        rho0 = interior(fn.willmore_energy(gm.conformal_gauss(base)).density.real)
-        scale = np.max(np.abs(rho0))
+        rho0 = fn.willmore_energy(gm.conformal_gauss(lg.lie_lift(surface))).density
         worst = 0.0
         for t in (-0.1, 0.3):
             shifted = sf.normal_shift(surface, t)
-            rho1 = interior(
-                fn.willmore_energy(gm.conformal_gauss(lg.lie_lift(shifted))).density.real
-            )
-            worst = max(worst, float(np.max(np.abs(rho1 - rho0)) / scale))
+            rho1 = fn.willmore_energy(gm.conformal_gauss(lg.lie_lift(shifted))).density
+            worst = max(worst, fn.density_deviation(rho1, rho0))
         devs_by_n.append(worst)
     # the decay is clean until the evaluation noise floor (~1e-6 at 256^2)
     assert devs_by_n[-1] < 2e-6
     assert np.log2(devs_by_n[0] / devs_by_n[1]) > 1.8
     # group elements: exact commutation up to conditioning roundoff
-    surface = checks.make_ellipsoid(65)
-    base = lg.lie_lift(surface)
-    rho0 = interior(fn.willmore_energy(gm.conformal_gauss(base)).density.real)
-    scale = np.max(np.abs(rho0))
+    base = lg.lie_lift(checks.make_ellipsoid(65))
+    rho0 = fn.willmore_energy(gm.conformal_gauss(base)).density
     for k in range(20):
         g = pl.random_pseudo_orthogonal(
             pl.lie_space(), np.random.default_rng(k), nsteps=6, amplitude=0.15
         )
-        rho1 = interior(
-            fn.willmore_energy(gm.conformal_gauss(lg.apply_group(base, g))).density.real
-        )
-        assert np.max(np.abs(rho1 - rho0)) / scale < 1e-6
+        rho1 = fn.willmore_energy(gm.conformal_gauss(lg.apply_group(base, g))).density
+        assert fn.density_deviation(rho1, rho0) < 1e-6

@@ -22,8 +22,9 @@ def test_lie_lift_point_example():
     surf = sf.SurfaceGrid("euclidean3", pts, ch, normal=nrm,
                           kappa1=np.zeros((5, 5)), kappa2=np.ones((5, 5)))
     grid = lg.lie_lift(surf)
-    phi = grid.phi[2, 2].real
-    nu = grid.nu_sphere[2, 2].real
+    # l = nu + kappa1 phi and s = nu + kappa2 phi give back phi and nu
+    phi = ((grid.s - grid.l)[2, 2] / (surf.kappa2 - surf.kappa1)[2, 2]).real
+    nu = grid.l[2, 2].real - surf.kappa1[2, 2] * phi
     assert np.allclose(phi, [0, 1, 0, 0, 0, 0])
     assert np.allclose(nu, [1, 0, 0, 0, 1, 0])
     sp = grid.space
@@ -56,7 +57,8 @@ def test_ellipsoid_lift_focal_identity(ellipsoid65, ellipsoid_lift65):
     grid = ellipsoid_lift65
     lu = d_u(grid.l, grid.chart)
     dk1 = d_u(ellipsoid65.kappa1, grid.chart)
-    resid = np.linalg.norm(lu - dk1[..., None] * grid.phi, axis=-1)
+    phi = (grid.s - grid.l) / (ellipsoid65.kappa2 - ellipsoid65.kappa1)[..., None]
+    resid = np.linalg.norm(lu - dk1[..., None] * phi, axis=-1)
     scale = np.max(interior(np.linalg.norm(lu, axis=-1)))
     assert np.max(interior(resid)) < 2e-4 * scale / 1e-2  # O(h^2) at 65^2
 

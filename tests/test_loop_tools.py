@@ -133,8 +133,11 @@ def test_real_chart_stays_float64(ellipsoid_connection):
     assert lt.flatness_residual(lt.spectral_connection(alpha, 2.0)).dtype == np.float64
     rebuilt, _ = lt.integrate_frame(alpha)
     assert rebuilt.frames.dtype == np.float64
-    # the ellipsoid is not harmonic: lift the flatness gate to reach the integration
-    deformed = lt.spectral_deform(gauss, 2.0, harmonic_factor=np.inf)
+    # the ellipsoid is not harmonic, so spectral_deform refuses it: integrate
+    # its lambda=2 connection and rebuild the map as spectral_deform does
+    ic, jc = gauss.chart.nu // 2, gauss.chart.nv // 2
+    frames, _ = lt.integrate_frame(lt.spectral_connection(alpha, 2.0), f0=fr.frames[ic, jc])
+    deformed = lt.gauss_from_frame(frames, gauss)
     assert deformed.star.dtype == np.float64 and deformed.proj.dtype == np.float64
 
 
