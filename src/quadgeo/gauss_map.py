@@ -197,17 +197,36 @@ def dS(gauss):
     noise, which otherwise floors the conformality residual on fine grids.
     Dividing by the signs treats the bases' Gram as diagonal (true to O(h^2));
     consumers read the pair once per map from `GaussMapGrid.derivatives`.
+
+    The contraction sum_kj b_p[k, i] coeff[k, j] coords_s[j, l] adds its nine
+    rank-one terms (b_p[k] coeff[k, j]) coords_s[j] to zero, k outer and j
+    inner, with the nodes on the last axis: the order and association of
+    einsum("...ki,...kj,...jl->...il"), so the result equals the einsum's bit
+    for bit.  Another order (b_p^T @ (coeff @ coords_s)) moves the last
+    digits, and the `descent` energy sequence amplifies such moves to about
+    5e-6 relative.
     """
     sp = gauss.space
     b_s, b_p = gauss.basis_s, gauss.basis_p
     # sigma -> S-coordinates extractor (diagonal Gram, condition 1)
     coords_s = (b_s @ sp.gram) / gauss.signs_s[..., None]
+    bp, cs = _nodes_last(b_p), _nodes_last(coords_s)
     out = []
     for deriv in (d_u, d_v):
         w = deriv(b_s, gauss.chart)                   # derivatives of sections
         coeff = sp.pair(b_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
-        out.append(np.einsum("...ki,...kj,...jl->...il", b_p, coeff, coords_s))
+        cf = _nodes_last(coeff)
+        acc = np.zeros((6, 6) + b_p.shape[:-2], dtype=np.result_type(bp, cf, cs))
+        for k in range(3):
+            for j in range(3):
+                acc += (bp[k] * cf[k, j])[:, None] * cs[j][None]
+        out.append(np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1))))
     return tuple(out)
+
+
+def _nodes_last(a):
+    """A (..., r, c) field as a contiguous (r, c, ...) array."""
+    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
 
 
 def grassmann_pair(space, a, b):

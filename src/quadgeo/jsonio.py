@@ -95,9 +95,15 @@ def surface_from_dict(data):
     return SurfaceGrid(geometry, pts, chart, meta=dict(data.get("meta", {})), **kwargs)
 
 
-def write_surface(surface, path):
+def _write_sorted(data, path):
+    """Write `data` as JSON with sorted keys.  `json.dumps` without an indent
+    runs the C encoder; `json.dump` to a file always runs the Python one."""
     with open(path, "w") as fh:
-        json.dump(surface_to_dict(surface), fh, sort_keys=True)
+        fh.write(json.dumps(data, sort_keys=True))
+
+
+def write_surface(surface, path):
+    _write_sorted(surface_to_dict(surface), path)
 
 
 def read_surface(path):
@@ -138,8 +144,7 @@ def connection_to_dict(alpha):
 
 
 def write_connection(alpha, path):
-    with open(path, "w") as fh:
-        json.dump(connection_to_dict(alpha), fh, sort_keys=True)
+    _write_sorted(connection_to_dict(alpha), path)
 
 
 def read_report(path):

@@ -19,9 +19,16 @@ Arrays carry the dtype of their data.  `_splitting` reads a Gauss map's
 splitting as float64 when it is exactly real (a real chart), so frames,
 edges, holonomies and their exp/log stay float64 there; they are complex
 only where the mathematics is: complex-conjugate charts (eps = i), the +-i
-basis of the duality and complex lambda.
+basis of the duality and complex lambda.  The dual connection is complex
+only until its imaginary defect is measured (`dual_connection`); it keeps
+its real part, so the dual frames and Gauss map are float64.
+
+Each Gauss map is framed once and each frame field's connection taken once:
+`frame` and `maurer_cartan` keep their result on their argument, read-only,
+so `spectral_deform`, `dualize` and every other caller share it.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +41,29 @@ from .matfun import expm, logm, reproject_orthogonal
 
 FLAT_FLOOR = 1e-6  # a flatness residual this small counts as flat at any lambda
 HARMONIC_FACTOR = 10.0  # lambda=2 over lambda=1 flatness above this is not harmonic
+
+
+def _once_per_argument(compute):
+    """Compute `compute(obj)` on first call and keep it in obj's __dict__.
+
+    The arrays of the result are made read-only, since every later caller
+    shares them; the result holds no reference back to obj, so a cached obj
+    is freed as soon as its last reference goes.
+    """
+    key = f"_{compute.__name__}"
+
+    @functools.wraps(compute)
+    def once(obj):
+        out = obj.__dict__.get(key)
+        if out is None:
+            out = compute(obj)
+            for value in vars(out).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            obj.__dict__[key] = out
+        return out
+
+    return once
 
 
 @dataclass
@@ -108,24 +138,25 @@ def symmetric_split(xi, pair):
 def _gram_schmidt_rows(rows, signs, space):
     """Strict pairing Gram-Schmidt keeping a prescribed sign pattern.
 
-    `rows` has shape (..., k, 6); each leading index is orthonormalized on
-    its own, and SignatureError is raised if any of them breaks the pattern.
-    A node whose squared norm n is real to 1e-8 is scaled by the real root of
-    its magnitude, any other by the complex root of n times its expected
-    sign, so that every row's squared norm comes out as that sign.
+    `rows` has shape (..., k, 6) and `signs` (..., k), broadcast against the
+    rows' leading axes; each leading index is orthonormalized on its own, and
+    SignatureError is raised if any of them breaks its pattern.  A node whose
+    squared norm n is real to 1e-8 is scaled by the real root of its
+    magnitude, any other by the complex root of n times its expected sign,
+    so that every row's squared norm comes out as that sign.
     """
     out = np.empty_like(rows)
     for k in range(rows.shape[-2]):
         v = rows[..., k, :]
         for m in range(k):
-            c = space.pair(v, out[..., m, :]) / signs[m]
+            c = space.pair(v, out[..., m, :]) / signs[..., m]
             v = v - c[..., None] * out[..., m, :]
         n = space.pair(v, v)
         real = np.abs(n.imag) <= 1e-8 * np.abs(n)
-        if np.any(real & (n.real * signs[k] <= 0)):
+        if np.any(real & (n.real * signs[..., k] <= 0)):
             raise SignatureError("sign pattern broke during orthonormalization")
         with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.where(real, np.sqrt(np.abs(n.real)), np.sqrt(n * signs[k]))
+            root = np.where(real, np.sqrt(np.abs(n.real)), np.sqrt(n * signs[..., k]))
         out[..., k, :] = v / root[..., None]
     return out
 
@@ -147,15 +178,15 @@ def _project_and_orthonormalize(proj, rows, signs, space):
     """Project seed rows onto S and S_perp and orthonormalize each half.
 
     Rows 0:3 go through proj and rows 3:6 through 1 - proj, batched over
-    leading axes; `make_pair` and every node of `frame` share this step.
+    leading axes; the two halves are orthonormalized in one
+    `_gram_schmidt_rows` call, as rows of shape (..., 2, 3, 6) with the
+    signs of each half.  `make_pair` and every node of `frame` share this
+    step.
     """
     rows_s = rows[..., 0:3, :] @ proj.swapaxes(-1, -2)
     rows_p = rows[..., 3:6, :] - rows[..., 3:6, :] @ proj.swapaxes(-1, -2)
-    return np.concatenate(
-        [_gram_schmidt_rows(rows_s, signs[0:3], space),
-         _gram_schmidt_rows(rows_p, signs[3:6], space)],
-        axis=-2,
-    )
+    halves = _gram_schmidt_rows(np.stack([rows_s, rows_p], axis=-3), signs.reshape(2, 3), space)
+    return halves.reshape(halves.shape[:-3] + (6, 6))
 
 
 def make_pair(gauss):
@@ -178,19 +209,30 @@ def make_pair(gauss):
     )
 
 
+def _outward(n, c):
+    """Per step t, the nodes c + t and c - t that exist and their sources
+    c + t - 1 and c - t + 1: both sides at once, then the longer side's tail."""
+    for t in range(1, c + 1):  # c = n // 2 nodes lie below c, at most c above
+        target = np.array([k for k in (c + t, c - t) if k < n])
+        yield target, target - np.sign(target - c)
+
+
 def _center_out_steps(nu, nv):
     """(target, source, axis) steps outward from the center node.
 
-    The seed column j = nv // 2 node by node, then whole columns; `axis` is
-    0 for u-steps and 1 for v-steps.
+    The seed column j = nv // 2 two nodes at a time (i = ic +- t), then two
+    whole columns at a time (j = jc +- t); an even axis ends with one
+    one-sided step.  `axis` is 0 for u-steps and 1 for v-steps, and the
+    target and source index that axis with an array of one or two entries.
     """
     ic, jc = nu // 2, nv // 2
-    for i in [*range(ic + 1, nu), *range(ic - 1, -1, -1)]:
-        yield (i, jc), (i - 1 if i > ic else i + 1, jc), 0
-    for j in [*range(jc + 1, nv), *range(jc - 1, -1, -1)]:
-        yield (slice(None), j), (slice(None), j - 1 if j > jc else j + 1), 1
+    for target, source in _outward(nu, ic):
+        yield (target, jc), (source, jc), 0
+    for target, source in _outward(nv, jc):
+        yield (slice(None), target), (slice(None), source), 1
 
 
+@_once_per_argument
 def frame(gauss):
     """Smooth frame field F with F S_o = S(node) and F pairing-orthogonal.
 
@@ -199,10 +241,12 @@ def frame(gauss):
     comes from seeding each node's basis with a neighbor's and
     re-orthonormalizing the projections (minimal-rotation propagation from
     the grid center), so there are no gauge jumps.  Only the seed column
-    j = nv // 2 runs node by node; every other column is seeded from its
-    neighbor column and orthonormalized in one batch.  The frames are
-    float64 when the splitting is exactly real (`_splitting`), complex
-    otherwise.
+    j = nv // 2 runs node by node, both directions per step; every other
+    column is seeded from its neighbor column and orthonormalized in one
+    batch, again two columns per step.  The frames are float64 when the
+    splitting is exactly real (`_splitting`), complex otherwise.  Computed
+    once per Gauss map: later calls return the same FrameGrid, whose frames
+    are read-only.
     """
     pair = make_pair(gauss)
     proj = _splitting(gauss)[0]
@@ -223,8 +267,13 @@ def frame(gauss):
     return FrameGrid(chart=gauss.chart, frames=frames, pair=pair)
 
 
+@_once_per_argument
 def maurer_cartan(framegrid):
-    """Edge logarithms of the frame transition, split by the decomposition."""
+    """Edge logarithms of the frame transition, split by the decomposition.
+
+    Computed once per frame field: later calls return the same
+    ConnectionGrid, whose edge arrays are read-only.
+    """
     f = framegrid.frames
     pair = framegrid.pair
     sp = framegrid.space
@@ -299,12 +348,12 @@ def integrate_frame(alpha, f0=None):
     """Integrate F^-1 dF = alpha by edge exponentials from the center node.
 
     Propagates along the seed column j = nv // 2 first, then column by
-    column, as `frame` does; the consistency scalar is the largest mismatch
-    of the unused edge transitions against the integrated frames (zero iff
-    the discrete connection is exactly flat).  Frames are re-projected to
-    the pairing-orthogonal group at every node.  They take the common dtype
-    of the edges and f0: float64 for a real connection and a real (or
-    default identity) f0, complex otherwise.
+    column, both directions per step, as `frame` does; the consistency
+    scalar is the largest mismatch of the unused edge transitions against
+    the integrated frames (zero iff the discrete connection is exactly
+    flat).  Frames are re-projected to the pairing-orthogonal group at every
+    node.  They take the common dtype of the edges and f0: float64 for a
+    real connection and a real (or default identity) f0, complex otherwise.
     """
     nu, nv = alpha.chart.nu, alpha.chart.nv
     sp = alpha.space
@@ -315,7 +364,10 @@ def integrate_frame(alpha, f0=None):
     for target, source, axis in _center_out_steps(nu, nv):
         # edge k joins nodes k and k+1: step forward by it, back by its inverse
         forward = target[axis] > source[axis]
-        step = edges[axis][source] if forward else sp.adjoint(edges[axis][target])
+        index = list(target)
+        index[axis] = np.minimum(target[axis], source[axis])
+        edge = edges[axis][tuple(index)]
+        step = np.where(forward[:, None, None], edge, sp.adjoint(edge))
         frames[target] = reproject_orthogonal(frames[source] @ step, sp)
     # consistency: u-edges off the seed column were not used in propagation
     mismatch = frames[:-1] @ edges[0] - frames[1:]
@@ -364,8 +416,10 @@ def spectral_deform(gauss, lam):
     """Associated-family deformation S -> S_lambda of a harmonic Gauss map.
 
     Frames the map, deforms its Maurer-Cartan form to alpha_lambda, and
-    integrates back; admissible lambda are real for (1,1) charts and
-    unimodular for (2,0) charts.  Curved (2,0) charts frame like any other
+    integrates back (the frame field and connection are the map's one pair,
+    shared with every other caller of `frame` and `maurer_cartan`);
+    admissible lambda are real for (1,1) charts and unimodular for (2,0)
+    charts.  Curved (2,0) charts frame like any other
     (`convex_graph_sampler(0.05)` on (-0.4, 0.4)^2 at 33^2 and 65^2, with
     flatness at the roundoff floor at lambda=1), but those graphs are not
     harmonic, so they are refused here.  Raises NonHarmonicInputError when
@@ -419,9 +473,13 @@ def dual_connection(alpha):
     S_o_perp basis.  The dual pairing is the complexified gram restricted to
     that real span.  Returns the connection in the dual space and its
     imaginary defect (the largest imaginary part over the largest entry,
-    which vanishes up to roundoff for a real connection).  The connection's
-    meta holds 'dual_branch' = lambda and 'basis_map' = c, whose columns
-    express the dual coordinates in the source coordinates.
+    which vanishes up to roundoff for a real connection).  The defect is
+    measured on the complex edges; the connection keeps their real parts, so
+    it is float64 and everything integrated from it follows.  The
+    connection's meta holds 'dual_branch' = lambda and 'basis_map' = c,
+    whose columns express the dual coordinates in the source coordinates.
+    The result is not cached: `dualize` builds it once per call, from the
+    map's one connection.
     """
     pair = alpha.pair
     lam = 1.0j if alpha.space.m == 3 else -1.0j
@@ -442,8 +500,8 @@ def dual_connection(alpha):
         space=space_d, star_o=star_d, basis_o=np.eye(6),
         signs_o=np.sign(np.diag(gram_d)), eps=1.0,
     )
-    k_u, p_u = pair_d.split(b_u)
-    k_v, p_v = pair_d.split(b_v)
+    k_u, p_u = pair_d.split(b_u.real)
+    k_v, p_v = pair_d.split(b_v.real)
     alpha_d = ConnectionGrid(
         chart=alpha.chart, pair=pair_d, k_u=k_u, k_v=k_v, p_u=p_u, p_v=p_v,
     )
@@ -459,7 +517,10 @@ def dualize(gauss):
     harmonic map: the spectral family is read in the real basis of the dual
     space (`dual_connection`) and integrated to a frame and Gauss map there;
     applied twice it returns to the source picture.  The dual is defined up
-    to a constant isometry (the frame seed is the identity).
+    to a constant isometry (the frame seed is the identity).  It reads the
+    map's one frame field and connection (`frame`, `maurer_cartan`), and its
+    arrays are float64: the dual connection's imaginary defect is measured,
+    in meta['imaginary_defect'], before its real part is kept.
     """
     if gauss.chart.reality != "real" or gauss.signature_z != "(1,1)":
         raise SignatureError("duality needs a real (1,1) chart")

@@ -27,6 +27,20 @@ def test_surface_json_roundtrip(tmp_path):
     assert back.chart == surf.chart
 
 
+def test_json_files_are_the_sorted_dumps(tmp_path):
+    # the files hold exactly what json.dumps(..., sort_keys=True) produces
+    from quadgeo import gauss_map as gm, legendre as lg, loop_tools as lt
+
+    surf = checks.make_torus(17)
+    jsonio.write_surface(surf, tmp_path / "s.json")
+    want = json.dumps(jsonio.surface_to_dict(surf), sort_keys=True).encode()
+    assert (tmp_path / "s.json").read_bytes() == want
+    alpha = lt.maurer_cartan(lt.frame(gm.conformal_gauss(lg.lift(surf))))
+    jsonio.write_connection(alpha, tmp_path / "c.json")
+    want = json.dumps(jsonio.connection_to_dict(alpha), sort_keys=True).encode()
+    assert (tmp_path / "c.json").read_bytes() == want
+
+
 def test_generate_and_pipeline_commands(tmp_path):
     surf_path = str(tmp_path / "torus.json")
     assert run(["generate", "--kind", "torus", "--param", "r=1", "--param", "R=3",

@@ -8,7 +8,7 @@ from quadgeo import checks, gauss_map as gm, legendre as lg, pseudo_linalg as pl
 from quadgeo import loop_tools as lt
 from quadgeo import surfaces as sf
 from quadgeo.errors import DegenerateReconstructionError
-from quadgeo.grids import GridChart, interior
+from quadgeo.grids import GridChart, d_u, d_v, interior
 
 
 def test_torus_star_constant(torus_gauss65):
@@ -96,6 +96,29 @@ def test_dS_rank_structure(ellipsoid_gauss65):
     ang = gm.line_angle(img, ellipsoid_gauss65.span_p[..., 0, :])
     assert np.max(interior(ang)) < 1e-4
     assert np.min(interior(svals[..., 0] / svals[..., 1])) > 1e3  # near rank one
+
+
+def _einsum_dS(gauss):
+    # dS with the three-operand einsum contraction it must reproduce bit for bit
+    sp = gauss.space
+    coords_s = (gauss.basis_s @ sp.gram) / gauss.signs_s[..., None]
+    out = []
+    for deriv in (d_u, d_v):
+        w = deriv(gauss.basis_s, gauss.chart)
+        coeff = sp.pair(gauss.basis_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
+        out.append(np.einsum("...ki,...kj,...jl->...il", gauss.basis_p, coeff, coords_s))
+    return out
+
+
+def test_dS_equals_the_einsum_bit_for_bit():
+    lifted = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(17)))
+    from_frame = lt.gauss_from_frame(lt.frame(lifted))
+    for gauss, dtype in ((lifted, np.complex128), (from_frame, np.float64)):
+        assert gauss.basis_s.dtype == dtype
+        for got, want in zip(gm.dS(gauss), _einsum_dS(gauss)):
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.max(np.abs(got)) > 1e-3  # a map that moves
 
 
 def test_constant_gauss_map_derivatives(quadric_lift65):

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from quadgeo import checks, gauss_map as gm, legendre as lg, loop_tools as lt
 from quadgeo import pseudo_linalg as pl
 from quadgeo.errors import NonHarmonicInputError, SignatureError
 from quadgeo.grids import interior
-from quadgeo.matfun import orthogonality_defect, reproject_orthogonal
+from quadgeo.matfun import expm, orthogonality_defect, reproject_orthogonal
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +130,73 @@ def test_frame_matches_per_node_reference(ellipsoid_connection):
     assert np.array_equal(fr.frames, frames)
 
 
+def _reference_integrate(alpha, f0):
+    # one node at a time, each side of the center in turn
+    sp = alpha.space
+    nu, nv = alpha.chart.nu, alpha.chart.nv
+    ic, jc = nu // 2, nv // 2
+    eu, ev = expm(alpha.edge_u()), expm(alpha.edge_v())
+    frames = np.empty((nu, nv, 6, 6), dtype=np.result_type(f0, eu, ev))
+    frames[ic, jc] = f0
+    for i in list(range(ic + 1, nu)) + list(range(ic - 1, -1, -1)):
+        step = eu[i - 1, jc] if i > ic else sp.adjoint(eu[i, jc])
+        source = frames[i - 1 if i > ic else i + 1, jc]
+        frames[i, jc] = reproject_orthogonal(source @ step, sp)
+    for j in list(range(jc + 1, nv)) + list(range(jc - 1, -1, -1)):
+        for i in range(nu):
+            step = ev[i, j - 1] if j > jc else sp.adjoint(ev[i, j])
+            source = frames[i, j - 1 if j > jc else j + 1]
+            frames[i, j] = reproject_orthogonal(source @ step, sp)
+    return frames
+
+
+@pytest.mark.parametrize("n", [17, 16])
+def test_two_sided_sweeps_match_one_node_references(n):
+    # frame and integrate_frame step both directions at once; on an even
+    # grid the last step of each sweep goes one way only
+    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(n)))
+    fr = lt.frame(gauss)
+    base, frames = _reference_frames(gauss)
+    assert np.array_equal(fr.pair.basis_o, base)
+    assert np.array_equal(fr.frames, frames)
+    f0 = fr.frames[n // 2, n // 2]
+    # lambda = 2 is not flat on the ellipsoid, so the path matters
+    alpha = lt.spectral_connection(lt.maurer_cartan(fr), 2.0)
+    integrated, _ = lt.integrate_frame(alpha, f0=f0)
+    assert np.array_equal(integrated.frames, _reference_integrate(alpha, f0))
+
+
+def test_frame_and_connection_computed_once_read_only_and_cycle_free(monkeypatch):
+    gauss = gm.conformal_gauss(lg.lift(checks.make_torus(33)))
+    pairs, edge_logs = [], []
+    make_pair, logm = lt.make_pair, lt.logm
+    monkeypatch.setattr(lt, "make_pair", lambda g: pairs.append(1) or make_pair(g))
+    # u-edge logarithms have shape (nu - 1, nv); holonomies (nu - 1, nv - 1)
+    monkeypatch.setattr(lt, "logm",
+                        lambda a: (a.shape[:2] == (32, 33) and edge_logs.append(1)) or logm(a))
+    fr = lt.frame(gauss)
+    alpha = lt.maurer_cartan(fr)
+    lt.spectral_deform(gauss, 2.0)
+    lt.dualize(gauss)
+    assert lt.frame(gauss) is fr and lt.maurer_cartan(fr) is alpha
+    assert len(pairs) == 1 and len(edge_logs) == 1
+    for arr in (fr.frames, alpha.k_u, alpha.k_v, alpha.p_u, alpha.p_v):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        fr.frames[0, 0, 0, 0] = 1.0
+    # the cached results hold no reference back to their argument: without
+    # the cyclic collector, dropping the last reference frees it at once
+    refs = weakref.ref(gauss), weakref.ref(fr)
+    gc.disable()
+    try:
+        del gauss
+        assert refs[0]() is None
+        del fr, alpha
+        assert refs[1]() is None
+    finally:
+        gc.enable()
+
+
 def test_real_chart_stays_float64(ellipsoid_connection):
     gauss, _, fr, alpha = ellipsoid_connection
     assert fr.frames.dtype == np.float64
@@ -159,13 +230,15 @@ def test_complex_chart_keeps_complex_frames_and_deforms():
 
 
 def test_frame_sweeps_columns_in_batches(ellipsoid_connection, monkeypatch):
-    gauss = ellipsoid_connection[0]
+    # a copy of the fixture's map, whose frame field is not computed yet
+    gauss = dataclasses.replace(ellipsoid_connection[0])
     calls = []
     batched = lt._gram_schmidt_rows
     monkeypatch.setattr(lt, "_gram_schmidt_rows",
                         lambda *args: calls.append(1) or batched(*args))
     lt.frame(gauss)
-    assert len(calls) <= 2 * (gauss.chart.nu + gauss.chart.nv + 1)
+    # one call each for the pair and the center, then one per two-sided step
+    assert len(calls) == 2 + gauss.chart.nu // 2 + gauss.chart.nv // 2
 
 
 def test_gram_schmidt_batch_raises_on_one_broken_node(ellipsoid_connection):
@@ -271,7 +344,8 @@ def test_near_identity_logs_skip_solve_and_verification(ellipsoid_connection, mo
     calls = []
     for owner, name in ((np.linalg, "solve"), (matfun, "expm"), (scipy.linalg, "logm")):
         monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
-    for fr in (ellipsoid_connection[2], torus):
+    # a copy of the fixture's frame field, whose connection is not taken yet
+    for fr in (dataclasses.replace(ellipsoid_connection[2]), torus):
         alpha = lt.maurer_cartan(fr)
         for lam in (1.0, 2.0):
             assert np.all(np.isfinite(lt.flatness_residual(lt.spectral_connection(alpha, lam))))
@@ -381,6 +455,25 @@ def test_dualize_nontrivial_connection_is_real():
     dual, defect = lt.dual_connection(lt.maurer_cartan(lt.frame(gauss)))
     assert defect < 1e-10
     assert np.max(np.abs(dual.edge_u())) > 1e-4  # the connection is genuinely nonzero
+
+
+def test_dualize_is_float64_with_the_complex_defect(ellipsoid_connection):
+    gauss, _, _, alpha = ellipsoid_connection
+    dual = lt.dualize(gauss)
+    assert all(a.dtype == np.float64 for a in (dual.proj, dual.basis_s, dual.basis_p, dual.star))
+    alpha_d, defect = lt.dual_connection(alpha)
+    assert all(a.dtype == np.float64 for a in (alpha_d.k_u, alpha_d.k_v, alpha_d.p_u, alpha_d.p_v))
+    # the defect is measured on the complex edges, before their real parts are kept
+    c, lam = alpha_d.meta["basis_map"], alpha_d.meta["dual_branch"]
+    cinv = np.linalg.inv(c)
+    b_u = cinv @ (alpha.k_u + lam * alpha.p_u) @ c
+    b_v = cinv @ (alpha.k_v + alpha.p_v / lam) @ c
+    im = max(np.max(np.abs(b_u.imag)), np.max(np.abs(b_v.imag)))
+    scale = max(np.max(np.abs(b_u)), np.max(np.abs(b_v)))
+    assert defect == dual.meta["imaginary_defect"] == im / scale
+    assert 0.0 < defect < 1e-10
+    assert np.allclose(alpha_d.edge_u(), b_u.real, rtol=0, atol=1e-15)
+    assert np.allclose(alpha_d.edge_v(), b_v.real, rtol=0, atol=1e-15)
 
 
 def test_dualize_rejects_complex_charts():
