@@ -9,14 +9,6 @@ class DegenerateInputError(QuadGeoError):
     """Input vectors are (numerically) linearly dependent."""
 
 
-class NotDecomposableError(QuadGeoError):
-    """Bivector fails the decomposability (Plucker) condition beyond tolerance."""
-
-
-class NotAQuadricStarError(QuadGeoError):
-    """Endomorphism fails the symmetry/involution checks of a quadric star."""
-
-
 class UmbilicError(QuadGeoError):
     """Principal curvatures coincide on a region; focal data is meaningless there."""
 

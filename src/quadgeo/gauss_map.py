@@ -304,29 +304,6 @@ def blaschke_residual(gauss):
     return r1, r2
 
 
-def envelope_degeneracy(gauss):
-    """Classify nodes by which envelope conditions hold with u, v swapped.
-
-    generic: only the defining conditions; godeaux_rozet_u / _v: one swapped
-    condition also holds (to 1e-3); demoulin: both (vacuously for constant S).
-    """
-    su, sv = gauss.derivatives
-    swap_u = np.linalg.norm(su @ gauss.space.adjoint(su), ord=2, axis=(-2, -1))
-    swap_v = np.linalg.norm(gauss.space.adjoint(sv) @ sv, ord=2, axis=(-2, -1))
-    scale = np.maximum(
-        np.linalg.norm(su, ord=2, axis=(-2, -1)) ** 2,
-        np.linalg.norm(sv, ord=2, axis=(-2, -1)) ** 2,
-    )
-    floor = 1e-3 * np.max(scale) + 1e-14
-    u_holds = swap_u <= np.maximum(1e-3 * scale, floor)
-    v_holds = swap_v <= np.maximum(1e-3 * scale, floor)
-    out = np.full(u_holds.shape, "generic", dtype="<U16")
-    out[u_holds & ~v_holds] = "godeaux_rozet_u"
-    out[v_holds & ~u_holds] = "godeaux_rozet_v"
-    out[u_holds & v_holds] = "demoulin"
-    return out
-
-
 def reconstruct(gauss):
     """Recover the Legendre map from its conformal Gauss map.
 

@@ -1,4 +1,4 @@
-"""Discrete Legendre maps: contact lifts, focal frames, conjugate data.
+"""Discrete Legendre maps: contact lifts, validation, conjugate data.
 
 A LegendreGrid stores the two lightlike focal fields (l, s) of a line
 congruence in the quadric over a rectangular chart: per node, f = l ^ s is a
@@ -174,70 +174,7 @@ def validate(grid):
 
 
 # ---------------------------------------------------------------------------
-# focal frames and conjugate data
-
-
-def _hom_matrices(grid):
-    """Per-node 2x2 matrices of f_u, f_v : f -> fperp/f in an auxiliary basis.
-
-    Returns (M_u, M_v) with columns = images of (l, s) modulo f expressed in a
-    Euclidean-orthonormal complement basis (c, d) of f inside fperp.
-    """
-    sp, ch = grid.space, grid.chart
-    a, b = grid.l, grid.s
-    ga = np.einsum("ij,...j->...i", sp.gram, a)
-    gb = np.einsum("ij,...j->...i", sp.gram, b)
-    rows = np.stack([ga, gb], axis=-2)
-    _, svals, vt = np.linalg.svd(rows)
-    if np.min(svals[..., 1] / svals[..., 0]) < 1e-12:
-        raise NotImmersedError("focal fields are parallel")
-    perp = vt[..., 2:6, :].conj()  # 4 null-space vectors spanning fperp
-    # complement of span{a,b} inside fperp (Euclidean orthogonal projection)
-    ab = np.stack([a, b], axis=-1)
-    p_ab = ab @ np.linalg.pinv(ab)
-    proj = perp - (p_ab @ perp.swapaxes(-1, -2)).swapaxes(-1, -2)
-    _, _, pv = np.linalg.svd(proj)
-    cd = pv[..., 0:2, :]  # rows span the complement
-
-    au, bu = d_u(a, ch), d_u(b, ch)
-    av, bv = d_v(a, ch), d_v(b, ch)
-    basis = np.concatenate([ab, cd.swapaxes(-1, -2)], axis=-1)  # 6x4
-    pinv = np.linalg.pinv(basis)
-
-    def hom(w1, w2):
-        x1 = (pinv @ w1[..., None])[..., 0]
-        x2 = (pinv @ w2[..., None])[..., 0]
-        return np.stack([x1[..., 2:4], x2[..., 2:4]], axis=-1)
-
-    return hom(au, bu), hom(av, bv)
-
-
-def focal_frame(grid):
-    """Re-gauge an arbitrary null frame of a Legendre map to focal form.
-
-    Per node, the kernel directions of the 2x2 matrices of f_u and f_v (a
-    generalized null-vector problem) give l and s; phases are smoothed across
-    the grid so the output can be finite differenced.
-    """
-    mu, mv = _hom_matrices(grid)
-    scale = max(float(np.max(np.abs(mu))), float(np.max(np.abs(mv))))
-    if scale < 1e-14:
-        raise NotImmersedError("df vanishes: constant Legendre map")
-
-    def kernel_coeff(m):
-        _, svals, vt = np.linalg.svd(m)
-        # a 2-dimensional kernel means the whole 2x2 map vanishes
-        if np.min(svals[..., 0]) < 1e-10 * scale:
-            raise NotImmersedError("two-dimensional kernel: map is not immersed")
-        return vt[..., 1, :].conj()
-
-    cl = kernel_coeff(mu)
-    cs = kernel_coeff(mv)
-    l = cl[..., 0:1] * grid.l + cl[..., 1:2] * grid.s
-    s = cs[..., 0:1] * grid.l + cs[..., 1:2] * grid.s
-    out = replace(grid, l=smooth_phase(l), s=smooth_phase(s))
-    out.meta = dict(grid.meta)
-    return out
+# conjugate data
 
 
 def conjugate_coefficients(grid):
@@ -258,34 +195,6 @@ def conjugate_coefficients(grid):
     ):
         p, q = p.real, q.real
     return ConjugateCoefficients(p, q)
-
-
-def conformal_structure(grid):
-    """Per-node quadratic form of the induced conformal structure.
-
-    Returns (coeffs, signature, null_defect): coeffs[..., :] = (A, B, C) with
-    q(z_u, z_v) = A z_u^2 + 2 B z_u z_v + C z_v^2 in the chart directions,
-    a per-node signature code ('(1,1)', '(2,0)' or 'degenerate'), and the
-    relative size of the diagonal terms (coordinate-null check).
-    """
-    mu, mv = _hom_matrices(grid)
-    det = lambda m: m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    a = det(mu)
-    c = det(mv)
-    b = 0.5 * (det(mu + mv) - a - c)
-    coeffs = np.stack([a, b, c], axis=-1)
-    scale = np.maximum(np.abs(b), np.maximum(np.abs(a), np.abs(c))) + 1e-300
-    null_defect = np.maximum(np.abs(a), np.abs(c)) / scale
-    if grid.chart.reality == "real":
-        disc = (a * c - b * b).real
-        sig = np.where(disc < -1e-12 * scale**2, "(1,1)",
-                       np.where(disc > 1e-12 * scale**2, "(2,0)", "degenerate"))
-    else:
-        # real tangent directions have z_v = conj(z_u); definite iff |B| > |A|
-        gap = np.abs(b) - np.abs(a)
-        sig = np.where(gap > 1e-12 * scale, "(2,0)",
-                       np.where(gap < -1e-12 * scale, "(1,1)", "degenerate"))
-    return coeffs, sig, null_defect
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,6 @@ class ConnectionGrid:
         return self.k_v + self.p_v
 
 
-def symmetric_split(xi, pair):
-    """Split a pairing-skew endomorphism into commuting and anticommuting parts."""
-    xi = np.asarray(xi)
-    if np.linalg.norm(pair.space.adjoint(xi) + xi) > 1e-8 * max(np.linalg.norm(xi), 1e-300):
-        raise ValueError("element is not skew for the pairing")
-    return pair.split(xi)
-
-
 def _gram_schmidt_rows(rows, signs, space):
     """Strict pairing Gram-Schmidt keeping a prescribed sign pattern.
 
@@ -471,11 +463,12 @@ def dual_connection(alpha):
     from a (3,3) space and -i from a (4,2) space, and conjugates it by the
     change of basis c whose columns are the S_o basis and i times the
     S_o_perp basis.  The dual pairing is the complexified gram restricted to
-    that real span.  Returns the connection in the dual space and its
-    imaginary defect (the largest imaginary part over the largest entry,
-    which vanishes up to roundoff for a real connection).  The defect is
-    measured on the complex edges; the connection keeps their real parts, so
-    it is float64 and everything integrated from it follows.  The
+    that real span, negated when it has signature (2,4), as it has when S_o
+    has signs (-,-,+) (a projective quadric).  Returns the connection in the
+    dual space and its imaginary defect (the largest imaginary part over the
+    largest entry, which vanishes up to roundoff for a real connection).  The
+    defect is measured on the complex edges; the connection keeps their real
+    parts, so it is float64 and everything integrated from it follows.  The
     connection's meta holds 'dual_branch' = lambda and 'basis_map' = c,
     whose columns express the dual coordinates in the source coordinates.
     The result is not cached: `dualize` builds it once per call, from the
@@ -493,6 +486,8 @@ def dual_connection(alpha):
     scale = max(float(np.max(np.abs(b_u))), float(np.max(np.abs(b_v))), 1e-300)
     gram_d = (c.T @ alpha.space.gram @ c).real
     gram_d = np.diag(np.diag(gram_d))  # diagonal by orthonormality of basis_o
+    if int((np.diag(gram_d) > 0).sum()) == 2:
+        gram_d = -gram_d  # (2,4) is -1 times (4,2), with the same skew algebra
     m_pos = int((np.diag(gram_d) > 0).sum())
     space_d = pl.PseudoSpace(m_pos, 6 - m_pos, gram_d)
     star_d = np.diag(np.concatenate([np.ones(3), -np.ones(3)]))

@@ -1,8 +1,8 @@
 """Indefinite linear algebra on six-dimensional space.
 
 Signature-(m,n) pairings with m+n=6, the light cone, the bivector (Plucker)
-embedding of planes in R^4, the Klein correspondence, and the Hodge star of a
-quadric form.  Two standard spaces are used throughout:
+embedding of planes in R^4, and the Hodge star of a quadric form.  Two
+standard spaces are used throughout:
 
 * ``plucker_space()`` -- Lambda^2 R^4 with <v,w> = vol(v ^ w), signature (3,3).
   Fixed bivector basis order: (e12, e13, e14, e23, e24, e34); vol is the unit
@@ -39,14 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    GroupElementError,
-    NotAQuadricStarError,
-    NotDecomposableError,
-)
-
-DECOMPOSABILITY_RTOL = 1e-8
+from .errors import DegenerateInputError, GroupElementError
 
 # index pairs of the fixed Lambda^2 R^4 basis
 _BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -174,24 +167,6 @@ def bivector_matrix(l):
     return L
 
 
-def klein_plane(l, rtol=DECOMPOSABILITY_RTOL):
-    """Plane in R^4 (or C^4) corresponding to a decomposable bivector.
-
-    Returns (x, y) spanning the plane with x ^ y proportional to l.  The plane
-    is the column space of the antisymmetric matrix of l, extracted by SVD.
-    """
-    l = np.asarray(l, dtype=complex)
-    sp = plucker_space()
-    scale = max(float(np.vdot(l, l).real), 1e-300)
-    if abs(sp.pair(l, l)) > rtol * scale:
-        raise NotDecomposableError("<l,l> != 0 beyond tolerance: bivector is not decomposable")
-    L = bivector_matrix(l)
-    u, s, _ = np.linalg.svd(L)
-    if s[1] <= 1e-10 * s[0]:
-        raise NotDecomposableError("bivector has rank < 2")
-    return u[:, 0], u[:, 1]
-
-
 @dataclass(frozen=True)
 class QuadricForm:
     """A nondegenerate symmetric pairing on R^4, determined up to scale."""
@@ -236,95 +211,6 @@ def hodge_star(quadric):
     """
     g = plucker_space().gram  # involutive: g @ g = identity
     return g @ lambda2(quadric.normalized().q)
-
-
-def _null_directions(basis, gram_restricted, rng, count):
-    """Null vectors of a complex symmetric 3x3 form, mapped back through basis."""
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 40 * count:
-        attempts += 1
-        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        qa = a @ gram_restricted @ a
-        qab = a @ gram_restricted @ b
-        qb = b @ gram_restricted @ b
-        if abs(qb) < 1e-12:
-            continue
-        disc = np.sqrt(qab * qab - qa * qb + 0j)
-        for root in ((-qab + disc) / qb, (-qab - disc) / qb):
-            w = a + root * b
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-8:
-                out.append((basis @ w) / nrm)
-            if len(out) >= count:
-                break
-    if len(out) < count:
-        raise NotAQuadricStarError("could not sample null directions on an eigenspace")
-    return out
-
-
-def star_to_quadric(star):
-    """Recover the quadric form (up to scale) from its bivector Hodge star.
-
-    Uses the eigenvector characterization: null eigenvectors of the star are
-    decomposable and their Klein planes are planes on which Q vanishes; three
-    planes per ruling family give a linear system whose 1-dimensional kernel
-    is Q.  Symmetry and star^2 = +-1 are checked to 1e-8 relative; the null
-    directions are drawn with the fixed seed 20260808.
-    """
-    star = np.asarray(star, dtype=complex)
-    sp = plucker_space()
-    g = sp.gram
-    scale = max(float(np.linalg.norm(star)), 1e-300)
-    if np.linalg.norm(sp.adjoint(star) - star) > 1e-8 * scale:
-        raise NotAQuadricStarError("endomorphism is not symmetric for the (3,3) pairing")
-    sq = star @ star
-    c = np.trace(sq) / 6.0
-    if np.linalg.norm(sq - c * np.eye(6)) > 1e-8 * scale ** 2 or abs(abs(c) - 1.0) > 1e-6:
-        raise NotAQuadricStarError("star^2 is not +-identity within tolerance")
-    eps = 1.0 if c.real > 0 else 1.0j
-
-    evals, evecs = np.linalg.eig(star)
-    rng = np.random.default_rng(20260808)
-    rows = []
-    for sign in (+1.0, -1.0):
-        sel = np.abs(evals - sign * eps) < 1e-6 * max(1.0, abs(eps))
-        if int(sel.sum()) != 3:
-            raise NotAQuadricStarError("eigenvalue clusters are not 3+3")
-        basis = evecs[:, sel]
-        gram_r = basis.T @ g @ basis
-        for w in _null_directions(basis, gram_r, rng, 3):
-            x, y = klein_plane(w, rtol=1e-6)
-            for u, v in ((x, x), (x, y), (y, y)):
-                row = np.zeros(10, dtype=complex)
-                k = 0
-                for i in range(4):
-                    for j in range(i, 4):
-                        coef = u[i] * v[j] + u[j] * v[i]
-                        row[k] = coef if i != j else coef / 2.0
-                        k += 1
-                rows.append(row)
-    mat = np.vstack([np.vstack([r.real for r in rows]), np.vstack([r.imag for r in rows])])
-    _, svals, vt = np.linalg.svd(mat)
-    if svals[-2] < 1e-6 * svals[0]:
-        raise NotAQuadricStarError("null-plane conditions do not determine a unique quadric")
-    q10 = vt[-1]
-    q = np.zeros((4, 4))
-    k = 0
-    for i in range(4):
-        for j in range(i, 4):
-            q[i, j] = q[j, i] = q10[k]
-            k += 1
-    quadric = QuadricForm(q).normalized()
-    resid = np.linalg.norm(hodge_star(quadric) - star)
-    if resid > 1e-6 * scale:
-        if np.linalg.norm(hodge_star(quadric) + star) <= 1e-6 * scale:
-            raise NotAQuadricStarError(
-                "splitting is orientation-reversed: no quadric maps to it with the fixed volume form"
-            )
-        raise NotAQuadricStarError("recovered quadric does not reproduce the star")
-    return quadric
 
 
 def check_group_element(g, space):

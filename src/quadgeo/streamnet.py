@@ -1,9 +1,9 @@
 """Reparametrization along a pair of transverse line fields.
 
 Builds a coordinate net whose u-lines follow direction family 1 and v-lines
-family 2 (principal directions for curvature-line charts, Hessian null
-directions for asymptotic charts).  Nodes are propagated cell by cell from two
-seed streamlines through the chart center: the node across a cell is the
+family 2, the Hessian null (asymptotic) directions of a projective surface,
+so the net is an asymptotic chart.  Nodes are propagated cell by cell from
+two seed streamlines through the chart center: the node across a cell is the
 intersection of the family-1 streamline from its left neighbor with the
 family-2 streamline from its lower neighbor, solved by a small Newton
 iteration on RK4 flows.
@@ -23,41 +23,9 @@ consistent up to sign.  Grid fields are sign-aligned once by
 
 import numpy as np
 
-from .errors import StreamlineError, UmbilicError
+from .errors import StreamlineError
 from .grids import GridChart, d_u, d_v, smooth_phase
-from .surfaces import (
-    EUCLIDEAN3,
-    PROJECTIVE3,
-    SurfaceGrid,
-    _unit,
-    hessian_null_directions,
-    symmetric_eigen_2x2,
-    umbilic_mask,
-)
-
-
-def principal_directions_2x2(E, F, G, L, M, N):
-    """Principal direction pair of II relative to I in chart coordinates."""
-    # Cholesky of I: frames the problem as a symmetric 2x2 eigenproblem
-    sE = np.sqrt(E)
-    a11 = sE
-    a12 = F / sE
-    a22 = np.sqrt(G - F * F / E)
-    # B = A^-T II A^-1 entries
-    i11 = 1.0 / a11
-    i12 = -a12 / (a11 * a22)
-    i22 = 1.0 / a22
-    b11 = i11 * (L * i11)
-    b12 = i11 * (L * i12 + M * i22)
-    b22 = i12 * (L * i12 + M * i22) + i22 * (M * i12 + N * i22)
-    emax, emin, kmax, kmin = symmetric_eigen_2x2(b11, b12, b22)
-    # pull back through A^-1
-    def pull(e):
-        return _unit(
-            np.stack([i11 * e[..., 0] + i12 * e[..., 1], i22 * e[..., 1]], axis=-1)
-        )
-
-    return pull(emax), pull(emin), kmax, kmin
+from .surfaces import PROJECTIVE3, SurfaceGrid, _unit, hessian_null_directions
 
 
 class AnalyticLineFields:
@@ -240,39 +208,6 @@ def _surface_window(surface):
     return (0.0, (ch.nu - 1) * ch.hu, 0.0, (ch.nv - 1) * ch.hv)
 
 
-def _fundamental_forms(points, normal, chart):
-    fu = d_u(points, chart).real
-    fv = d_v(points, chart).real
-    nu_ = d_u(normal, chart).real
-    nv_ = d_v(normal, chart).real
-    dot = lambda a, b: np.einsum("...k,...k->...", a, b)
-    E, F, G = dot(fu, fu), dot(fu, fv), dot(fv, fv)
-    L, M, N = -dot(nu_, fu), -dot(nu_, fv), -dot(nv_, fv)
-    return (E, F, G), (L, M, N)
-
-
-def principal_fields(surface, sampler=None, src_refine=4):
-    """Grid line fields of the two principal directions over the source window."""
-    window = _surface_window(surface)
-    ch = surface.chart
-    if sampler is not None:
-        n, m = (ch.nu - 1) * src_refine + 1, (ch.nv - 1) * src_refine + 1
-        fine = GridChart(n, m, ch.hu / src_refine, ch.hv / src_refine)
-        uu, vv = np.meshgrid(
-            np.linspace(window[0], window[1], n),
-            np.linspace(window[2], window[3], m),
-            indexing="ij",
-        )
-        pts, nrm = sampler.point(uu, vv), sampler.normal(uu, vv)
-        (E, F, G), (L, M, N) = _fundamental_forms(pts, nrm, fine)
-    else:
-        (E, F, G), (L, M, N) = _fundamental_forms(surface.points, surface.normal, ch)
-    d1, d2, k1, k2 = principal_directions_2x2(E, F, G, L, M, N)
-    if umbilic_mask(k1, k2).any():
-        raise UmbilicError("umbilic point in the reparametrization domain")
-    return GridLineFields(d1, d2, window)
-
-
 def asymptotic_fields(surface, sampler=None):
     """Line fields of the asymptotic directions (projective surfaces)."""
     window = _surface_window(surface)
@@ -297,56 +232,24 @@ def asymptotic_fields(surface, sampler=None):
     return GridLineFields(d1, d2, window)
 
 
-def _resample(surface, sampler, positions, h1, h2, with_kappa):
-    x, y = positions[..., 0], positions[..., 1]
-    nu, nv = positions.shape[:2]
-    chart = GridChart(nu, nv, h1, h2)
-    meta = dict(surface.meta)
-    meta["reparametrized"] = True
-    if sampler is not None:
-        pts = sampler.point(x, y)
-        kwargs = {}
-        if sampler.geometry == EUCLIDEAN3:
-            kwargs["normal"] = sampler.normal(x, y)
-            if with_kappa and hasattr(sampler, "kappa"):
-                kwargs["kappa1"], kwargs["kappa2"] = sampler.kappa(x, y)
-        return SurfaceGrid(sampler.geometry, pts, chart, meta=meta, **kwargs)
-    window = _surface_window(surface)
-    pts = bilinear_sample(surface.points.real, window, positions)
-    kwargs = {}
-    if surface.geometry == EUCLIDEAN3 and surface.normal is not None:
-        nrm = bilinear_sample(surface.normal, window, positions)
-        kwargs["normal"] = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
-    return SurfaceGrid(surface.geometry, pts, chart, meta=meta, **kwargs)
-
-
 def _net_center(surface):
     window = _surface_window(surface)
     return np.array([0.5 * (window[0] + window[1]), 0.5 * (window[2] + window[3])])
 
 
-def curvature_line_reparametrize(
-    surface, out_nu, out_nv, h1, h2, sampler=None, src_refine=4
-):
-    """Resample a Euclidean surface on a chart following principal directions.
-
-    h1, h2 are arclength steps in the source parameter plane.  The output
-    carries analytic normals/curvatures when a sampler is supplied; otherwise
-    fields are bilinearly resampled from the input grid.
-    """
-    if surface.geometry != EUCLIDEAN3:
-        raise ValueError("curvature-line reparametrization needs a Euclidean surface")
-    fields = principal_fields(surface, sampler, src_refine)
-    pos = march_net(fields, _net_center(surface), h1, h2, out_nu, out_nv)
-    return _resample(surface, sampler, pos, h1, h2, with_kappa=True)
-
-
 def asymptotic_reparametrize(surface, out_nu, out_nv, h1, h2, sampler=None):
-    """Resample a projective surface on a chart following asymptotic directions."""
+    """Resample a projective surface on a chart following asymptotic directions.
+
+    With a sampler the new nodes are sampled exactly; without one they are
+    bilinearly resampled from the input grid.
+    """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("asymptotic reparametrization needs a projective surface")
     fields = asymptotic_fields(surface, sampler)
     pos = march_net(fields, _net_center(surface), h1, h2, out_nu, out_nv)
-    out = _resample(surface, sampler, pos, h1, h2, with_kappa=False)
-    out.meta["asymptotic"] = True
-    return out
+    if sampler is not None:
+        pts = sampler.point(pos[..., 0], pos[..., 1])
+    else:
+        pts = bilinear_sample(surface.points.real, _surface_window(surface), pos)
+    meta = dict(surface.meta, reparametrized=True, asymptotic=True)
+    return SurfaceGrid(PROJECTIVE3, pts, GridChart(out_nu, out_nv, h1, h2), meta=meta)

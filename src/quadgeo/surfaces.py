@@ -343,7 +343,7 @@ def symmetric_eigen_2x2(a11, a12, a22):
     return emax, emin, half + rad, half - rad
 
 
-def make_surface(sampler, window, nu, nv, with_kappa=True, reality=grids.REAL):
+def make_surface(sampler, window, nu, nv, reality=grids.REAL):
     """Sample a generator on a regular chart."""
     u0, u1, v0, v1 = window
     grids.check_sizes(nu, nv)
@@ -353,7 +353,7 @@ def make_surface(sampler, window, nu, nv, with_kappa=True, reality=grids.REAL):
     kwargs = {}
     if sampler.geometry == EUCLIDEAN3:
         kwargs["normal"] = sampler.normal(uu, vv)
-        if with_kappa and hasattr(sampler, "kappa"):
+        if hasattr(sampler, "kappa"):
             kwargs["kappa1"], kwargs["kappa2"] = sampler.kappa(uu, vv)
     return SurfaceGrid(
         sampler.geometry, pts, chart,

@@ -5,7 +5,6 @@ windows; every test prints its own pass/fail line with the binding metrics.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import numpy as np
 import pytest
 
 from quadgeo import checks

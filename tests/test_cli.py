@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from quadgeo import checks, cli, jsonio, surfaces as sf
 from quadgeo.errors import UsageError
-from quadgeo.grids import GridChart
 
 
 def run(argv):
@@ -188,6 +187,17 @@ def test_deform_and_dualize_commands(tmp_path):
     assert rep["dual_signature"] == [3, 3]
     assert rep["imaginary_defect"] < 1e-10
     assert json.loads(open(conn).read())["nu"] == 17
+
+
+def test_dualize_command_on_a_projective_quadric(tmp_path):
+    surf_path = str(tmp_path / "quadric.json")
+    assert run(["generate", "--kind", "quadric_graph", "--grid-nu", "33", "--grid-nv", "33",
+                "--out", surf_path]) == 0
+    out = str(tmp_path / "dual.json")
+    assert run(["dualize", "--surface", surf_path, "--out", out]) == 0
+    rep = json.loads(open(out).read())
+    assert rep["source_signature"] == [3, 3]
+    assert rep["dual_signature"] == [4, 2]
 
 
 @pytest.mark.parametrize("argv", [

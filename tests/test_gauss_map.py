@@ -337,16 +337,6 @@ def test_channel_surface_degeneracy():
         gm.reconstruct(gauss)
 
 
-def test_envelope_degeneracy_classes(ellipsoid_gauss65, quadric_lift65, torus_gauss65):
-    cls = gm.envelope_degeneracy(ellipsoid_gauss65)
-    assert set(interior(cls, 3).ravel()) == {"generic"}
-    clsq = gm.envelope_degeneracy(gm.conformal_gauss(quadric_lift65))
-    assert set(interior(clsq, 3).ravel()) == {"demoulin"}
-    # constant S (torus): vacuously demoulin
-    clst = gm.envelope_degeneracy(torus_gauss65)
-    assert set(interior(clst, 3).ravel()) == {"demoulin"}
-
-
 def test_equivariance_of_conformal_gauss(ellipsoid_lift65, ellipsoid_gauss65, rng):
     g = pl.random_pseudo_orthogonal(pl.lie_space(), rng, nsteps=6, amplitude=0.15)
     moved = gm.conformal_gauss(lg.apply_group(ellipsoid_lift65, g))

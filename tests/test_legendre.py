@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quadgeo import checks, gauss_map as gm, legendre as lg, pseudo_linalg as pl
+from quadgeo import checks, legendre as lg, pseudo_linalg as pl
 from quadgeo import surfaces as sf
 from quadgeo.errors import (
     GroupElementError,
@@ -109,40 +109,6 @@ def test_ruled_graph_q_vanishes():
     assert np.allclose(interior(cc.p), -0.3, atol=1e-4)
 
 
-def test_focal_frame_roundtrip():
-    grid = lg.lie_lift(checks.make_ellipsoid(257))
-    nu_, nv_ = grid.chart.nu, grid.chart.nv
-    uu, vv = np.meshgrid(np.linspace(0, 1, nu_), np.linspace(0, 1, nv_), indexing="ij")
-    a11 = 1 + 0.05 * np.sin(3 * uu) * np.cos(2 * vv)
-    a12 = 0.04 * np.cos(2 * uu)
-    a21 = 0.03 * np.sin(uu + vv)
-    a22 = 1 + 0.05 * np.cos(3 * vv)
-    mixed = dataclasses.replace(
-        grid,
-        l=a11[..., None] * grid.l + a12[..., None] * grid.s,
-        s=a21[..., None] * grid.l + a22[..., None] * grid.s,
-    )
-    rec = lg.focal_frame(mixed)
-    assert np.max(interior(gm.line_angle(rec.l, grid.l))) < 1e-6
-    assert np.max(interior(gm.line_angle(rec.s, grid.s))) < 1e-6
-
-
-def test_focal_frame_already_normalized(torus_lift65):
-    rec = lg.focal_frame(torus_lift65)
-    assert np.max(interior(gm.line_angle(rec.l, torus_lift65.l))) < 1e-6
-    assert np.max(interior(gm.line_angle(rec.s, torus_lift65.s))) < 1e-6
-
-
-def test_focal_frame_constant_map_not_immersed():
-    ch = GridChart(9, 9, 0.1, 0.1)
-    l = np.tile(np.array([1.0, 1, 0, 0, 0, 0]), (9, 9, 1)).astype(complex)
-    s = np.tile(np.array([1.0, -1, 0, 0, 0, 0]), (9, 9, 1)).astype(complex)
-    sp = pl.PseudoSpace(3, 3, np.diag([1.0, -1, 1, 1, -1, -1]))
-    grid = lg.LegendreGrid(sp, l, s, ch)
-    with pytest.raises(Exception):
-        lg.focal_frame(grid)
-
-
 def test_conjugate_coefficients_torus(torus_lift65):
     cc = lg.conjugate_coefficients(torus_lift65)
     assert np.max(np.abs(interior(cc.p))) < 1e-12
@@ -158,18 +124,6 @@ def test_conjugate_coefficients_ellipsoid_identity(ellipsoid65, ellipsoid_lift65
     target = -dk1 * dk2 / (ellipsoid65.kappa1 - ellipsoid65.kappa2) ** 2
     dev = np.abs(interior((cc.p * cc.q).real - target))
     assert np.max(dev) < 1e-3
-
-
-def test_conformal_structure_signatures(ellipsoid_lift65, quadric_lift65):
-    coeffs, sig, nd = lg.conformal_structure(ellipsoid_lift65)
-    assert set(interior(sig).ravel()) == {"(1,1)"}
-    assert np.max(interior(nd)) < 1e-3  # coordinate directions are null
-    # complex-conjugate chart of a convex quadric: signature (2,0)
-    conv = sf.make_surface(sf.convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
-                           33, 33, reality="complex_conjugate")
-    grid = lg.proj_lift(conv)
-    _, sig2, _ = lg.conformal_structure(grid)
-    assert set(interior(sig2).ravel()) == {"(2,0)"}
 
 
 def test_point_surface_roundtrip_lie(ellipsoid65, ellipsoid_lift65):

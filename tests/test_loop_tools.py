@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from quadgeo import checks, gauss_map as gm, legendre as lg, loop_tools as lt
-from quadgeo import pseudo_linalg as pl
 from quadgeo.errors import NonHarmonicInputError, SignatureError
 from quadgeo.grids import interior
 from quadgeo.matfun import expm, orthogonality_defect, reproject_orthogonal
@@ -24,15 +23,15 @@ def _random_skew(space, rng):
     return xi - np.linalg.inv(space.gram) @ xi.T @ space.gram
 
 
-def test_symmetric_split_exactness(ellipsoid_connection, rng):
+def test_symmetric_pair_split_exactness(ellipsoid_connection, rng):
     gauss, pair, _, _ = ellipsoid_connection
     xi = _random_skew(gauss.space, rng)
-    xk, xp = lt.symmetric_split(xi, pair)
+    xk, xp = pair.split(xi)
     assert np.allclose(xk + xp, xi, atol=1e-12)
     assert np.allclose(pair.star_o @ xk, xk @ pair.star_o, atol=1e-10)
     assert np.allclose(pair.star_o @ xp, -xp @ pair.star_o, atol=1e-10)
     # commuting input -> (xi, 0); anticommuting -> (0, xi)
-    k2, p2 = lt.symmetric_split(xk, pair)
+    k2, p2 = pair.split(xk)
     assert np.allclose(k2, xk, atol=1e-10) and np.max(np.abs(p2)) < 1e-10
 
 
@@ -40,8 +39,8 @@ def test_symmetric_pair_bracket_relations(ellipsoid_connection, rng):
     gauss, pair, _, _ = ellipsoid_connection
     a = _random_skew(gauss.space, rng)
     b = _random_skew(gauss.space, rng)
-    ak, ap = lt.symmetric_split(a, pair)
-    bk, bp = lt.symmetric_split(b, pair)
+    ak, ap = pair.split(a)
+    bk, bp = pair.split(b)
 
     def bracket(x, y):
         return x @ y - y @ x
@@ -51,15 +50,9 @@ def test_symmetric_pair_bracket_relations(ellipsoid_connection, rng):
         (bracket(ak, bp), "p"),
         (bracket(ap, bp), "k"),
     ):
-        k, p = lt.symmetric_split(lhs, pair)
+        k, p = pair.split(lhs)
         resid = p if target == "k" else k
         assert np.max(np.abs(resid)) < 1e-10 * (1 + np.max(np.abs(lhs)))
-
-
-def test_symmetric_split_rejects_non_skew(ellipsoid_connection):
-    gauss, pair, _, _ = ellipsoid_connection
-    with pytest.raises(ValueError):
-        lt.symmetric_split(np.eye(6), pair)
 
 
 def test_frame_moves_base_to_s(ellipsoid_connection):
@@ -443,6 +436,21 @@ def test_dualize_torus_roundtrip(torus_gauss65):
     t = d1.meta["basis_map"] @ d2.meta["basis_map"]
     star_rt = t @ d2.star @ np.linalg.inv(t)
     assert np.max(np.linalg.norm(star_rt - torus_gauss65.star, axis=(-2, -1))) < 1e-3
+
+
+def test_dualize_projective_quadric_roundtrip():
+    # S_o has signs (-,-,+), so the restricted dual Gram is (2,4); its
+    # negative, with the same skew algebra, is the (4,2) dual
+    gauss = gm.conformal_gauss(lg.proj_lift(checks.make_quadric(33)))
+    assert list(gauss.signs_s[16, 16]) == [-1.0, -1.0, 1.0]
+    d1 = lt.dualize(gauss)
+    assert (d1.space.m, d1.space.n) == (4, 2)
+    assert d1.meta["imaginary_defect"] < 1e-10
+    d2 = lt.dualize(d1)
+    assert (d2.space.m, d2.space.n) == (3, 3)
+    t = d1.meta["basis_map"] @ d2.meta["basis_map"]
+    star_rt = t @ d2.star @ np.linalg.inv(t)
+    assert np.max(np.linalg.norm(star_rt - gauss.star, axis=(-2, -1))) < 1e-12
 
 
 def test_dualize_constant_gives_constant(torus_gauss65):

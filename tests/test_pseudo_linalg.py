@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadgeo import pseudo_linalg as pl
-from quadgeo.errors import (
-    GroupElementError,
-    NotAQuadricStarError,
-    NotDecomposableError,
-)
+from quadgeo.errors import GroupElementError
 
 SP33 = pl.plucker_space()
 SP42 = pl.lie_space()
@@ -138,32 +134,6 @@ def test_standard_spaces_cached_read_only():
         SP42.gram[0, 0] = 1.0
 
 
-def test_klein_plane_examples(rng):
-    x, y = pl.klein_plane(pl.plucker_embed(E4[0], E4[1]))
-    span = np.abs(np.stack([x, y]))
-    assert np.max(span[:, 2:]) < 1e-12  # the plane is span{e1, e2}
-    # projective invariance: scaling the bivector keeps the plane
-    x7, y7 = pl.klein_plane(7.0 * pl.plucker_embed(E4[0], E4[1]))
-    assert np.max(np.abs(np.stack([x7, y7])[:, 2:])) < 1e-12
-
-
-def test_klein_plane_roundtrip(rng):
-    for _ in range(20):
-        a, b = rng.standard_normal((2, 4))
-        l = pl.plucker_embed(a, b)
-        x, y = pl.klein_plane(l)
-        l2 = pl.plucker_embed(x, y)
-        k = int(np.argmax(np.abs(l2)))
-        rel = np.linalg.norm(l2 * l[k] / l2[k] - l) / np.linalg.norm(l)
-        assert rel < 1e-10
-
-
-def test_klein_plane_rejects_nondecomposable():
-    l = pl.plucker_embed(E4[0], E4[1]) + pl.plucker_embed(E4[2], E4[3])
-    with pytest.raises(NotDecomposableError):
-        pl.klein_plane(l)
-
-
 def test_hodge_star_involution_signs():
     lorentz = pl.hodge_star(pl.QuadricForm(np.diag([1.0, 1, 1, -1])))
     assert np.allclose(lorentz @ lorentz, -E6, atol=1e-12)
@@ -221,35 +191,6 @@ def test_eigenvector_lemma_both_directions(rng):
         ) / np.linalg.norm(lr)
         if eig_resid <= 1e-9:
             assert qmax <= 1e-9 * np.linalg.norm(q.q)
-
-
-def test_star_to_quadric_roundtrips(rng):
-    for q0 in (np.diag([1.0, 1, 1, -1]), np.diag([2.0, 2, -1, -1])):
-        quad = pl.QuadricForm(q0)
-        star = pl.hodge_star(quad)
-        rec = pl.star_to_quadric(star)
-        qn = quad.normalized().q
-        # recovery up to scale (sign included: +-Q share the star)
-        assert min(
-            np.linalg.norm(rec.q - qn), np.linalg.norm(rec.q + qn)
-        ) < 1e-8 * np.linalg.norm(qn)
-
-
-def test_star_to_quadric_conjugated(rng):
-    for k in range(10):
-        a = pl.random_unimodular(np.random.default_rng(k), 0.4)
-        diag = np.diag([1.0, 1, -1, -1])
-        q = pl.QuadricForm(a.T @ diag @ a).normalized()
-        star = pl.hodge_star(q)
-        rec = pl.star_to_quadric(star)
-        assert min(
-            np.linalg.norm(rec.q - q.q), np.linalg.norm(rec.q + q.q)
-        ) < 1e-9 * np.linalg.norm(q.q)
-
-
-def test_star_to_quadric_rejects_junk():
-    with pytest.raises(NotAQuadricStarError):
-        pl.star_to_quadric(np.diag([1.0, 1, 1, -1, -1, -1]) + 0.1)
 
 
 def test_double_cover_preserves_pairing(rng):

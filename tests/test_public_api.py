@@ -1,0 +1,49 @@
+"""Every public function and class of the package has a caller outside tests.
+
+A public top-level definition in `src/quadgeo` counts as used when its name
+appears (as a name or an attribute) in `src/quadgeo` or `perfbench`, outside
+its own definition.  The names below are used by tests only, on purpose.
+"""
+
+import ast
+import collections
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+TEST_ONLY = (
+    ("pseudo_linalg.hodge_star", "oracle for the conformal_gauss star"),
+    ("pseudo_linalg.QuadricForm", "input of the hodge_star oracle"),
+    ("matfun.orthogonality_defect", "the frame tests assert the group defect with it"),
+    ("surfaces.EllipsoidGenericSampler", "drives principal_data's NotCurvatureLineError"),
+    ("surfaces.ruled_graph_sampler", "closed-form conjugate_coefficients: q = 0, p = -0.3"),
+    ("surfaces.convex_graph_sampler", "(2,0) charts and asymptotic SignatureError inputs"),
+    ("legendre.point_surface", "to become a blaschke-roundtrip gate"),
+    ("loop_tools.structure_identity_residual", "to become a gate on a curved harmonic map"),
+    ("loop_tools.blaschke_condition_residual", "to become a gate on a curved harmonic map"),
+)
+
+
+def _names(node):
+    """Names and attribute names used under `node`."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _unreferenced():
+    """Public definitions no other top-level statement of src/ or perfbench/ names."""
+    package = sorted((ROOT / "src" / "quadgeo").glob("*.py"))
+    statements = [(path, node) for path in package + sorted((ROOT / "perfbench").glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    uses = collections.Counter(name for _, node in statements for name in _names(node))
+    return {f"{path.stem}.{node.name}" for path, node in statements
+            if path in package and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and uses[node.name] == (node.name in _names(node))}
+
+
+def test_public_api_has_callers_outside_tests():
+    unreferenced = _unreferenced()
+    kept = {name for name, _ in TEST_ONLY}
+    assert unreferenced - kept == set(), "public but only tests reach it"
+    assert kept - unreferenced == set(), "now used outside tests: drop it from TEST_ONLY"

@@ -49,7 +49,7 @@ def test_sphere_umbilic_error():
 
 def test_generic_chart_rejected():
     gen = sf.EllipsoidGenericSampler(1.0, 1.3, 1.7)
-    surf = sf.make_surface(gen, (0.7, 1.5, 0.4, 1.2), 33, 33, with_kappa=False)
+    surf = sf.make_surface(gen, (0.7, 1.5, 0.4, 1.2), 33, 33)
     with pytest.raises(NotCurvatureLineError):
         sf.principal_data(surf)
 
