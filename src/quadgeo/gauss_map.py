@@ -266,7 +266,14 @@ def tension(gauss):
 
 
 def image_direction(op):
-    """Dominant image direction (unit 6-vector) of a near-rank-one operator."""
+    """Dominant image direction (unit 6-vector) of a near-rank-one operator.
+
+    One batched SVD; it runs on op.real (float64) when every imaginary part
+    of op is exactly 0, as on real charts, and in complex128 otherwise.
+    Returns the direction and the singular values.
+    """
+    if not np.any(op.imag):
+        op = op.real
     u, svals, _ = np.linalg.svd(op)
     return u[..., :, 0], svals
 
@@ -297,10 +304,15 @@ def tension_kernel_residual(gauss, tension_field):
 
 
 def blaschke_residual(gauss):
-    """Per-node spectral norms of S_u* S_u and S_v S_v* (the envelope conditions)."""
+    """Per-node Frobenius norms of S_u* S_u and S_v S_v* (the envelope conditions).
+
+    Both products have rank at most 3 (S_u* S_u acts on S, S_v S_v* on
+    S_perp), so each value lies between the product's spectral norm and
+    sqrt(3) times it; no SVD is taken.
+    """
     su, sv = gauss.derivatives
-    r1 = np.linalg.norm(gauss.space.adjoint(su) @ su, ord=2, axis=(-2, -1))
-    r2 = np.linalg.norm(sv @ gauss.space.adjoint(sv), ord=2, axis=(-2, -1))
+    r1 = np.linalg.norm(gauss.space.adjoint(su) @ su, axis=(-2, -1))
+    r2 = np.linalg.norm(sv @ gauss.space.adjoint(sv), axis=(-2, -1))
     return r1, r2
 
 
@@ -308,14 +320,16 @@ def reconstruct(gauss):
     """Recover the Legendre map from its conformal Gauss map.
 
     Extracts span{s} = im S_u and span{l} = im S_v* by dominant-direction
-    extraction and returns the focal-normalized grid.  Raises
-    DegenerateReconstructionError when <S_u, S_v> vanishes (median below
-    1e-6 of |S_u| |S_v|: constant or degenerate focal surfaces).
+    extraction (two batched SVDs, `image_direction`) and returns the
+    focal-normalized grid.  Raises DegenerateReconstructionError when
+    <S_u, S_v> vanishes (median below 1e-6 of |S_u| |S_v|: constant or
+    degenerate focal surfaces); |S_u| is the largest singular value and
+    |S_v| the Frobenius norm, which only scale the two thresholds.
     """
     su, sv = gauss.derivatives
     density = np.abs(grassmann_pair(gauss.space, su, sv))
     s_dir, svals_u = image_direction(su)
-    scale_v = np.linalg.norm(sv, ord=2, axis=(-2, -1))
+    scale_v = np.linalg.norm(sv, axis=(-2, -1))
     margin = DENSITY_MARGIN
     den = interior(svals_u[..., 0] * scale_v, margin)
     if np.max(den) < 1e-10 * np.max(interior(np.linalg.norm(gauss.proj, axis=(-2, -1)), margin)):

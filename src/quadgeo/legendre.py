@@ -59,6 +59,33 @@ def _enorm(x):
     return np.linalg.norm(x, axis=-1)
 
 
+def _hdot(x, y):
+    """Hermitian product x^H y over the last axis."""
+    return np.einsum("...k,...k->...", x.conj(), y)
+
+
+def _focal_basis(l, s):
+    """Per-node Hermitian Gram-Schmidt of the columns of B = [l, s] = Q R.
+
+    q1 = l / |l| and q2 = t / |t| with t = s - q1 (q1^H s), so that
+    R = [[r11, r12], [0, r22]] with r11 = |l|, r12 = q1^H s, r22 = |t|.
+    Where |t| <= 1e-12 |s|, s lies in span{l} to roundoff and t has no
+    direction: q2 and r22 are 0 there, so projecting onto span{q1, q2}
+    projects onto span{l} alone, as a pseudo-inverse's rank cut does.
+    Returns (q1, q2, r11, r12, r22).
+    """
+    r11 = _enorm(l)
+    q1 = l / r11[..., None]
+    r12 = _hdot(q1, s)
+    t = s - q1 * r12[..., None]
+    r22 = _enorm(t)
+    dependent = r22 <= 1e-12 * _enorm(s)
+    r22[dependent] = 0.0
+    q2 = t / np.where(dependent, 1.0, r22)[..., None]
+    q2[dependent] = 0.0
+    return q1, q2, r11, r12, r22
+
+
 # ---------------------------------------------------------------------------
 # lifts
 
@@ -135,7 +162,8 @@ def validate(grid):
 
     nullity: |<l,l>|, |<s,s>|, |<l,s>| against |l||s|;
     legendre: |<l_u, s>| (and counterparts) against sup |l_u| |s|;
-    focal: components of l_u, s_v outside span{l, s} against sup |l_u|, |s_v|.
+    focal: components of l_u, s_v outside span{l, s} against sup |l_u|, |s_v|,
+    projected out with the span's orthonormal basis from `_focal_basis`.
     Interior (2-node margin) maxima are reported as *_max.
     """
     sp, ch = grid.space, grid.chart
@@ -156,11 +184,10 @@ def validate(grid):
         np.abs(sp.pair(su, l)), np.abs(sp.pair(sv, l)),
     ]) / (scale_d * scale_f)
 
-    basis = np.stack([l, s], axis=-1)
-    basis_pinv = np.linalg.pinv(basis)
+    q1, q2, *_ = _focal_basis(l, s)
 
     def off_span(w):
-        return _enorm(w - (basis @ (basis_pinv @ w[..., None]))[..., 0])
+        return _enorm(w - q1 * _hdot(q1, w)[..., None] - q2 * _hdot(q2, w)[..., None])
 
     foc_f = np.maximum(off_span(lu), off_span(sv)) / scale_d
     return {
@@ -178,18 +205,25 @@ def validate(grid):
 
 
 def conjugate_coefficients(grid):
-    """Least-squares conjugate coefficients p, q of a focal-normalized grid (cond(l, s) <= 1e8)."""
+    """Least-squares conjugate coefficients p, q of a focal-normalized grid.
+
+    With [l, s] = Q R from `_focal_basis`, the least-squares coordinates of
+    w in span{l, s} solve R x = Q^H w in closed form: p is the s-coordinate
+    of l_u and q the l-coordinate of s_v.  Raises IllConditionedFrameError
+    where cond(l, s) = sigma1 / sigma2 > 1e8, read from R's singular values
+    (sigma1^2 + sigma2^2 = |R|_F^2 and sigma1 sigma2 = r11 r22).
+    """
     ch = grid.chart
-    basis = np.stack([grid.l, grid.s], axis=-1)
-    svals = np.linalg.svd(basis, compute_uv=False)
-    if np.max(svals[..., 0] / svals[..., 1]) > 1e8:
+    q1, q2, r11, r12, r22 = _focal_basis(grid.l, grid.s)
+    fro2 = r11 ** 2 + np.abs(r12) ** 2 + r22 ** 2
+    det = r11 * r22
+    sigma1_sq = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0)))
+    if not np.all(sigma1_sq <= 1e8 * det):  # NaN nodes are refused too
         raise IllConditionedFrameError("(l, s) basis is numerically dependent")
-    pinv = np.linalg.pinv(basis)
     lu = d_u(grid.l, ch)
     sv = d_v(grid.s, ch)
-    xu = (pinv @ lu[..., None])[..., 0]
-    xv = (pinv @ sv[..., None])[..., 0]
-    p, q = xu[..., 1], xv[..., 0]
+    p = _hdot(q2, lu) / r22
+    q = (_hdot(q1, sv) - r12 * (_hdot(q2, sv) / r22)) / r11
     if ch.reality == "real" and max(np.max(np.abs(p.imag)), np.max(np.abs(q.imag))) < 1e-9 * (
         1.0 + np.max(np.abs(p)) + np.max(np.abs(q))
     ):

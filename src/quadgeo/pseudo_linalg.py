@@ -15,7 +15,8 @@ standard spaces are used throughout:
 Vectors are plain ndarrays of shape (..., 6).  The lift and the Gauss map
 keep them complex, where reality is an assertion, not a representation
 choice; the loop-algebra arrays (`loop_tools`, `matfun`) are float64 on real
-charts and complex only where the mathematics is complex.
+charts and complex only where the mathematics is complex, and so are the two
+SVDs of `gauss_map.reconstruct` (`gauss_map.image_direction`).
 `PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
 and one adjoint (the inverse of a pairing-orthogonal element).
 

@@ -289,6 +289,71 @@ def test_blaschke_residual_large_for_random_field():
     assert max(np.max(interior(r1)), np.max(interior(r2))) > 1e-2 * scale
 
 
+def test_blaschke_residual_between_spectral_norm_and_sqrt3_times_it(ellipsoid_gauss65):
+    # Frobenius norms of operators of rank <= 3
+    for gauss in (ellipsoid_gauss65, _smooth_random_splitting()):
+        su, sv = gauss.derivatives
+        adj = gauss.space.adjoint
+        for got, op in zip(gm.blaschke_residual(gauss), (adj(su) @ su, sv @ adj(sv))):
+            spectral = np.linalg.norm(op, ord=2, axis=(-2, -1))
+            assert np.all(got >= (1.0 - 1e-12) * spectral)
+            assert np.all(got <= (1.0 + 1e-12) * np.sqrt(3.0) * spectral)
+
+
+def test_image_direction_float64_matches_complex_svd(ellipsoid_gauss65):
+    # on a real chart the operators are exactly real and the SVD runs in
+    # float64; the complex128 SVD of the same operators agrees
+    su, _ = ellipsoid_gauss65.derivatives
+    assert su.dtype == np.complex128 and not np.any(su.imag)
+    direction, svals = gm.image_direction(su)
+    assert direction.dtype == np.float64
+    assert np.array_equal(direction, gm.image_direction(su.real)[0])
+    u, svals_c, _ = np.linalg.svd(su)
+    overlap = np.abs(np.einsum("...k,...k->...", direction, u[..., :, 0].conj()))
+    np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(svals, svals_c, rtol=0, atol=1e-13)
+
+
+class _CountingLapack:
+    """Stands in for numpy's LAPACK gufunc module and counts calls through it."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = []
+
+    def __getattr__(self, name):
+        gufunc = getattr(self._module, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return gufunc(*args, **kwargs)
+
+        return counted
+
+
+def test_lapack_budget_of_the_diagnostics(ellipsoid_lift65, ellipsoid_gauss65, monkeypatch):
+    from numpy.linalg import _linalg
+
+    gauss = ellipsoid_gauss65
+    gauss.derivatives
+    lapack = _CountingLapack(_linalg._umath_linalg)
+    monkeypatch.setattr(_linalg, "_umath_linalg", lapack)
+    # the counter sees the SVD behind pinv and behind norm(ord=2)
+    np.linalg.pinv(ellipsoid_lift65.l[..., None])
+    np.linalg.norm(gauss.proj, ord=2, axis=(-2, -1))
+    assert lapack.calls == ["svd_s", "svd"]
+    budget = [
+        (lambda: gm.blaschke_residual(gauss), 0),
+        (lambda: lg.validate(ellipsoid_lift65), 0),
+        (lambda: lg.conjugate_coefficients(ellipsoid_lift65), 0),
+        (lambda: gm.reconstruct(gauss), 2),
+    ]
+    for call, most in budget:
+        lapack.calls.clear()
+        call()
+        assert len(lapack.calls) <= most, lapack.calls
+
+
 def test_reconstruct_roundtrip():
     gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(129)))
     grid = gauss.source

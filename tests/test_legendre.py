@@ -7,6 +7,7 @@ from quadgeo import checks, legendre as lg, pseudo_linalg as pl
 from quadgeo import surfaces as sf
 from quadgeo.errors import (
     GroupElementError,
+    IllConditionedFrameError,
     NotAsymptoticChartError,
     UmbilicError,
 )
@@ -107,6 +108,92 @@ def test_ruled_graph_q_vanishes():
     assert np.max(np.abs(interior(cc.q))) < 1e-10
     # central stencils are not exact on the cubic lift: p = -0.3 + O(h^2)
     assert np.allclose(interior(cc.p), -0.3, atol=1e-4)
+
+
+def _pinv_focal_reference(grid):
+    """validate's focal field by the pseudo-inverse of the 6x2 (l, s) basis."""
+    l, s, ch = grid.l, grid.s, grid.chart
+    lu, lv, su, sv = d_u(l, ch), d_v(l, ch), d_u(s, ch), d_v(s, ch)
+    basis = np.stack([l, s], axis=-1)
+    basis_pinv = np.linalg.pinv(basis)
+
+    def off_span(w):
+        return np.linalg.norm(w - (basis @ (basis_pinv @ w[..., None]))[..., 0], axis=-1)
+
+    scale_d = max(np.max(interior(np.linalg.norm(w, axis=-1))) for w in (lu, sv, lv, su))
+    return np.maximum(off_span(lu), off_span(sv)) / scale_d
+
+
+def _pinv_conjugate_reference(grid):
+    """(p, q) as the (l, s) pseudo-inverse's coordinates of l_u and s_v."""
+    basis_pinv = np.linalg.pinv(np.stack([grid.l, grid.s], axis=-1))
+    xu = (basis_pinv @ d_u(grid.l, grid.chart)[..., None])[..., 0]
+    xv = (basis_pinv @ d_v(grid.s, grid.chart)[..., None])[..., 0]
+    return xu[..., 1], xv[..., 0]
+
+
+def _convex_chart_lift(n):
+    conv = sf.make_surface(sf.convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+                           n, n, reality="complex_conjugate")
+    return lg.proj_lift(conv)
+
+
+@pytest.fixture(scope="module", params=["ellipsoid", "quadric", "convex-eps-i"])
+def oracle_lift(request):
+    make = {
+        "ellipsoid": lambda: lg.lie_lift(checks.make_ellipsoid(33)),
+        "quadric": lambda: lg.proj_lift(checks.make_quadric(33)),
+        "convex-eps-i": lambda: _convex_chart_lift(33),
+    }
+    return make[request.param]()
+
+
+def test_validate_matches_pinv_reference(oracle_lift):
+    np.testing.assert_allclose(lg.validate(oracle_lift)["focal"],
+                               _pinv_focal_reference(oracle_lift), rtol=1e-10, atol=0)
+
+
+def test_conjugate_coefficients_match_pinv_reference(oracle_lift):
+    cc = lg.conjugate_coefficients(oracle_lift)
+    p, q = _pinv_conjugate_reference(oracle_lift)
+    if oracle_lift.chart.reality == "real":
+        p, q = p.real, q.real
+    np.testing.assert_allclose(cc.p, p, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(cc.q, q, rtol=1e-10, atol=0)
+
+
+def test_validate_projects_a_dependent_node_onto_l_alone():
+    # s = 2 l at one node: span{l, s} is the line of l there, as the
+    # pseudo-inverse's rank cut reads it; conjugate coefficients are refused
+    grid = lg.lie_lift(checks.make_ellipsoid(33))
+    s = grid.s.copy()
+    s[16, 16] = 2.0 * grid.l[16, 16]
+    bent = dataclasses.replace(grid, s=s)
+    focal = lg.validate(bent)["focal"]
+    want = _pinv_focal_reference(bent)
+    np.testing.assert_allclose(focal, want, rtol=1e-10, atol=0)
+    assert want[16, 16] > 10 * np.max(lg.validate(grid)["focal"])  # the node stands out
+    with pytest.raises(IllConditionedFrameError):
+        lg.conjugate_coefficients(bent)
+
+
+def test_conjugate_coefficients_condition_cut(torus_lift65):
+    # bend s towards l at one node until cond(l, s), measured by an SVD,
+    # sits just above or just below the 1e8 cut
+    l, s = torus_lift65.l[20, 30], torus_lift65.s[20, 30]
+    t = s - l * (np.vdot(l, s) / np.vdot(l, l))
+    t = t / np.linalg.norm(t)
+    for cond_target, refused in ((1.2e8, True), (0.8e8, False)):
+        bent_s = torus_lift65.s.copy()
+        bent_s[20, 30] = l + (2.0 * np.linalg.norm(l) / cond_target) * t
+        svals = np.linalg.svd(np.stack([l, bent_s[20, 30]], axis=-1), compute_uv=False)
+        assert (svals[0] / svals[1] > 1e8) == refused
+        bent = dataclasses.replace(torus_lift65, s=bent_s)
+        if refused:
+            with pytest.raises(IllConditionedFrameError):
+                lg.conjugate_coefficients(bent)
+        else:
+            lg.conjugate_coefficients(bent)
 
 
 def test_conjugate_coefficients_torus(torus_lift65):
