@@ -7,6 +7,7 @@ produce identically-zero connections) are treated as converged rather than
 order-fitted.
 """
 
+import functools
 import inspect
 import operator
 from dataclasses import replace
@@ -68,10 +69,23 @@ def make_quadric(n):
 
 
 def make_asymptotic_graph(n):
+    """The perturbed graph on an n x n asymptotic net.
+
+    The net is marched once per n in a process; each call gets its own
+    grid object over the same read-only point array.
+    """
+    graph = _asymptotic_graph(n)
+    return replace(graph, meta=dict(graph.meta))
+
+
+@functools.cache
+def _asymptotic_graph(n):
     samp = sf.perturbed_graph_sampler(0.1, 0.1)
     src = sf.make_surface(samp, GRAPH_WINDOW, 65, 65)
     h = 0.45 / (n - 1)
-    return sn.asymptotic_reparametrize(src, n, n, h, h, sampler=samp)
+    graph = sn.asymptotic_reparametrize(src, n, n, h, h, sampler=samp)
+    graph.points.flags.writeable = False
+    return graph
 
 
 def suite_lift_invariants(grids=DEFAULT_GRIDS, tol_null=1e-10, tol_order=1.8):

@@ -11,6 +11,7 @@ config and seed.
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -291,7 +292,10 @@ def _join_signed_values(argv):
     return out
 
 
+@functools.cache
 def build_parser():
+    """The `qg` parser, built once per process: parsing leaves it unchanged
+    (an `append` action copies its default list before appending)."""
     top = _Parser(prog="qg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

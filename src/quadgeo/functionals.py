@@ -61,6 +61,11 @@ def lie_density(kappa1, kappa2, chart):
     return (dk1 * dk2 / (kappa1 - kappa2) ** 2).real
 
 
+def _det3(m):
+    """Batched 3x3 determinant as the triple product of the rows."""
+    return np.einsum("...k,...k->...", m[..., 0, :], np.cross(m[..., 1, :], m[..., 2, :]))
+
+
 def proj_density(surface):
     """Asymptotic-coordinate density p q from the homogeneous lift.
 
@@ -87,10 +92,14 @@ def proj_density(surface):
     den = det4(f, fu, fv, fuv)
     p = det4(f, fu, fuu, fuv) / den
     q = -det4(f, fv, fvv, fuv) / den
-    # chart witness: second derivatives must stay in span{f, f_u, f_v}
+    # chart witness: second derivatives must stay in span{f, f_u, f_v}; the
+    # covector f* that annihilates it is the signed 3x3 cofactors of
+    # (f; f_u; f_v), normalized (its sign and phase are immaterial: only
+    # |f* . f_uu| and |f* . f_vv| are read)
     span = np.stack([f, fu, fv], axis=-2)
-    _, _, vt = np.linalg.svd(span)
-    fstar = vt[..., 3, :].conj()
+    fstar = np.stack([(-1) ** k * _det3(np.delete(span, k, axis=-1)) for k in range(4)],
+                     axis=-1)
+    fstar /= np.linalg.norm(fstar, axis=-1, keepdims=True)
     scale = max(
         np.max(interior(np.linalg.norm(fuu, axis=-1))),
         np.max(interior(np.linalg.norm(fvv, axis=-1))),

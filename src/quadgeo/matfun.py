@@ -17,13 +17,15 @@ log(I + E) directly: no linear solve and no verifying exponential, since the
 a-priori tail bound holds for any E of that norm (Higham, Functions of
 Matrices, SIAM 2008, ch. 11; Al-Mohy & Higham, SIAM J. Sci. Comput. 34,
 2012).  Other matrices take the Gregory series, verified under `expm`, with
-scipy as the fallback.
+`scipy.linalg.logm` as the fallback.  That fallback is the only use of scipy
+in the library: `scipy.linalg` is imported when a matrix first reaches it,
+so importing quadgeo does not load scipy, and the fallback is looked up on
+the module at each call, so a patched `scipy.linalg.logm` is the one called.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg
 
 UNIT_ROUNDOFF = 2.0 ** -53
 EXPM_MAX_DEGREE = 16
@@ -151,6 +153,10 @@ def _gregory_log(a):
         check_a, check_o = a, out
     resid = _norm1(expm(check_o) - check_a)
     bad[good] = ~(resid / (1.0 + _norm1(check_a)) <= 1e-10)
+    if not bad.any():
+        return out
+    import scipy.linalg  # deferred: this fallback is the library's only use of scipy
+
     logs = {idx: scipy.linalg.logm(a[idx]) for idx in np.nonzero(bad)[0]}
     out = out.astype(np.result_type(out, *logs.values()), copy=False)
     for idx, log in logs.items():

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, GroupElementError
+from .matfun import expm
 
 # index pairs of the fixed Lambda^2 R^4 basis
 _BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -247,9 +248,11 @@ def random_pseudo_orthogonal(space, rng, nsteps=8, amplitude=0.35):
 
 
 def random_unimodular(rng, amplitude=0.3):
-    """Random A in SL(4,R) as the exponential of a traceless matrix."""
-    import scipy.linalg
+    """Random A in SL(4,R) as the exponential of a traceless matrix.
 
+    The exponential is `matfun.expm`'s scaled Taylor series (det A = e^tr = 1
+    to roundoff), so drawing samples does not load scipy.
+    """
     x = amplitude * rng.standard_normal((4, 4))
     x -= np.trace(x) / 4.0 * np.eye(4)
-    return scipy.linalg.expm(x)
+    return expm(x)

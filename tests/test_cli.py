@@ -147,6 +147,32 @@ def test_merge_empty_is_usage_error():
         checks.report_merge([])
 
 
+def test_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; every call must behave as with
+    # a fresh one, so no --param or --config value leaks into the next call
+    (tmp_path / "wide.cfg").write_text("window_u1 = 1.0\n")
+    calls = [
+        ["generate", "--kind", "sphere", "--param", "radius=2", "--param", "window_v1=1.1"],
+        ["generate", "--kind", "sphere", "--config", str(tmp_path / "wide.cfg")],
+        ["generate", "--kind", "sphere", "--param", "radius"],
+        ["generate", "--kind", "sphere"],
+    ]
+
+    def outcomes(tag):
+        got = []
+        for k, argv in enumerate(calls):
+            out = tmp_path / f"{tag}{k}.json"
+            code = run(argv + ["--grid-nu", "9", "--grid-nv", "9", "--out", str(out)])
+            got.append((code, capsys.readouterr().err, out.read_bytes() if code == 0 else b""))
+        return got
+
+    cached = outcomes("cached")
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0]
+    assert len({report for _, _, report in cached}) == 4
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes("fresh") == cached
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\ngrid-nu = 17\ntol = 1e-3\nname=abc\n")

@@ -6,6 +6,7 @@ import pytest
 
 from quadgeo import checks, functionals as fn, gauss_map as gm, legendre as lg
 from quadgeo import pseudo_linalg as pl
+from quadgeo import streamnet as sn
 from quadgeo import surfaces as sf
 from quadgeo.errors import UmbilicError
 from quadgeo.grids import interior
@@ -163,6 +164,29 @@ def test_invariance_suite_builds_each_base_once(monkeypatch):
     checks.run_suite("invariance", grids=grids, n_group=2)
     assert calls.count("proj_lift") == 0
     assert calls.count("lie_lift") == len(grids) * (1 + len(shifts))
+
+
+def test_asymptotic_graph_is_marched_once_per_size(monkeypatch):
+    # pq-identity and invariance share their graphs; each call gets its own
+    # grid object over one read-only point array
+    checks._asymptotic_graph.cache_clear()
+    sizes = []
+    march = sn.march_net
+
+    def counted(fields, center, h1, h2, nu, nv):
+        sizes.append(nu)
+        return march(fields, center, h1, h2, nu, nv)
+
+    monkeypatch.setattr(sn, "march_net", counted)
+    checks.run_suite("pq-identity", grids=(17, 33))
+    checks.run_suite("invariance", grids=(17, 33), n_group=2)
+    assert sorted(sizes) == [17, 33]
+    graph = checks.make_asymptotic_graph(33)
+    again = checks.make_asymptotic_graph(33)
+    assert again is not graph and again.points is graph.points
+    assert not graph.points.flags.writeable
+    with pytest.raises(ValueError):
+        graph.points[0, 0, 0] = 0.0
 
 
 def test_op_level_density_invariance_precision():
