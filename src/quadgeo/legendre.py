@@ -23,7 +23,7 @@ from .errors import (
     NotImmersedError,
     UmbilicError,
 )
-from .grids import GridChart, d_u, d_v, interior, smooth_phase
+from .grids import REAL, GridChart, d_u, d_v, interior, smooth_phase
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, SurfaceGrid, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
@@ -123,6 +123,8 @@ def proj_lift(surface):
     """Contact lift of a projective surface in asymptotic coordinates.
 
     l = f ^ f_u and s = f ^ f_v via the Plucker embedding.  Raises
+    NotImmersedError where (f, f_u, f_v) has rank below 3 (singular-value
+    ratio < 1e-10 at an interior node; a float64 SVD on a real chart) and
     NotAsymptoticChartError when the focal residual exceeds
     ASYMPTOTIC_CHART_TOL = 5e-2 (the chart is not asymptotic).
     """
@@ -131,7 +133,12 @@ def proj_lift(surface):
     f = surface.points.astype(complex)
     fu = d_u(f, surface.chart)
     fv = d_v(f, surface.chart)
-    rank_scale = np.linalg.svd(np.stack([f, fu, fv], axis=-2), compute_uv=False)
+    span = np.stack([f, fu, fv], axis=-2)
+    # real on a real chart; the derivatives still go through complex
+    # arithmetic, which rounds them differently from float64 division
+    if surface.chart.reality == REAL:
+        span = span.real
+    rank_scale = np.linalg.svd(span, compute_uv=False)
     if np.min(interior(rank_scale[..., 2] / rank_scale[..., 0])) < 1e-10:
         raise NotImmersedError("projective surface is not immersed on the chart")
     l = pl.plucker_embed(f, fu)

@@ -3,24 +3,26 @@
 All routines accept stacked arrays (..., n, n) and avoid per-matrix Python
 loops except in the scipy fallback path.  They compute in the dtype of their
 input: a float64 batch stays float64 (a real matrix has a real exponential,
-and the principal logarithm of a real matrix near the identity is real), a
-complex128 batch stays complex128.  Tuned for 6x6 blocks on grids of a
-few thousand nodes.  The series lengths of `expm` and `logm` are chosen from
-the largest 1-norm in the batch: the fewest terms whose truncation bound
-falls below the unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005;
-Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
+and the principal logarithm of a real matrix inside the unit ball around the
+identity is real), a complex128 batch stays complex128.  Tuned for 6x6
+blocks on grids of a few thousand nodes.  The series lengths of `expm` and
+`logm` are chosen from the largest 1-norm in the batch: the fewest terms
+whose truncation bound falls below the unit roundoff (Higham, SIAM J. Matrix
+Anal. Appl. 26, 2005; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+2009).
 
-`logm` routes each matrix A by r = |A - I|_1.  Near the identity
-(r <= LOGM_MERCATOR_RADIUS = 1/4), which is every edge transition and
-plaquette holonomy of the loop-algebra layer, it sums the Mercator series
-log(I + E) directly: no linear solve and no verifying exponential, since the
-a-priori tail bound holds for any E of that norm (Higham, Functions of
-Matrices, SIAM 2008, ch. 11; Al-Mohy & Higham, SIAM J. Sci. Comput. 34,
-2012).  Other matrices take the Gregory series, verified under `expm`, with
-`scipy.linalg.logm` as the fallback.  That fallback is the only use of scipy
-in the library: `scipy.linalg` is imported when a matrix first reaches it,
-so importing quadgeo does not load scipy, and the fallback is looked up on
-the module at each call, so a patched `scipy.linalg.logm` is the one called.
+`logm` routes each matrix A by r = |A - I|_1 alone, with no check
+afterwards.  Near the identity (r <= LOGM_MERCATOR_RADIUS = 1/4), which is
+every edge transition and plaquette holonomy of the loop-algebra layer, it
+sums the Mercator series log(I + E) directly, since the a-priori tail bound
+holds for any E of that norm (Higham, Functions of Matrices, SIAM 2008,
+ch. 11).  For 1/4 < r < 1 it takes square roots down to r <= 1/4 first
+(inverse scaling and squaring: Al-Mohy & Higham, SIAM J. Sci. Comput. 34,
+2012).  Matrices with r >= 1 go to `scipy.linalg.logm`.  That fallback is
+the only use of scipy in the library: `scipy.linalg` is imported when a
+matrix first reaches it, so importing quadgeo does not load scipy, and the
+fallback is looked up on the module at each call, so a patched
+`scipy.linalg.logm` is the one called.
 """
 
 import math
@@ -29,7 +31,6 @@ import numpy as np
 
 UNIT_ROUNDOFF = 2.0 ** -53
 EXPM_MAX_DEGREE = 16
-LOGM_MAX_TERM = 25      # highest odd power of the Gregory series
 LOGM_MERCATOR_RADIUS = 0.25  # |A - I|_1 up to which logm sums log(I + E) directly
 
 
@@ -48,18 +49,6 @@ def _taylor_degree(theta):
         if theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta) <= UNIT_ROUNDOFF:
             return m
     return EXPM_MAX_DEGREE
-
-
-def _gregory_terms(r):
-    """Smallest odd K with 2 r^(K+2) / (1 - r^2) <= u, capped at LOGM_MAX_TERM.
-
-    That bounds the tail of 2 sum_{k odd} X^k / k after the X^K term when
-    the 1-norm of X is at most r < 1.
-    """
-    for k in range(1, LOGM_MAX_TERM, 2):
-        if 2.0 * r ** (k + 2) / (1.0 - r * r) <= UNIT_ROUNDOFF:
-            return k
-    return LOGM_MAX_TERM
 
 
 def _mercator_terms(r):
@@ -118,67 +107,50 @@ def _mercator_log(e, r):
     return out
 
 
-def _gregory_log(a):
-    """Principal log of a (m, n, n) batch by the verified Gregory series.
+def _sqrtm(a):
+    """Principal square roots of a batch whose eigenvalues avoid (-inf, 0].
 
-    The series 2 sum_{k odd} X^k / k in X = (A-I)(A+I)^-1 converges for
-    spectra in the open right half-plane; it runs to the smallest odd power
-    K with 2 r^(K+2) / (1 - r^2) <= 2^-53, r the largest 1-norm of X below 1
-    in the batch, capped at K = 25.  A matrix whose X has 1-norm >= 1 or
-    whose series is not finite goes to scipy.linalg.logm directly; the
-    others are verified under one batched expm and fall back to scipy when
-    the relative acceptance residual |expm(log) - a|_1 / (1 + |a|_1) exceeds
-    1e-10 or is not finite.  Raises LinAlgError if (A+I) is singular.
+    Product-form Denman-Beavers: M, X <- A, then X <- X (I + M^-1) / 2 and
+    M <- (I + (M + M^-1) / 2) / 2, so X -> A^(1/2) while M -> I
+    quadratically (Higham, Functions of Matrices, SIAM 2008, sec. 6.3).
+    Since M_+ - I = (M - I)^2 M^-1 / 4, a step maps |M - I|_1 = d <= 1/4 to
+    at most d^2 / 3; so the iteration stops at the first step inside the
+    Mercator radius that does not lower the batch's largest |M - I|_1, where
+    roundoff has taken over.  Outside that radius |M - I|_1 may grow for a
+    step (an eigenvalue near 0), and the iteration runs on.
     """
-    n = a.shape[-1]
-    eye = np.eye(n)
-    x = np.linalg.solve((a + eye).swapaxes(-1, -2), (a - eye).swapaxes(-1, -2)).swapaxes(-1, -2)
-    xnorm = _norm1(x)
-    convergent = xnorm[xnorm < 1.0]
-    last = _gregory_terms(float(convergent.max()) if convergent.size else 0.0)
-    out = x.copy()
-    power, x2 = x, x @ x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(3, last + 1, 2):
-            power = power @ x2
-            out += power * (1.0 / k)
-    out *= 2.0
-    # divergent series stay out of the check: the batch expm scales by the
-    # largest norm it sees, and one huge matrix would spoil every residual
-    bad = (xnorm >= 1.0) | ~np.isfinite(out).all(axis=(-2, -1))
-    good = ~bad
-    if bad.any():
-        check_a, check_o = a[good], out[good]
-    else:  # the common case checks the whole batch without copying it
-        check_a, check_o = a, out
-    resid = _norm1(expm(check_o) - check_a)
-    bad[good] = ~(resid / (1.0 + _norm1(check_a)) <= 1e-10)
-    if not bad.any():
-        return out
-    import scipy.linalg  # deferred: this fallback is the library's only use of scipy
-
-    logs = {idx: scipy.linalg.logm(a[idx]) for idx in np.nonzero(bad)[0]}
-    out = out.astype(np.result_type(out, *logs.values()), copy=False)
-    for idx, log in logs.items():
-        out[idx] = log
-    return out
+    eye = np.eye(a.shape[-1])
+    m = x = a
+    dev = math.inf
+    while True:
+        minv = np.linalg.inv(m)
+        x = 0.5 * (x @ (eye + minv))
+        m = 0.5 * (eye + 0.5 * (m + minv))
+        new = float(_norm1(m - eye).max())
+        if not (new > LOGM_MERCATOR_RADIUS or new < dev):
+            return x
+        dev = new
 
 
 def logm(a):
-    """Principal log for matrices near the identity, routed by r = |A - I|_1.
+    """Principal log of a batch of matrices, routed by r = |A - I|_1.
 
-    Matrices with r <= LOGM_MERCATOR_RADIUS (1/4) take the Mercator series
-    log(I + E), E = A - I, to the fewest terms K with
-    r^(K+1) / ((K+1)(1 - r)) <= 2^-53, r the largest such norm in the batch
-    (`_mercator_log`); that bound holds for non-normal E, so they are
-    neither solved nor verified.  A batch entirely that near the identity,
-    as every Maurer-Cartan edge and holonomy batch is, goes through without
-    a gather or scatter copy.  The other matrices (and any non-finite one)
-    take the verified Gregory series with its scipy.linalg.logm fallback
-    (`_gregory_log`).  The result has the dtype of `a` (promoted to complex
-    only if scipy returns a genuinely complex logarithm of a real matrix).
-    Raises LinAlgError if (A+I) is singular, which only a matrix outside the
-    Mercator radius can be.
+    - r <= LOGM_MERCATOR_RADIUS (1/4): the Mercator series log(I + E),
+      E = A - I, to the fewest terms K with r^(K+1) / ((K+1)(1 - r)) <= 2^-53,
+      r the largest such norm in the batch (`_mercator_log`).  That bound
+      holds for non-normal E.  A batch entirely this near the identity, as
+      every Maurer-Cartan edge and holonomy batch is, goes through without a
+      gather or scatter copy.
+    - 1/4 < r < 1: every eigenvalue has |lambda - 1| < 1, so the principal
+      square roots exist (real for a real A).  The batch takes s square roots
+      (`_sqrtm`) until every |B - I|_1 <= 1/4, and log A = 2^s log B by the
+      Mercator series (inverse scaling and squaring: Al-Mohy & Higham, SIAM
+      J. Sci. Comput. 34, 2012).  Each root lowers the norm, since
+      |(I + E)^(1/2) - I|_1 <= 1 - (1 - |E|_1)^(1/2).
+    - r >= 1, or a non-finite matrix: scipy.linalg.logm, one call each.
+
+    The result has the dtype of `a` (promoted to complex only if scipy
+    returns a genuinely complex logarithm of a real matrix).
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a, 1.0), copy=False)
@@ -191,9 +163,20 @@ def logm(a):
         return _mercator_log(e, float(r.max(initial=0.0))).reshape(a.shape)
     out = np.empty_like(flat)
     out[near] = _mercator_log(e[near], float(r[near].max(initial=0.0)))
-    far = _gregory_log(flat[~near])
-    out = out.astype(np.result_type(out, far), copy=False)
-    out[~near] = far
+    band = ~near & (r < 1.0)
+    b, rb, roots = flat[band], float(r[band].max(initial=0.0)), 0
+    while rb > LOGM_MERCATOR_RADIUS:
+        b = _sqrtm(b)
+        rb = float(_norm1(b - np.eye(n)).max())
+        roots += 1
+    out[band] = _mercator_log(b - np.eye(n), rb) * 2.0 ** roots
+    far = np.nonzero(~(near | band))[0]
+    if far.size:
+        import scipy.linalg  # deferred: this fallback is the library's only use of scipy
+
+        logs = [scipy.linalg.logm(flat[idx]) for idx in far]
+        out = out.astype(np.result_type(out, *logs), copy=False)
+        out[far] = logs
     return out.reshape(a.shape)
 
 

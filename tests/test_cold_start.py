@@ -18,7 +18,7 @@ from quadgeo import pseudo_linalg as pl
 
 SRC = str(Path(quadgeo.__file__).resolve().parents[1])
 
-# a 3-rad rotation in a 6x6 batch: the Gregory series diverges on it
+# a 3-rad rotation in a 6x6 batch: |A - I|_1 >= 1, so only scipy takes its log
 FAR_ROTATION = """
 import numpy as np
 from quadgeo import matfun

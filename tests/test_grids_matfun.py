@@ -81,16 +81,20 @@ def test_expm_matches_scipy_on_skew_batches(norm, rng):
     assert np.max(err) <= 1e-14
 
 
-def test_logm_far_rotation_falls_back_alone(monkeypatch):
-    # 63 rotations by 0.05 rad and one by 3 rad: the Gregory series diverges
-    # on the far one, which must reach scipy without spoiling the others
-    r = np.random.default_rng(3)
-    m = r.standard_normal((64, 6, 6))
+def _rotations(seed, angle):
+    # 64 real 6x6 rotations by the given angles (rad) and their logarithms x
+    m = np.random.default_rng(seed).standard_normal((64, 6, 6))
     x = m - m.swapaxes(-1, -2)
+    x *= (angle / np.max(np.abs(np.linalg.eigvals(x)), axis=-1))[:, None, None]
+    return x, matfun.expm(x)
+
+
+def test_logm_far_rotation_falls_back_alone(monkeypatch):
+    # 63 rotations by 0.05 rad and one by 3 rad: |A - I|_1 >= 1 on the far
+    # one, which must reach scipy without spoiling the others
     angle = np.full(64, 0.05)
     angle[17] = 3.0
-    x *= (angle / np.max(np.abs(np.linalg.eigvals(x)), axis=-1))[:, None, None]
-    a = matfun.expm(x)
+    x, a = _rotations(3, angle)
     seen = []
     scipy_logm = scipy.linalg.logm
     monkeypatch.setattr(scipy.linalg, "logm", lambda b: seen.append(b) or scipy_logm(b))
@@ -114,16 +118,14 @@ def _rel_err(log, x):
 
 
 @pytest.mark.parametrize("norm", [1e-11, 1e-8, 1e-6, 1e-3, 0.03, 0.1, 0.235, 0.25, 0.3])
-def test_logm_mercator_branch_no_worse_than_gregory(norm):
+def test_logm_recovers_the_known_logarithm(norm):
     # against the known x (scipy's logm is off by 3e-4 relative at 1e-11);
-    # the verified Gregory path on the same input is the yardstick, and both
-    # are dominated by the rounding of expm(x) itself
+    # the error is dominated by the rounding of expm(x) itself
     x, a = _logm_of_known(norm, seed=11)
     near = matfun._norm1(a - np.eye(6)) <= matfun.LOGM_MERCATOR_RADIUS
     # up to 0.235 all near the identity, at 0.25 a mix, at 0.3 none
     assert near.all() == (norm <= 0.235) and near.any() == (norm <= 0.25)
     err = _rel_err(matfun.logm(a), x)
-    assert err <= 1.1 * _rel_err(matfun._gregory_log(a), x)
     assert err <= 1e-4 * 1e-11 / norm + 1e-14
 
 
@@ -146,25 +148,40 @@ def test_logm_empty_and_complex_near_identity_batches():
     assert _rel_err(log, x) <= 1e-13
 
 
-def test_logm_routes_only_far_matrices_through_solve_and_scipy(monkeypatch):
-    # 62 rotations by 0.05 rad, one by 0.6 rad and one by 3 rad: the near ones
-    # take the Mercator series, 0.6 rad the verified Gregory series, 3 rad scipy
-    r = np.random.default_rng(4)
-    m = r.standard_normal((64, 6, 6))
-    x = m - m.swapaxes(-1, -2)
+def test_logm_sends_only_matrices_outside_the_unit_ball_to_scipy(monkeypatch):
+    # 62 rotations by 0.05 rad, one by 0.45 rad and one by 3 rad: the near
+    # ones take the Mercator series, 0.45 rad (|A - I|_1 < 1) square roots
+    # onto it, and only 3 rad (|A - I|_1 >= 1) scipy
     angle = np.full(64, 0.05)
-    angle[[9, 40]] = 0.6, 3.0
-    x *= (angle / np.max(np.abs(np.linalg.eigvals(x)), axis=-1))[:, None, None]
-    a = matfun.expm(x)
-    solved, logged = [], []
-    solve, scipy_logm = np.linalg.solve, scipy.linalg.logm
-    monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: solved.append(lhs) or solve(lhs, rhs))
+    angle[[9, 40]] = 0.45, 3.0
+    x, a = _rotations(4, angle)
+    r = matfun._norm1(a - np.eye(6))
+    assert matfun.LOGM_MERCATOR_RADIUS < r[9] < 1.0 <= r[40]
+    logged = []
+    scipy_logm = scipy.linalg.logm
     monkeypatch.setattr(scipy.linalg, "logm", lambda b: logged.append(b) or scipy_logm(b))
     log = matfun.logm(a)
     assert np.max(np.abs(log - x)) < 1e-10
-    assert len(solved) == 1
-    assert np.array_equal(solved[0], (a[[9, 40]] + np.eye(6)).swapaxes(-1, -2))
     assert len(logged) == 1 and np.array_equal(logged[0], a[40])
+
+
+def test_logm_square_roots_inside_the_unit_ball(monkeypatch):
+    # rotations by 0.15-0.5 rad have 1/4 < |A - I|_1 < 1 (0.27-0.95 here),
+    # and so does a non-normal triangular A with eigenvalues 0.05-1.5 (0.95),
+    # on which the first root step raises |M - I|_1: square roots, no scipy,
+    # float64 kept
+    x, a = _rotations(5, np.linspace(0.15, 0.5, 64))
+    tri = np.diag(np.log([0.05, 0.3, 0.6, 0.9, 1.1, 1.5])) + np.triu(np.full((6, 6), 0.05), 1)
+    x, a = np.concatenate([x, tri[None]]), np.concatenate([a, matfun.expm(tri)[None]])
+    r = matfun._norm1(a - np.eye(6))
+    assert np.all((r > matfun.LOGM_MERCATOR_RADIUS) & (r < 1.0))
+    roots = []
+    sqrtm = matfun._sqrtm
+    monkeypatch.setattr(matfun, "_sqrtm", lambda b: roots.append(1) or sqrtm(b))
+    monkeypatch.setattr(scipy.linalg, "logm", lambda b: pytest.fail("reached scipy"))
+    log = matfun.logm(a)
+    assert roots and log.dtype == np.float64
+    assert _rel_err(log, x) <= 1e-13
 
 
 def test_reproject_orthogonal(rng):

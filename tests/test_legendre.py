@@ -9,6 +9,7 @@ from quadgeo.errors import (
     GroupElementError,
     IllConditionedFrameError,
     NotAsymptoticChartError,
+    NotImmersedError,
     UmbilicError,
 )
 from quadgeo.grids import GridChart, d_u, d_v, interior
@@ -88,6 +89,18 @@ def test_proj_lift_rejects_non_asymptotic():
     surf = sf.make_surface(samp, (-0.5, 0.5, -0.5, 0.5), 33, 33)
     with pytest.raises(NotAsymptoticChartError):
         lg.proj_lift(surf)
+
+
+@pytest.mark.parametrize("reality", ["real", "complex_conjugate"])
+def test_proj_lift_rejects_a_point_field_of_one_variable(reality):
+    # f depends on the first index only, so f_v = 0 on a real chart and
+    # f_u = f_v on a complex-conjugate one: (f, f_u, f_v) has rank 2
+    ch = GridChart(17, 17, 0.05, 0.05, reality=reality)
+    x = np.arange(17) * 0.05
+    curve = np.stack([np.ones_like(x), x, x * x, x ** 3], axis=-1)
+    points = np.broadcast_to(curve[:, None, :], (17, 17, 4)).copy()
+    with pytest.raises(NotImmersedError):
+        lg.proj_lift(sf.SurfaceGrid(sf.PROJECTIVE3, points, ch))
 
 
 def test_proj_lift_rescale_invariance():

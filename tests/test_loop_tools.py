@@ -271,6 +271,12 @@ def test_maurer_cartan_structure_identity(ellipsoid_connection):
     ru, rv = lt.structure_identity_residual(gauss, fr, alpha)
     assert np.max(interior(ru, 2)) < 1e-3
     assert np.max(interior(rv, 2)) < 1e-3
+    # second order: both fall by at least 3x from 33^2 to 65^2 (3.8x, 3.5x)
+    fine = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(65)))
+    fine_fr = lt.frame(fine)
+    fine_ru, fine_rv = lt.structure_identity_residual(fine, fine_fr, lt.maurer_cartan(fine_fr))
+    assert np.max(interior(ru, 2)) >= 3 * np.max(interior(fine_ru, 2))
+    assert np.max(interior(rv, 2)) >= 3 * np.max(interior(fine_rv, 2))
 
 
 def test_maurer_cartan_identity_frame(ellipsoid_connection):
@@ -329,13 +335,14 @@ def test_flatness_discriminates(ellipsoid_connection):
 
 def test_near_identity_logs_skip_solve_and_verification(ellipsoid_connection, monkeypatch):
     # every edge transition and holonomy is within the Mercator radius, so
-    # neither the Gregory solve, its verifying expm nor scipy is reached
+    # no linear solve, square root, exponential or scipy logarithm is taken
     from quadgeo import matfun
     import scipy.linalg
 
     torus = lt.frame(gm.conformal_gauss(lg.lift(checks.make_torus(33))))
     calls = []
-    for owner, name in ((np.linalg, "solve"), (matfun, "expm"), (scipy.linalg, "logm")):
+    for owner, name in ((np.linalg, "solve"), (matfun, "_sqrtm"), (matfun, "expm"),
+                        (scipy.linalg, "logm")):
         monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
     # a copy of the fixture's frame field, whose connection is not taken yet
     for fr in (dataclasses.replace(ellipsoid_connection[2]), torus):
