@@ -4,16 +4,19 @@ Per node, S = span{l, l_v, l_vv} is a 3-dimensional subspace with
 nondegenerate induced pairing, orthogonal to span{s, s_u, s_uu}; the pair
 (S, S_perp) is encoded by the pairing-orthogonal projection P onto S and the
 reflection star = eps (2P - 1) with star^2 = eps^2 (eps = 1 on real charts,
-i on complex-conjugate charts, where conj(S) = S_perp).
+i on complex-conjugate charts, where conj(S) = S_perp).  The energy path
+never reads P, so a map builds it on first read of `proj`.
 
 The derivatives of S (`dS`) differentiate the section fields of S and keep
 their S_perp components: (S_u) sigma = P_perp d_u sigma, stored as a 6x6
 operator annihilating S_perp, which is the Hom(S, S_perp)-valued derivative
-on S.  Only the tension field works from the projection field: it is the
-covariant derivative tau = P_perp d_u(S_v) P with
-S_v = P_perp (d_v P) P (the Codazzi-equivalent P_perp d_v(S_u) P is reported
-as a cross-check).  The Grassmannian metric is <A, B> = -tr(B* A) with the
-pairing adjoint B* = G^-1 B^T G (`PseudoSpace.adjoint`).
+on S.  The sections are differentiated in complex; on a real chart, whose
+bases are exactly real, the rest of `dS` and its result are float64.  Only
+the tension field works from the projection field: it is the covariant
+derivative tau = P_perp d_u(S_v) P with S_v = P_perp (d_v P) P (the
+Codazzi-equivalent P_perp d_v(S_u) P is reported as a cross-check).  The
+Grassmannian metric is <A, B> = -tr(B* A) with the pairing adjoint
+B* = G^-1 B^T G (`PseudoSpace.adjoint`).
 """
 
 from dataclasses import dataclass, field
@@ -32,13 +35,18 @@ TENSION_MARGIN = 3
 
 @dataclass
 class GaussMapGrid:
-    """Per-node splitting C^6 = S + S_perp; star, signature and dS are derived."""
+    """Per-node splitting C^6 = S + S_perp; P, star, signature and dS are derived.
+
+    `build_proj` is a callable, holding no reference to the map, that
+    returns the (nu, nv, 6, 6) pairing-orthogonal projection P onto S; each
+    constructor passes its own, and the first read of `proj` runs it.
+    """
 
     space: pl.PseudoSpace
     chart: GridChart
     span_s: np.ndarray        # (nu, nv, 3, 6) smooth spanning fields l, l_v, l_vv
     span_p: np.ndarray        # (nu, nv, 3, 6) smooth spanning fields s, s_u, s_uu
-    proj: np.ndarray          # (nu, nv, 6, 6) pairing-orthogonal projection onto S
+    build_proj: object        # () -> P, run on the first read of `proj`
     eps: complex
     degenerate: np.ndarray    # (nu, nv) bool
     basis_s: np.ndarray       # (nu, nv, 3, 6) rows of S, Gram diagonal up to O(h^2)
@@ -47,6 +55,18 @@ class GaussMapGrid:
     signs_p: np.ndarray
     source: LegendreGrid = None
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def proj(self):
+        """P, built on first read and read-only.
+
+        The builder is then swapped for one that returns this P, which drops
+        what the builder held; a `dataclasses.replace` copy shares P.
+        """
+        proj = self.build_proj()
+        proj.flags.writeable = False
+        self.build_proj = lambda: proj
+        return proj
 
     @property
     def star(self):
@@ -81,7 +101,9 @@ def conformal_gauss(grid):
     1e-8 of the product of the squared row norms) are flagged and
     their splitting filled from the nearest valid neighbor (the congruence of
     a Dupin patch continues smoothly); flagged nodes are excluded from
-    tension/reconstruction statistics downstream.
+    tension/reconstruction statistics downstream.  The projection
+    P = B (B^T G B)^-1 B^T G, with the same fill, is built on first read of
+    `proj`.
     """
     sp, ch = grid.space, grid.chart
     l, s = grid.l, grid.s
@@ -94,19 +116,23 @@ def conformal_gauss(grid):
     scale = np.linalg.norm(span_s, axis=-1) ** 2
     scale3 = scale[..., 0] * scale[..., 1] * scale[..., 2]
     degenerate = np.abs(np.linalg.det(gram_s)) < 1e-8 * np.maximum(scale3, 1e-300)
-    b6 = span_s.swapaxes(-1, -2)  # columns
-    gram_inv = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(3), gram_s))
-    proj = b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram
     eps = 1.0 if ch.reality == "real" else 1.0j
     with np.errstate(all="ignore"):
         basis_s, signs_s = _structured_orthobasis(sp, span_s)
         basis_p, signs_p = _structured_orthobasis(sp, span_p)
-    if degenerate.any():
-        target, source = _fill_sources(degenerate)
-        for fld in (proj, basis_s, basis_p, signs_s, signs_p):
-            fld[target] = fld[source]
+    target, source = _fill_sources(degenerate)
+    for fld in (basis_s, basis_p, signs_s, signs_p):
+        fld[target] = fld[source]
+
+    def build_proj():
+        b6 = span_s.swapaxes(-1, -2)  # columns
+        gram_inv = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(3), gram_s))
+        proj = b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram
+        proj[target] = proj[source]
+        return proj
+
     return GaussMapGrid(
-        space=sp, chart=ch, span_s=span_s, span_p=span_p, proj=proj, eps=eps,
+        space=sp, chart=ch, span_s=span_s, span_p=span_p, build_proj=build_proj, eps=eps,
         degenerate=degenerate, source=grid, meta=dict(grid.meta),
         basis_s=basis_s, signs_s=signs_s, basis_p=basis_p, signs_p=signs_p,
     )
@@ -119,7 +145,8 @@ def _fill_sources(mask):
     node has a valid neighbor; each flagged node takes the node it would
     copy in that sweep, traced back through nodes filled earlier to the
     valid node whose value it ends up holding.  A field then fills with one
-    gather, fld[target] = fld[source].  Nodes no sweep reaches are left out.
+    gather, fld[target] = fld[source], a no-op when nothing is flagged.
+    Nodes no sweep reaches are left out.
     """
     nu, nv = mask.shape
     root = np.arange(nu * nv).reshape(nu, nv)
@@ -198,22 +225,31 @@ def dS(gauss):
     Dividing by the signs treats the bases' Gram as diagonal (true to O(h^2));
     consumers read the pair once per map from `GaussMapGrid.derivatives`.
 
+    When both bases are exactly real (a real chart; `pl.real_if_exact`), the
+    section derivatives are still taken in complex and their real parts kept,
+    and the coordinates, coefficients, contraction and result are float64:
+    bit for bit the real parts of the complex computation, whose imaginary
+    parts are all 0.  Complex-conjugate charts stay complex throughout.
+
     The contraction sum_kj b_p[k, i] coeff[k, j] coords_s[j, l] adds its nine
     rank-one terms (b_p[k] coeff[k, j]) coords_s[j] to zero, k outer and j
     inner, with the nodes on the last axis: the order and association of
-    einsum("...ki,...kj,...jl->...il"), so the result equals the einsum's bit
-    for bit.  Another order (b_p^T @ (coeff @ coords_s)) moves the last
-    digits, and the `descent` energy sequence amplifies such moves to about
-    5e-6 relative.
+    einsum("...ki,...kj,...jl->...il"), so on a real chart the result equals
+    the einsum's bit for bit (on an eps = i chart, to roundoff: einsum fuses
+    complex multiply-adds).  Another order (b_p^T @ (coeff @ coords_s))
+    moves the last digits, and the `descent` energy sequence amplifies such
+    moves to about 5e-6 relative.
     """
     sp = gauss.space
-    b_s, b_p = gauss.basis_s, gauss.basis_p
+    b_s, b_p = pl.real_if_exact(gauss.basis_s, gauss.basis_p)
     # sigma -> S-coordinates extractor (diagonal Gram, condition 1)
     coords_s = (b_s @ sp.gram) / gauss.signs_s[..., None]
     bp, cs = _nodes_last(b_p), _nodes_last(coords_s)
     out = []
     for deriv in (d_u, d_v):
-        w = deriv(b_s, gauss.chart)                   # derivatives of sections
+        w = deriv(gauss.basis_s, gauss.chart)        # derivatives of sections
+        if not np.iscomplexobj(b_s):
+            w = w.real
         coeff = sp.pair(b_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
         cf = _nodes_last(coeff)
         acc = np.zeros((6, 6) + b_p.shape[:-2], dtype=np.result_type(bp, cf, cs))
@@ -268,12 +304,11 @@ def tension(gauss):
 def image_direction(op):
     """Dominant image direction (unit 6-vector) of a near-rank-one operator.
 
-    One batched SVD; it runs on op.real (float64) when every imaginary part
-    of op is exactly 0, as on real charts, and in complex128 otherwise.
-    Returns the direction and the singular values.
+    One batched SVD; it runs in float64 when every imaginary part of op is
+    exactly 0, as on real charts (`pl.real_if_exact`), and in complex128
+    otherwise.  Returns the direction and the singular values.
     """
-    if not np.any(op.imag):
-        op = op.real
+    op, = pl.real_if_exact(op)
     u, svals, _ = np.linalg.svd(op)
     return u[..., :, 0], svals
 

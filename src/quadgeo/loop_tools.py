@@ -157,13 +157,11 @@ def _splitting(gauss):
     """The Gauss map's proj, basis_s and basis_p, real where exactly real.
 
     The one place the loop-algebra layer picks its dtype: when every
-    imaginary part of the three arrays is exactly 0 they are read as float64,
-    otherwise they stay complex, and everything downstream follows.
+    imaginary part of the three arrays is exactly 0 they are read as float64
+    (`pl.real_if_exact`), otherwise they stay complex, and everything
+    downstream follows.
     """
-    arrays = gauss.proj, gauss.basis_s, gauss.basis_p
-    if any(np.any(a.imag) for a in arrays):
-        return arrays
-    return tuple(a.real for a in arrays)
+    return pl.real_if_exact(gauss.proj, gauss.basis_s, gauss.basis_p)
 
 
 def _project_and_orthonormalize(proj, rows, signs, space):
@@ -371,10 +369,12 @@ def integrate_frame(alpha, f0=None):
 
 
 def gauss_from_frame(framegrid, reference_gauss=None):
-    """Gauss map S(node) = F(node) S_o from a frame field."""
+    """Gauss map S(node) = F(node) S_o from a frame field.
+
+    Its projection 0.5 (F star_o F* / eps + 1) is built on first read.
+    """
     pair = framegrid.pair
     f = framegrid.frames
-    proj = 0.5 * (f @ pair.star_o @ framegrid.space.adjoint(f) / pair.eps + np.eye(6))
     rows = pair.basis_o[0:3]
     span_s = (f @ rows.T[None, None]).swapaxes(-1, -2)
     rows_p = pair.basis_o[3:6]
@@ -383,9 +383,13 @@ def gauss_from_frame(framegrid, reference_gauss=None):
     # F is pairing-orthogonal, so the spans are orthonormal bases already,
     # with the base basis's signs
     signs = np.broadcast_to(pair.signs_o, f.shape[:2] + (6,))
+
+    def build_proj():
+        return 0.5 * (f @ pair.star_o @ pair.space.adjoint(f) / pair.eps + np.eye(6))
+
     return gm.GaussMapGrid(
         space=framegrid.space, chart=framegrid.chart, span_s=span_s, span_p=span_p,
-        proj=proj, eps=pair.eps, degenerate=degenerate,
+        build_proj=build_proj, eps=pair.eps, degenerate=degenerate,
         basis_s=span_s, signs_s=signs[..., 0:3], basis_p=span_p, signs_p=signs[..., 3:6],
         source=reference_gauss.source if reference_gauss is not None else None,
     )

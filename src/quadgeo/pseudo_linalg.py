@@ -12,11 +12,16 @@ standard spaces are used throughout:
   v_inf): v_1..v_3 orthonormal spacelike, v_-1 timelike, and (v_0, v_inf)
   isotropic with <v_0, v_inf> = -1/2.
 
-Vectors are plain ndarrays of shape (..., 6).  The lift and the Gauss map
-keep them complex, where reality is an assertion, not a representation
-choice; the loop-algebra arrays (`loop_tools`, `matfun`) are float64 on real
-charts and complex only where the mathematics is complex, and so are the two
-SVDs of `gauss_map.reconstruct` (`gauss_map.image_direction`).
+Vectors are plain ndarrays of shape (..., 6).  The lift and the spanning
+sections of the Gauss map are complex, where reality is an assertion, not a
+representation choice; they are differentiated in complex, because numpy
+divides complex data by 2h through its reciprocal and float64 data by 2h
+itself.  Past the differences, data whose imaginary parts are all exactly 0
+is read as float64 (`real_if_exact`): the derivatives of the Gauss map
+(`gauss_map.dS`), the two SVDs of `gauss_map.reconstruct`
+(`gauss_map.image_direction`) and the loop-algebra arrays (`loop_tools`,
+`matfun`) are float64 on real charts and complex only where the mathematics
+is complex.
 `PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
 and one adjoint (the inverse of a pairing-orthogonal element).
 
@@ -121,6 +126,19 @@ class PseudoSpace:
 
     def __hash__(self):
         return hash((self.m, self.n, self.gram.tobytes()))
+
+
+def real_if_exact(*arrays):
+    """The arrays' real parts when every imaginary part is exactly 0, else the arrays.
+
+    The package's one rule for dropping the imaginary zeros of a real chart.
+    Complex products and sums of data with zero imaginary parts, and complex
+    division by +-1 + 0j, equal their float64 counterparts bit for bit, so
+    computing on the real parts moves no digit.  Returns a tuple.
+    """
+    if any(np.any(a.imag) for a in arrays):
+        return arrays
+    return tuple(a.real for a in arrays)
 
 
 @functools.cache

@@ -1,10 +1,12 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from quadgeo import checks, gauss_map as gm, legendre as lg, pseudo_linalg as pl
+from quadgeo import checks, functionals as fn, gauss_map as gm, legendre as lg
+from quadgeo import pseudo_linalg as pl
 from quadgeo import loop_tools as lt
 from quadgeo import surfaces as sf
 from quadgeo.errors import DegenerateReconstructionError
@@ -111,14 +113,27 @@ def _einsum_dS(gauss):
 
 
 def test_dS_equals_the_einsum_bit_for_bit():
+    # on a real chart dS runs in float64 and equals the real part of the
+    # einsum over the stored (complex) bases, whose imaginary part is exactly
+    # 0; an eps = i chart stays complex128 and agrees to roundoff
     lifted = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(17)))
     from_frame = lt.gauss_from_frame(lt.frame(lifted))
-    for gauss, dtype in ((lifted, np.complex128), (from_frame, np.float64)):
-        assert gauss.basis_s.dtype == dtype
+    conv = sf.make_surface(sf.convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+                           17, 17, reality="complex_conjugate")
+    complex_chart = gm.conformal_gauss(lg.proj_lift(conv))
+    assert complex_chart.eps == 1j
+    cases = ((lifted, np.complex128, np.float64), (from_frame, np.float64, np.float64),
+             (complex_chart, np.complex128, np.complex128))
+    for gauss, stored, dtype in cases:
+        assert gauss.basis_s.dtype == stored
         for got, want in zip(gm.dS(gauss), _einsum_dS(gauss)):
             assert got.dtype == dtype and got.flags.c_contiguous
-            assert np.array_equal(got, want)
             assert np.max(np.abs(got)) > 1e-3  # a map that moves
+            if dtype == np.complex128:
+                assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+                continue
+            assert not np.any(want.imag)
+            assert np.array_equal(got, want.real)
 
 
 def test_constant_gauss_map_derivatives(quadric_lift65):
@@ -271,7 +286,7 @@ def _smooth_random_splitting(seed=7, n=33):
     b6 = span_s.swapaxes(-1, -2)
     proj = b6 @ np.linalg.inv(gram_s) @ b6.swapaxes(-1, -2) @ sp.gram
     return gm.GaussMapGrid(
-        space=sp, chart=ch, span_s=span_s, span_p=span_p, proj=proj, eps=1.0,
+        space=sp, chart=ch, span_s=span_s, span_p=span_p, build_proj=lambda: proj, eps=1.0,
         degenerate=np.zeros((n, n), dtype=bool),
         basis_s=span_s, signs_s=np.broadcast_to(signs[0:3], (n, n, 3)).copy(),
         basis_p=span_p, signs_p=np.broadcast_to(signs[3:6], (n, n, 3)).copy(),
@@ -301,14 +316,15 @@ def test_blaschke_residual_between_spectral_norm_and_sqrt3_times_it(ellipsoid_ga
 
 
 def test_image_direction_float64_matches_complex_svd(ellipsoid_gauss65):
-    # on a real chart the operators are exactly real and the SVD runs in
-    # float64; the complex128 SVD of the same operators agrees
+    # on a real chart the operators are float64, and a complex operator with
+    # zero imaginary parts takes the same float64 SVD; the complex128 SVD of
+    # the operators agrees
     su, _ = ellipsoid_gauss65.derivatives
-    assert su.dtype == np.complex128 and not np.any(su.imag)
+    assert su.dtype == np.float64
     direction, svals = gm.image_direction(su)
     assert direction.dtype == np.float64
-    assert np.array_equal(direction, gm.image_direction(su.real)[0])
-    u, svals_c, _ = np.linalg.svd(su)
+    assert np.array_equal(direction, gm.image_direction(su.astype(complex))[0])
+    u, svals_c, _ = np.linalg.svd(su.astype(complex))
     overlap = np.abs(np.einsum("...k,...k->...", direction, u[..., :, 0].conj()))
     np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-13)
     np.testing.assert_allclose(svals, svals_c, rtol=0, atol=1e-13)
@@ -408,3 +424,59 @@ def test_equivariance_of_conformal_gauss(ellipsoid_lift65, ellipsoid_gauss65, rn
     want = g @ ellipsoid_gauss65.star @ np.linalg.inv(g)
     dev = np.max(np.abs(moved.star - want)) / np.max(np.abs(want))
     assert dev < 1e-9
+
+
+def test_energy_and_residuals_build_no_projection(ellipsoid_lift65, monkeypatch):
+    # the energy path reads the bases and dS only: on a fresh map none of
+    # these runs a LAPACK call (the Gram inverse of P among them)
+    from numpy.linalg import _linalg
+
+    gauss = gm.conformal_gauss(ellipsoid_lift65)
+    lapack = _CountingLapack(_linalg._umath_linalg)
+    monkeypatch.setattr(_linalg, "_umath_linalg", lapack)
+    fn.willmore_energy(gauss)
+    gm.conformality_residual(gauss)
+    gm.orthogonality_residual(gauss)
+    assert lapack.calls == []
+    assert "proj" not in vars(gauss)
+    gauss.proj
+    assert lapack.calls == ["inv"]
+
+
+def _eager_proj(gauss):
+    # conformal_gauss's Gram-inverse formula with its degenerate-node fill
+    sp, span_s = gauss.space, gauss.span_s
+    gram_s = sp.pair(span_s[..., :, None, :], span_s[..., None, :, :])
+    b6 = span_s.swapaxes(-1, -2)
+    gram_inv = np.linalg.inv(np.where(gauss.degenerate[..., None, None], np.eye(3), gram_s))
+    return _roll_fill_reference(b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram, gauss.degenerate)
+
+
+def test_proj_built_on_first_read_equals_the_eager_formulas(ellipsoid_lift65):
+    # one large descent step leaves nodes where the span's pairing
+    # degenerates, so conformal_gauss fills them from valid neighbors
+    surface = checks.make_ellipsoid(33, checks.ELL_WINDOW_TENSION)
+    _, moved = fn.willmore_descent(surface, steps=1, step_size=1e-4)
+    refit = gm.conformal_gauss(lg.lie_lift(moved))
+    assert refit.degenerate.sum() > 10
+    with np.errstate(all="ignore"):
+        basis_s, signs_s = gm._structured_orthobasis(refit.space, refit.span_s)
+    assert np.array_equal(refit.basis_s, _roll_fill_reference(basis_s, refit.degenerate))
+    assert np.array_equal(refit.signs_s, _roll_fill_reference(signs_s, refit.degenerate))
+
+    def check(gauss, want):
+        assert "proj" not in vars(gauss)
+        gauss.derivatives  # a later read of P
+        proj = gauss.proj
+        assert gauss.proj is proj and not proj.flags.writeable
+        assert proj.dtype == want.dtype and np.array_equal(proj, want)
+
+    check(refit, _eager_proj(refit))
+    ellipsoid = gm.conformal_gauss(ellipsoid_lift65)
+    check(ellipsoid, _eager_proj(ellipsoid))
+    fr = lt.frame(ellipsoid)
+    f, pair = fr.frames, fr.pair
+    check(lt.gauss_from_frame(fr),
+          0.5 * (f @ pair.star_o @ pair.space.adjoint(f) / pair.eps + np.eye(6)))
+    # a copy shares the built P
+    assert dataclasses.replace(refit).proj is refit.proj

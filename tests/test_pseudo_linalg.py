@@ -121,6 +121,35 @@ def test_pair_and_adjoint_on_complex_data_agree_to_roundoff(sp, rng):
     assert np.max(np.abs(sp.adjoint(a) - want)) < 1e-14 * np.max(np.abs(want))
 
 
+def test_numpy_complex_semantics_behind_the_float64_paths(rng):
+    # real_if_exact and the float64 dS are bit-identical to the complex
+    # computations only under these numpy semantics; a numpy that changes one
+    # fails here instead of moving report digits
+    a, b = rng.standard_normal((2, 4000))
+    ac, bc = a + 0j, b + 0j
+    for got, want in (((ac * bc), a * b), ((ac + bc), a + b), ((ac * 1.7), a * 1.7)):
+        assert np.array_equal(got.real, want) and not np.any(got.imag)
+    signs = np.where(rng.random(4000) < 0.5, -1.0, 1.0)
+    for divisor in (signs, signs + 0j):
+        assert np.array_equal(ac / divisor, a * signs + 0j)
+        assert np.array_equal((ac / divisor).real, a / signs)
+    # complex data is divided by a real h through its reciprocal, which is
+    # why the sections are differentiated in complex before the real parts
+    # are taken
+    h = 2.0 * 0.0123456789
+    assert np.array_equal(ac / h, ac * (1.0 / h))
+
+
+def test_real_if_exact(rng):
+    x = rng.standard_normal((4, 6))
+    real, also = pl.real_if_exact(x + 0j, x.copy())
+    assert real.dtype == also.dtype == np.float64 and np.array_equal(real, x)
+    y = x + 0j
+    y[2, 3] += 1e-300j  # one nonzero imaginary part keeps every array complex
+    kept = pl.real_if_exact(x + 0j, y)
+    assert kept[0].dtype == kept[1].dtype == np.complex128 and kept[1] is y
+
+
 def test_non_monomial_gram_rejected():
     g = np.diag([1.0, 1, 1, -1, -1, -1])
     g[0, 1] = g[1, 0] = 0.25  # still symmetric, invertible and of signature (3,3)
