@@ -18,10 +18,10 @@ representation choice; they are differentiated in complex, because numpy
 divides complex data by 2h through its reciprocal and float64 data by 2h
 itself.  Past the differences, data whose imaginary parts are all exactly 0
 is read as float64 (`real_if_exact`): the derivatives of the Gauss map
-(`gauss_map.dS`), the two SVDs of `gauss_map.reconstruct`
-(`gauss_map.image_direction`) and the loop-algebra arrays (`loop_tools`,
-`matfun`) are float64 on real charts and complex only where the mathematics
-is complex.
+(`gauss_map.dS`), the power steps of `gauss_map.image_direction` (behind
+`reconstruct` and the tension image angle) and the loop-algebra arrays
+(`loop_tools`, `matfun`) are float64 on real charts and complex only where
+the mathematics is complex.
 `PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
 and one adjoint (the inverse of a pairing-orthogonal element).
 

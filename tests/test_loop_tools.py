@@ -481,8 +481,12 @@ def test_dualize_is_float64_with_the_complex_defect(ellipsoid_connection):
     # the defect is measured on the complex edges, before their real parts are kept
     c, lam = alpha_d.meta["basis_map"], alpha_d.meta["dual_branch"]
     cinv = np.linalg.inv(c)
-    b_u = cinv @ (alpha.k_u + lam * alpha.p_u) @ c
-    b_v = cinv @ (alpha.k_v + alpha.p_v / lam) @ c
+    a_u, a_v = alpha.k_u + lam * alpha.p_u, alpha.k_v + alpha.p_v / lam
+    b_u, b_v = lt._change_basis(cinv, a_u, c), lt._change_basis(cinv, a_v, c)
+    # the two GEMMs over stacked rows agree with numpy's stacked products
+    for b, a in ((b_u, a_u), (b_v, a_v)):
+        stacked = cinv @ a @ c
+        assert np.max(np.abs(b - stacked)) <= 1e-14 * np.max(np.abs(stacked))
     im = max(np.max(np.abs(b_u.imag)), np.max(np.abs(b_v.imag)))
     scale = max(np.max(np.abs(b_u)), np.max(np.abs(b_v)))
     assert defect == dual.meta["imaginary_defect"] == im / scale
