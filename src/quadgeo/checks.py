@@ -293,7 +293,7 @@ def suite_invariance(grids=DEFAULT_GRIDS, tol=1e-4, tol_order=1.8, seed=20260808
         base = _energy(base_grid)
         # refit curvatures from the shifted points and normals rather than
         # trusting the analytic update
-        shifted = (sf.principal_data(sf.normal_shift(surface, t))[0] for t in shifts)
+        shifted = (sf.principal_data(sf.normal_shift(surface, t)) for t in shifts)
         shift_devs.append(max(fn.density_deviation(_energy(lg.lift(s)).density, base.density)
                               for s in shifted))
         if n == grids[1]:

@@ -148,7 +148,7 @@ def cmd_generate(args, params):
 def _load_surface(path):
     surface = jsonio.read_surface(path)
     if surface.geometry == sf.EUCLIDEAN3 and not surface.has_kappa():
-        surface, _ = sf.principal_data(surface)
+        surface = sf.principal_data(surface)
     return surface
 
 

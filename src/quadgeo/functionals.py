@@ -89,9 +89,6 @@ def proj_density(surface):
     def det4(*cols):
         return np.linalg.det(np.stack(cols, axis=-1))
 
-    den = det4(f, fu, fv, fuv)
-    p = det4(f, fu, fuu, fuv) / den
-    q = -det4(f, fv, fvv, fuv) / den
     # chart witness: second derivatives must stay in span{f, f_u, f_v}; the
     # covector f* that annihilates it is the signed 3x3 cofactors of
     # (f; f_u; f_v), normalized (its sign and phase are immaterial: only
@@ -113,6 +110,9 @@ def proj_density(surface):
         raise NotAsymptoticChartError(
             f"off-span residual {worst:.2e}: chart is not asymptotic"
         )
+    den = det4(f, fu, fv, fuv)
+    p = det4(f, fu, fuu, fuv) / den
+    q = -det4(f, fv, fvv, fuv) / den
     rho = p * q
     if surface.chart.reality == "real":
         rho = rho.real
@@ -224,7 +224,7 @@ def willmore_descent(surface, steps=50, step_size=2e-6):
 
     def attempt(amplitude):
         cand = _move_surface(current, amplitude)
-        cand, _ = sf.principal_data(cand, residual_tol=0.2)
+        cand = sf.principal_data(cand, residual_tol=0.2)
         return cand, _surface_energy(cand)[0]
 
     for _ in range(steps):

@@ -45,10 +45,6 @@ class GridChart:
         if self.reality not in (REAL, COMPLEX_CONJUGATE):
             raise ValueError(f"unknown reality flag {self.reality!r}")
 
-    def refine(self):
-        """Chart covering the same window at half the spacing: 2(n-1)+1 nodes per axis."""
-        return GridChart(2 * self.nu - 1, 2 * self.nv - 1, self.hu / 2, self.hv / 2, self.reality)
-
 
 def check_sizes(nu, nv):
     """Raise GridTooSmallError unless both sizes leave 2-node stencil margins."""

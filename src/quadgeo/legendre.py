@@ -23,8 +23,8 @@ from .errors import (
     NotImmersedError,
     UmbilicError,
 )
-from .grids import REAL, GridChart, d_u, d_v, interior, smooth_phase
-from .surfaces import EUCLIDEAN3, PROJECTIVE3, SurfaceGrid, umbilic_mask
+from .grids import REAL, GridChart, d_u, d_v, interior
+from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
 V_MINUS, V_ZERO, V_INF = 0, 1, 5
@@ -239,58 +239,7 @@ def conjugate_coefficients(grid):
 
 
 # ---------------------------------------------------------------------------
-# point-surface recovery and group action
-
-
-def point_surface(grid):
-    """Recover the classical surface enveloped by a Legendre grid.
-
-    (3,3): per node the planes of l and s intersect in the homogeneous point.
-    (4,2): the point sphere in span{l, s} (vanishing v_-1 coefficient) is
-    de-stereographed to R^3; nodes where its v_0 coefficient is below 1e-8
-    of its norm are flagged (NaN points + meta['singular_nodes']), not fatal.
-    """
-    if grid.space == pl.plucker_space():
-        L = pl.bivector_matrix(grid.l)
-        S = pl.bivector_matrix(grid.s)
-        ul, _, _ = np.linalg.svd(L)
-        us, _, _ = np.linalg.svd(S)
-        stack = np.concatenate([ul[..., :, 0:2], -us[..., :, 0:2]], axis=-1)
-        _, svals, vt = np.linalg.svd(stack)
-        coef = vt[..., 3, :].conj()
-        f = (ul[..., :, 0:2] @ coef[..., 0:2, None])[..., 0]
-        # fix phase so the point is real where it can be
-        pivot = np.take_along_axis(f, np.argmax(np.abs(f), axis=-1)[..., None], -1)[..., 0]
-        f = f * (np.abs(pivot) / pivot)[..., None]
-        if np.max(np.abs(f.imag)) < 1e-7 * np.max(np.abs(f.real)):
-            f = f.real.astype(complex)
-        f = smooth_phase(f)
-        degenerate = svals[..., 3] > 1e-6 * svals[..., 0]
-        pts = f.real / np.maximum(_enorm(f.real), 1e-300)[..., None]
-        out = SurfaceGrid(PROJECTIVE3, pts, grid.chart, meta=dict(grid.meta))
-        out.meta["singular_nodes"] = [tuple(ij) for ij in np.argwhere(degenerate)]
-        return out
-
-    # (4,2): point sphere = s_-1 * l - l_-1 * s has no v_-1 component
-    w = grid.s[..., V_MINUS, None] * grid.l - grid.l[..., V_MINUS, None] * grid.s
-    denom = w[..., V_ZERO]
-    bad = np.abs(denom) < 1e-8 * _enorm(w)
-    denom_safe = np.where(bad, 1.0, denom)
-    phi = w / denom_safe[..., None]
-    pts = phi[..., 2:5].real
-    pts[bad] = np.nan
-    # curvature sphere data: l / l_-1 = nu + kappa1 phi fixes kappa and nu
-    lm = np.where(np.abs(grid.l[..., V_MINUS]) < 1e-300, 1.0, grid.l[..., V_MINUS])
-    sm = np.where(np.abs(grid.s[..., V_MINUS]) < 1e-300, 1.0, grid.s[..., V_MINUS])
-    k1 = (grid.l[..., V_ZERO] / lm).real
-    k2 = (grid.s[..., V_ZERO] / sm).real
-    nu_rec = grid.l / lm[..., None] - k1[..., None] * phi
-    n_unnorm = nu_rec[..., 2:5].real
-    normal = n_unnorm / np.maximum(_enorm(n_unnorm), 1e-300)[..., None]
-    out = SurfaceGrid(EUCLIDEAN3, pts, grid.chart, normal=normal,
-                      kappa1=k1, kappa2=k2, meta=dict(grid.meta))
-    out.meta["singular_nodes"] = [tuple(ij) for ij in np.argwhere(bad)]
-    return out
+# group action
 
 
 def apply_group(grid, g):

@@ -416,12 +416,13 @@ def spectral_deform(gauss, lam):
     integrates back (the frame field and connection are the map's one pair,
     shared with every other caller of `frame` and `maurer_cartan`);
     admissible lambda are real for (1,1) charts and unimodular for (2,0)
-    charts.  Curved (2,0) charts frame like any other
-    (`convex_graph_sampler(0.05)` on (-0.4, 0.4)^2 at 33^2 and 65^2, with
-    flatness at the roundoff floor at lambda=1), but those graphs are not
-    harmonic, so they are refused here.  Raises NonHarmonicInputError when
-    the spectral family is measurably non-flat: the lambda=2 residual
-    exceeds FLAT_FLOOR and HARMONIC_FACTOR = 10 times the lambda=1 floor.
+    charts.  Curved (2,0) charts frame like any other (the graph chart of
+    `convex_graph_sampler(0.05)` in tests/oracles.py on (-0.4, 0.4)^2 at 33^2
+    and 65^2, with flatness at the roundoff floor at lambda=1), but those
+    graphs are not harmonic, so they are refused here.  Raises
+    NonHarmonicInputError when the spectral family is measurably non-flat:
+    the lambda=2 residual exceeds FLAT_FLOOR and HARMONIC_FACTOR = 10 times
+    the lambda=1 floor.
     """
     if gauss.signature_z == "(1,1)":
         if abs(complex(lam).imag) > 1e-12:

@@ -194,8 +194,3 @@ def reproject_orthogonal(f, space):
         f = f @ (eye - 0.5 * (space.adjoint(f) @ f - eye))
     return f
 
-
-def orthogonality_defect(f, gram):
-    """Batched norm of F^T G F - G."""
-    e = np.asarray(f).swapaxes(-1, -2) @ gram @ np.asarray(f) - gram
-    return np.sqrt(np.abs(e * e.conj()).sum(axis=(-2, -1)))

@@ -1,8 +1,8 @@
 """Indefinite linear algebra on six-dimensional space.
 
 Signature-(m,n) pairings with m+n=6, the light cone, the bivector (Plucker)
-embedding of planes in R^4, and the Hodge star of a quadric form.  Two
-standard spaces are used throughout:
+embedding of planes in R^4, and random elements of the pairing-orthogonal
+group and of SL(4).  Two standard spaces are used throughout:
 
 * ``plucker_space()`` -- Lambda^2 R^4 with <v,w> = vol(v ^ w), signature (3,3).
   Fixed bivector basis order: (e12, e13, e14, e23, e24, e34); vol is the unit
@@ -52,7 +52,7 @@ from .matfun import expm
 _BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoSpace:
     """A signature-(m,n) symmetric pairing on 6-dimensional space.
 
@@ -117,16 +117,6 @@ class PseudoSpace:
         out += 0.0
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PseudoSpace)
-            and (self.m, self.n) == (other.m, other.n)
-            and np.array_equal(self.gram, other.gram)
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.gram.tobytes()))
-
 
 def real_if_exact(*arrays):
     """The arrays' real parts when every imaginary part is exactly 0, else the arrays.
@@ -175,62 +165,6 @@ def plucker_embed(x, y):
         if np.linalg.norm(out) <= 1e-12 * scale:
             raise DegenerateInputError("x and y are parallel; x ^ y degenerates")
     return out
-
-
-def bivector_matrix(l):
-    """Antisymmetric 4x4 matrix L with L[i,j] = l_{ij}; maps z to x(y.z)-y(x.z)."""
-    l = np.asarray(l, dtype=complex)
-    L = np.zeros(l.shape[:-1] + (4, 4), dtype=complex)
-    for k, (i, j) in enumerate(_BIVECTOR_PAIRS):
-        L[..., i, j] = l[..., k]
-        L[..., j, i] = -l[..., k]
-    return L
-
-
-@dataclass(frozen=True)
-class QuadricForm:
-    """A nondegenerate symmetric pairing on R^4, determined up to scale."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (4, 4) or not np.allclose(q, q.T, atol=1e-10):
-            raise ValueError("q must be a symmetric 4x4 matrix")
-        d = np.linalg.det(q)
-        if abs(d) < 1e-14:
-            raise ValueError("q is degenerate")
-        ev = np.linalg.eigvalsh(q)
-        pos = int((ev > 0).sum())
-        if pos not in (1, 2, 3):
-            raise ValueError("quadric must have signature (2,2) or Lorentz")
-        object.__setattr__(self, "q", q)
-
-    def normalized(self):
-        """Rescale so |det q| = 1 (vol_Q = vol)."""
-        d = abs(np.linalg.det(self.q))
-        return QuadricForm(self.q / d ** 0.25)
-
-
-def lambda2(a):
-    """6x6 action of a 4x4 map on bivectors: (Lambda^2 a)(x^y) = ax ^ ay."""
-    a = np.asarray(a)
-    out = np.zeros((6, 6), dtype=np.result_type(a.dtype, float))
-    for col, (i, j) in enumerate(_BIVECTOR_PAIRS):
-        for row, (k, m) in enumerate(_BIVECTOR_PAIRS):
-            out[row, col] = a[k, i] * a[m, j] - a[m, i] * a[k, j]
-    return out
-
-
-def hodge_star(quadric):
-    """Hodge star of a quadric form: vol(v ^ star w) = Q(v, w) on bivectors.
-
-    The input is always normalized to unit |det| first (even one that
-    `normalized` returned), so star^2 = +1 for signature (2,2) and -1 for
-    Lorentz Q.
-    """
-    g = plucker_space().gram  # involutive: g @ g = identity
-    return g @ lambda2(quadric.normalized().q)
 
 
 def check_group_element(g, space):

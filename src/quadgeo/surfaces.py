@@ -135,15 +135,6 @@ class EllipsoidConfocalSampler:
             raise ValueError("need 0 < a < b < c")
         self.axes = (float(a), float(b), float(c))
 
-    def window(self, frac=0.5):
-        """A centered window covering `frac` of each admissible range."""
-        a, b, c = self.axes
-        lo_u, hi_u = a * a, b * b
-        lo_v, hi_v = b * b, c * c
-        mu, mv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
-        du, dv = 0.5 * frac * (hi_u - lo_u), 0.5 * frac * (hi_v - lo_v)
-        return (mu - du, mu + du, mv - dv, mv + dv)
-
     def _sq(self, u, v):
         a2, b2, c2 = (s * s for s in self.axes)
         u = np.asarray(u, dtype=float)
@@ -183,27 +174,6 @@ class EllipsoidConfocalSampler:
         k1 = -_dot(nu_, pu) / _dot(pu, pu)
         k2 = -_dot(nv_, pv) / _dot(pv, pv)
         return k1, k2
-
-
-class EllipsoidGenericSampler:
-    """Triaxial ellipsoid in a (polar, azimuth) chart (not curvature-line)."""
-
-    geometry = EUCLIDEAN3
-
-    def __init__(self, a=1.0, b=1.3, c=1.7):
-        self.axes = (float(a), float(b), float(c))
-
-    def point(self, u, v):
-        a, b, c = self.axes
-        return np.stack(
-            [a * np.sin(u) * np.cos(v), b * np.sin(u) * np.sin(v), c * np.cos(u)],
-            axis=-1,
-        )
-
-    def normal(self, u, v):
-        p = self.point(u, v)
-        axes2 = np.array([s * s for s in self.axes])
-        return -_unit(p / axes2)
 
 
 class RevolutionSampler:
@@ -284,35 +254,6 @@ def perturbed_graph_sampler(cx=0.1, cy=0.1):
     )
 
 
-def ruled_graph_sampler(c=0.1):
-    """z = x*y + c x^3 in its exact asymptotic chart (a, b) -> (a, b - 3c a^2 / 2).
-
-    One asymptotic family consists of the rulings (q = 0 and f_bb = 0
-    exactly); the other has p = -3c constant.
-    """
-
-    class _Ruled:
-        geometry = PROJECTIVE3
-
-        def point(self, u, v):
-            a = np.asarray(u, dtype=float)
-            b = np.asarray(v, dtype=float)
-            y = b - 1.5 * c * a**2
-            return np.stack(
-                [np.ones_like(a + b), a + 0 * b, y, a * y + c * a**3], axis=-1
-            )
-
-    return _Ruled()
-
-
-def convex_graph_sampler(cx=0.05):
-    """z = x^2 + y^2 + cx x^4: elliptic points, complex-conjugate asymptotics."""
-    return ProjectiveGraphSampler(
-        lambda x, y: x * x + y * y + cx * x**4,
-        lambda x, y: (2.0 + 12.0 * cx * x * x + 0 * y, np.zeros_like(x + y), 2.0 + 0 * x + 0 * y),
-    )
-
-
 def hessian_null_directions(h11, h12, h22):
     """Two real null direction fields of h11 dx^2 + 2 h12 dxdy + h22 dy^2.
 
@@ -377,9 +318,9 @@ def principal_data(surface, residual_tol=1e-2):
 
     Per node, kappa1 solves n_u ~ -kappa1 f_u in least squares (and kappa2 the
     v-equation); the normalized residual field witnesses chart alignment.
-    Returns (surface with kappa fields, report dict).  Raises UmbilicError on
-    an umbilic region and NotCurvatureLineError if residuals exceed
-    `residual_tol` on the interior.
+    Returns the surface with kappa fields.  Raises UmbilicError on an umbilic
+    region and NotCurvatureLineError if residuals exceed `residual_tol` on the
+    interior.
     """
     if surface.geometry != EUCLIDEAN3 or surface.normal is None:
         raise ValueError("principal_data needs a Euclidean surface with normals")
@@ -419,14 +360,7 @@ def principal_data(surface, residual_tol=1e-2):
             f"Rodrigues residual {worst:.3e} exceeds {residual_tol:.1e}: "
             "chart is not curvature-line aligned"
         )
-    report = {
-        "residual_u": res1,
-        "residual_v": res2,
-        "max_residual": worst,
-        "umbilic_nodes": grids.node_list(umb),
-    }
-    out = replace(surface, kappa1=k1, kappa2=k2)
-    return out, report
+    return replace(surface, kappa1=k1, kappa2=k2)
 
 
 def normal_shift(surface, t):

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadgeo
 from quadgeo import checks, cli, jsonio, surfaces as sf
 from quadgeo.errors import UsageError
 
@@ -66,6 +71,24 @@ def test_generate_asymptotic_graph(tmp_path):
     surf = jsonio.read_surface(surf_path)
     assert surf.geometry == "projective3"
     assert surf.meta.get("asymptotic")
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m quadgeo.cli` in a fresh interpreter returns main's code
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "quadgeo.cli", "generate", "--kind", "ellipsoid", *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(Path(quadgeo.__file__).resolve().parents[1])),
+        )
+
+    done = module("--grid-nu", "9", "--grid-nv", "9", "--out", "e.json")
+    assert done.returncode == 0, done.stderr
+    assert jsonio.read_surface(tmp_path / "e.json").chart.nu == 9
+    bad = module("--grid-nu", "1")
+    assert bad.returncode == 2
+    assert len(bad.stderr.splitlines()) == 1 and "Traceback" not in bad.stderr
+    assert bad.stderr.startswith("qg generate: ")
 
 
 def test_generate_rejects_bad_kind(tmp_path):

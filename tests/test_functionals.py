@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from quadgeo import checks, functionals as fn, gauss_map as gm, legendre as lg
 from quadgeo import pseudo_linalg as pl
 from quadgeo import streamnet as sn
 from quadgeo import surfaces as sf
-from quadgeo.errors import UmbilicError
+from quadgeo.errors import NotAsymptoticChartError, UmbilicError
 from quadgeo.grids import interior
+
+from oracles import convex_graph_sampler
 
 
 def test_energy_report_consistency(ellipsoid_gauss65):
@@ -63,6 +66,19 @@ def test_proj_density_chain():
     gauss = gm.conformal_gauss(lg.proj_lift(graph))
     rho_w = gm.willmore_density(gauss)
     assert np.max(np.abs(interior(rho.real - rho_w.real))) < 1e-3
+
+
+@pytest.mark.parametrize("sampler", [lambda: convex_graph_sampler(0.05),
+                                     sf.perturbed_graph_sampler],
+                         ids=["convex", "perturbed"])
+def test_proj_density_refuses_a_graph_chart_before_dividing(sampler):
+    # on the convex graph f_uv = 0, so p and q would be 0/0: the chart
+    # witness must raise before any division warns
+    graph = sf.make_surface(sampler(), checks.GRAPH_WINDOW, 33, 33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAsymptoticChartError):
+            fn.proj_density(graph)
 
 
 def test_proj_density_rescale_gauge(ellipsoid65):
@@ -136,7 +152,7 @@ def test_group_and_shift_invariance(ellipsoid65, ellipsoid_lift65, ellipsoid_gau
     moved = fn.willmore_energy(gm.conformal_gauss(lg.apply_group(ellipsoid_lift65, g)))
     assert abs(moved.total - base.total) / abs(base.total) < 1e-9
     assert fn.density_deviation(moved.density, base.density) < 1e-6
-    shifted, _ = sf.principal_data(sf.normal_shift(ellipsoid65, 0.3))
+    shifted = sf.principal_data(sf.normal_shift(ellipsoid65, 0.3))
     rep = fn.willmore_energy(gm.conformal_gauss(lg.lift(shifted)))
     assert fn.density_deviation(rep.density, base.density) < 1e-4
 

@@ -12,6 +12,8 @@ from quadgeo import surfaces as sf
 from quadgeo.errors import DegenerateReconstructionError
 from quadgeo.grids import GridChart, d_u, d_v, interior
 
+from oracles import QuadricForm, convex_graph_sampler, hodge_star
+
 
 def test_torus_star_constant(torus_gauss65):
     star0 = torus_gauss65.star[32, 32]
@@ -25,7 +27,7 @@ def test_quadric_star_matches_hodge_oracle(quadric_lift65):
     q = np.zeros((4, 4))
     q[0, 3] = q[3, 0] = 0.5
     q[1, 2] = q[2, 1] = -0.5
-    want = pl.hodge_star(pl.QuadricForm(q))
+    want = hodge_star(QuadricForm(q))
     got = gauss.star[30, 30].real
     dev = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
     assert dev < 1e-10
@@ -112,13 +114,23 @@ def _einsum_dS(gauss):
     return out
 
 
+def test_willmore_density_stays_complex_on_an_eps_i_chart():
+    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+                           17, 17, reality="complex_conjugate")
+    gauss = gm.conformal_gauss(lg.proj_lift(conv))
+    assert gauss.eps == 1j
+    rho = gm.willmore_density(gauss)
+    assert rho.dtype == np.complex128
+    assert np.array_equal(rho, gm.grassmann_pair(gauss.space, *gauss.derivatives))
+
+
 def test_dS_equals_the_einsum_bit_for_bit():
     # on a real chart dS runs in float64 and equals the real part of the
     # einsum over the stored (complex) bases, whose imaginary part is exactly
     # 0; an eps = i chart stays complex128 and agrees to roundoff
     lifted = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(17)))
     from_frame = lt.gauss_from_frame(lt.frame(lifted))
-    conv = sf.make_surface(sf.convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
                            17, 17, reality="complex_conjugate")
     complex_chart = gm.conformal_gauss(lg.proj_lift(conv))
     assert complex_chart.eps == 1j
@@ -345,7 +357,7 @@ def test_image_direction_matches_the_svd(ellipsoid_gauss65):
     # each near rank one: largest s2/s1 from 6.3e-5 (S_u) to 7.5e-2 (eps = i)
     gauss = ellipsoid_gauss65
     su, sv = gauss.derivatives
-    conv = sf.make_surface(sf.convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
                            33, 33, reality="complex_conjugate")
     complex_su, _ = gm.conformal_gauss(lg.proj_lift(conv)).derivatives
     assert complex_su.dtype == np.complex128 and np.any(complex_su.imag)
@@ -413,14 +425,12 @@ def test_reconstruct_roundtrip():
 
 
 def test_reconstruct_composite_roundtrip():
-    # graph -> asymptotic chart -> lift -> S -> reconstruct -> point surface
+    # graph -> asymptotic chart -> lift -> S -> reconstruct -> Legendre map
     graph = checks.make_asymptotic_graph(65)
     grid = lg.proj_lift(graph)
     rec = gm.reconstruct(gm.conformal_gauss(grid))
-    back = lg.point_surface(rec)
-    want = graph.points / np.linalg.norm(graph.points, axis=-1, keepdims=True)
-    angle = 1 - np.abs(np.einsum("...k,...k->...", back.points, want))
-    assert np.max(interior(angle)) < 1e-4
+    assert np.max(interior(gm.line_angle(rec.l, grid.l))) < 1e-4
+    assert np.max(interior(gm.line_angle(rec.s, grid.s))) < 1e-4
 
 
 def test_reconstruct_constant_map_degenerate(quadric_lift65, torus_gauss65):

@@ -14,6 +14,8 @@ from quadgeo.errors import (
 )
 from quadgeo.grids import GridChart, d_u, d_v, interior
 
+from oracles import convex_graph_sampler, ruled_graph_sampler
+
 
 def test_lie_lift_point_example():
     # f = 0, n = e_z: phi = v_0, nu = v_-1 + v_3
@@ -85,7 +87,7 @@ def test_proj_lift_quadric(quadric_lift65):
 
 def test_proj_lift_rejects_non_asymptotic():
     # z = x^2 + y^2 in the flat real chart is nowhere asymptotic
-    samp = sf.convex_graph_sampler(0.0)
+    samp = convex_graph_sampler(0.0)
     surf = sf.make_surface(samp, (-0.5, 0.5, -0.5, 0.5), 33, 33)
     with pytest.raises(NotAsymptoticChartError):
         lg.proj_lift(surf)
@@ -116,7 +118,7 @@ def test_proj_lift_rescale_invariance():
 
 
 def test_ruled_graph_q_vanishes():
-    surf = sf.make_surface(sf.ruled_graph_sampler(0.1), (-0.5, 0.5, -0.5, 0.5), 33, 33)
+    surf = sf.make_surface(ruled_graph_sampler(0.1), (-0.5, 0.5, -0.5, 0.5), 33, 33)
     cc = lg.conjugate_coefficients(lg.proj_lift(surf))
     assert np.max(np.abs(interior(cc.q))) < 1e-10
     # central stencils are not exact on the cubic lift: p = -0.3 + O(h^2)
@@ -146,7 +148,7 @@ def _pinv_conjugate_reference(grid):
 
 
 def _convex_chart_lift(n):
-    conv = sf.make_surface(sf.convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
                            n, n, reality="complex_conjugate")
     return lg.proj_lift(conv)
 
@@ -224,38 +226,6 @@ def test_conjugate_coefficients_ellipsoid_identity(ellipsoid65, ellipsoid_lift65
     target = -dk1 * dk2 / (ellipsoid65.kappa1 - ellipsoid65.kappa2) ** 2
     dev = np.abs(interior((cc.p * cc.q).real - target))
     assert np.max(dev) < 1e-3
-
-
-def test_point_surface_roundtrip_lie(ellipsoid65, ellipsoid_lift65):
-    back = lg.point_surface(ellipsoid_lift65)
-    assert np.nanmax(np.abs(back.points - ellipsoid65.points)) < 1e-8
-    assert np.nanmax(np.abs(back.normal - ellipsoid65.normal)) < 1e-8
-    assert np.nanmax(np.abs(back.kappa1 - ellipsoid65.kappa1)) < 1e-8
-
-
-def test_point_surface_roundtrip_projective(quadric_lift65):
-    surf = checks.make_quadric(65)
-    back = lg.point_surface(quadric_lift65)
-    want = surf.points / np.linalg.norm(surf.points, axis=-1, keepdims=True)
-    angle = 1 - np.abs(np.einsum("...k,...k->...", back.points, want))
-    assert np.max(interior(angle)) < 1e-8
-
-
-def test_point_surface_singular_flags():
-    # send a surface point through infinity: swap v_0 and v_inf on a torus
-    # grid translated so one node sits at the origin
-    tor = checks.make_torus(33)
-    origin = tor.points[5, 16].copy()
-    shifted = dataclasses.replace(tor, points=tor.points - origin)
-    grid = lg.lie_lift(shifted)
-    g = np.eye(6)
-    g[1, 1] = g[5, 5] = 0.0
-    g[1, 5] = g[5, 1] = 1.0
-    inverted = lg.apply_group(grid, g)
-    back = lg.point_surface(inverted)
-    flagged = back.meta["singular_nodes"]
-    assert (5, 16) in [tuple(ij) for ij in flagged]
-    assert np.isnan(back.points[5, 16]).all()
 
 
 def test_apply_group_checks_pairing(torus_lift65):

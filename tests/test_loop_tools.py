@@ -8,7 +8,9 @@ import pytest
 from quadgeo import checks, gauss_map as gm, legendre as lg, loop_tools as lt
 from quadgeo.errors import NonHarmonicInputError, SignatureError
 from quadgeo.grids import interior
-from quadgeo.matfun import expm, orthogonality_defect, reproject_orthogonal
+from quadgeo.matfun import expm, reproject_orthogonal
+
+from oracles import convex_graph_sampler, orthogonality_defect
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +210,7 @@ def test_real_chart_stays_float64(ellipsoid_connection):
 def test_complex_chart_keeps_complex_frames_and_deforms():
     from quadgeo import surfaces as sf
 
-    conv = sf.make_surface(sf.convex_graph_sampler(0.0), (-0.4, 0.4, -0.4, 0.4),
+    conv = sf.make_surface(convex_graph_sampler(0.0), (-0.4, 0.4, -0.4, 0.4),
                            17, 17, reality="complex_conjugate")
     gauss = gm.conformal_gauss(lg.proj_lift(conv))
     assert gauss.signature_z == "(2,0)"
@@ -383,7 +385,7 @@ def curved_20_connection(request):
     from quadgeo import surfaces as sf
 
     cx, n = request.param
-    conv = sf.make_surface(sf.convex_graph_sampler(cx), (-0.4, 0.4, -0.4, 0.4),
+    conv = sf.make_surface(convex_graph_sampler(cx), (-0.4, 0.4, -0.4, 0.4),
                            n, n, reality="complex_conjugate")
     gauss = gm.conformal_gauss(lg.proj_lift(conv))
     fr = lt.frame(gauss)
@@ -426,6 +428,17 @@ def test_spectral_deform_rejects_nonharmonic():
 def test_spectral_deform_checks_lambda(torus_gauss65):
     with pytest.raises(ValueError):
         lt.spectral_deform(torus_gauss65, 1.0 + 0.5j)  # not real on (1,1)
+
+
+def test_spectral_deform_checks_lambda_on_a_20_chart():
+    from quadgeo import surfaces as sf
+
+    conv = sf.make_surface(convex_graph_sampler(0.0), (-0.4, 0.4, -0.4, 0.4),
+                           17, 17, reality="complex_conjugate")
+    gauss = gm.conformal_gauss(lg.proj_lift(conv))
+    assert gauss.signature_z == "(2,0)"
+    with pytest.raises(ValueError, match="unimodular"):
+        lt.spectral_deform(gauss, 2.0)  # not on the unit circle
 
 
 def test_blaschke_condition_residual_torus(torus_gauss65):
@@ -498,7 +511,7 @@ def test_dualize_is_float64_with_the_complex_defect(ellipsoid_connection):
 def test_dualize_rejects_complex_charts():
     from quadgeo import surfaces as sf
 
-    conv = sf.make_surface(sf.convex_graph_sampler(0.0), (-0.4, 0.4, -0.4, 0.4),
+    conv = sf.make_surface(convex_graph_sampler(0.0), (-0.4, 0.4, -0.4, 0.4),
                            17, 17, reality="complex_conjugate")
     gauss = gm.conformal_gauss(lg.proj_lift(conv))
     with pytest.raises(SignatureError):

@@ -6,6 +6,8 @@ from quadgeo import surfaces as sf
 from quadgeo.errors import SignatureError, StreamlineError
 from quadgeo.grids import d_u, d_v, interior
 
+from oracles import convex_graph_sampler
+
 
 def asymptotic_residual(out):
     """Off-span part of f_uu, f_vv against a chart-wide second-derivative scale."""
@@ -43,7 +45,7 @@ def test_perturbed_graph_reparametrizes(cx, cy, tol):
 
 
 def test_convex_graph_signature_error():
-    samp = sf.convex_graph_sampler()
+    samp = convex_graph_sampler()
     src = sf.make_surface(samp, (-0.5, 0.5, -0.5, 0.5), 33, 33)
     with pytest.raises(SignatureError):
         sn.asymptotic_reparametrize(src, 33, 33, 0.01, 0.01, sampler=samp)
