@@ -131,17 +131,17 @@ def suite_pq_identity(grids=DEFAULT_GRIDS, tol=1e-3, tol_order=1.8):
     chain_lie = float("nan")
     for n in grids:
         surface = make_ellipsoid(n)
-        gauss = gm.conformal_gauss(lg.lift(surface))
-        cc = lg.conjugate_coefficients(gauss.source)
-        rho = gm.willmore_density(gauss)
-        devs.append(float(np.max(interior(np.abs(rho - (cc.p * cc.q).real)))))
+        grid = lg.lift(surface)
+        cc = lg.conjugate_coefficients(grid)
+        rho = gm.willmore_density(gm.conformal_gauss(grid))
+        devs.append(float(np.max(interior(np.abs(rho - cc.p * cc.q)))))
         if n == mid:
             lie_rho = fn.lie_density(surface.kappa1, surface.kappa2, surface.chart)
             chain_lie = float(np.max(interior(np.abs(lie_rho + rho))))
     graph = make_asymptotic_graph(mid)
     ggauss = gm.conformal_gauss(lg.lift(graph))
     chain_proj = float(
-        np.max(interior(np.abs(fn.proj_density(graph).real - gm.willmore_density(ggauss).real)))
+        np.max(interior(np.abs(fn.proj_density(graph) - gm.willmore_density(ggauss))))
     )
     order = fit_order(devs)
     ok = (
@@ -244,10 +244,10 @@ def suite_tension_lemma(grids=DEFAULT_GRIDS, tol_angle=1e-2, tol_codazzi=1e-3):
 def suite_blaschke_roundtrip(grids=DEFAULT_GRIDS, tol_angle=1e-4):
     """reconstruct(conformal_gauss(f)) recovers the focal lines of f."""
     n = grids[-1]
-    gauss = gm.conformal_gauss(lg.lift(make_ellipsoid(n)))
-    rec = gm.reconstruct(gauss)
-    ang_l = float(np.max(interior(gm.line_angle(rec.l, gauss.source.l))))
-    ang_s = float(np.max(interior(gm.line_angle(rec.s, gauss.source.s))))
+    grid = lg.lift(make_ellipsoid(n))
+    rec = gm.reconstruct(gm.conformal_gauss(grid))
+    ang_l = float(np.max(interior(gm.line_angle(rec.l, grid.l))))
+    ang_s = float(np.max(interior(gm.line_angle(rec.s, grid.s))))
     try:
         gm.reconstruct(gm.conformal_gauss(lg.lift(make_quadric(grids[0]))))
         quadric_degenerate = False

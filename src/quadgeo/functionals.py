@@ -15,6 +15,7 @@ import numpy as np
 
 from . import gauss_map as gm
 from . import legendre as lg
+from . import pseudo_linalg as pl
 from . import surfaces as sf
 from .errors import NotAsymptoticChartError, UmbilicError
 from .grids import GridChart, d_u, d_v, interior, node_list
@@ -58,7 +59,7 @@ def lie_density(kappa1, kappa2, chart):
         raise UmbilicError("umbilic nodes in the density domain")
     dk1 = d_u(kappa1, chart)
     dk2 = d_v(kappa2, chart)
-    return (dk1 * dk2 / (kappa1 - kappa2) ** 2).real
+    return dk1 * dk2 / (kappa1 - kappa2) ** 2
 
 
 def _det3(m):
@@ -76,7 +77,8 @@ def proj_density(surface):
     The mixed derivative completes the frame (f_uv leaves span{f, f_u, f_v}
     precisely when the net is nondegenerate), and the components of f_uu,
     f_vv off that span witness the asymptotic property of the chart (at most
-    `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).
+    `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).  The density p q is
+    float64 when it is exactly real (`pl.real_if_exact`).
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_density needs a projective surface")
@@ -113,10 +115,7 @@ def proj_density(surface):
     den = det4(f, fu, fv, fuv)
     p = det4(f, fu, fuu, fuv) / den
     q = -det4(f, fv, fvv, fuv) / den
-    rho = p * q
-    if surface.chart.reality == "real":
-        rho = rho.real
-    return rho
+    return pl.real_if_exact(p * q)[0]
 
 
 def willmore_gradient_density(gauss):
@@ -124,7 +123,8 @@ def willmore_gradient_density(gauss):
 
     sigma is any section of S_perp with <s, sigma> = 1 (the choice is
     immaterial since tau* kills s-perp within S_perp).  g vanishes exactly
-    when the conformal Gauss map is harmonic.
+    when the conformal Gauss map is harmonic; float64 when it is exactly
+    real (`pl.real_if_exact`).
     """
     sp = gauss.space
     s = gauss.span_p[..., 0, :]
@@ -139,10 +139,7 @@ def willmore_gradient_density(gauss):
     img = np.einsum("...ij,...j->...i", tau_star, sigma)
     num = np.einsum("...k,...k->...", img, l.conj())
     den = np.einsum("...k,...k->...", l, l.conj()).real
-    g = num / den
-    if gauss.chart.reality == "real":
-        g = g.real
-    return g
+    return pl.real_if_exact(num / den)[0]
 
 
 def _surface_energy(surface):
@@ -167,10 +164,10 @@ def _move_surface(surface, amplitude):
     differences amplify); curvatures are refit from the Rodrigues equations.
     """
     ch = surface.chart
-    fu = d_u(surface.points, ch).real
-    fv = d_v(surface.points, ch).real
-    au = d_u(amplitude, ch).real
-    av = d_v(amplitude, ch).real
+    fu = d_u(surface.points, ch)
+    fv = d_v(surface.points, ch)
+    au = d_u(amplitude, ch)
+    av = d_v(amplitude, ch)
     e = np.einsum("...k,...k->...", fu, fu)
     f = np.einsum("...k,...k->...", fu, fv)
     g = np.einsum("...k,...k->...", fv, fv)

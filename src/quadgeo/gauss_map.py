@@ -4,8 +4,13 @@ Per node, S = span{l, l_v, l_vv} is a 3-dimensional subspace with
 nondegenerate induced pairing, orthogonal to span{s, s_u, s_uu}; the pair
 (S, S_perp) is encoded by the pairing-orthogonal projection P onto S and the
 reflection star = eps (2P - 1) with star^2 = eps^2 (eps = 1 on real charts,
-i on complex-conjugate charts, where conj(S) = S_perp).  The energy path
-never reads P, so a map builds it on first read of `proj`.
+i on complex-conjugate charts, where conj(S) = S_perp).  eps is the one
+quantity here read from the chart flag (`GaussMapGrid.eps`); every dtype
+follows the data (`pl.real_if_exact`), so on a real chart the derivatives,
+the density, the image directions and the reconstructed (l, s) are
+float64.  A map stores only what it computed: no source grid, no copied
+surface meta.  The energy path never reads P, so a map builds it on first
+read of `proj`.
 
 The derivatives of S (`dS`) differentiate the section fields of S and keep
 their S_perp components: (S_u) sigma = P_perp d_u sigma, stored as a 6x6
@@ -25,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateReconstructionError
-from .grids import GridChart, d_u, d_v, d_uu, d_vv, interior, smooth_phase
+from .grids import REAL, GridChart, d_u, d_v, d_uu, d_vv, interior, smooth_phase
 from .legendre import LegendreGrid
 from . import pseudo_linalg as pl
 
@@ -35,7 +40,7 @@ TENSION_MARGIN = 3
 
 @dataclass
 class GaussMapGrid:
-    """Per-node splitting C^6 = S + S_perp; P, star, signature and dS are derived.
+    """Per-node splitting C^6 = S + S_perp; eps, P, star, signature and dS are derived.
 
     `build_proj` is a callable, holding no reference to the map, that
     returns the (nu, nv, 6, 6) pairing-orthogonal projection P onto S; each
@@ -47,13 +52,11 @@ class GaussMapGrid:
     span_s: np.ndarray        # (nu, nv, 3, 6) smooth spanning fields l, l_v, l_vv
     span_p: np.ndarray        # (nu, nv, 3, 6) smooth spanning fields s, s_u, s_uu
     build_proj: object        # () -> P, run on the first read of `proj`
-    eps: complex
     degenerate: np.ndarray    # (nu, nv) bool
     basis_s: np.ndarray       # (nu, nv, 3, 6) rows of S, Gram diagonal up to O(h^2)
     signs_s: np.ndarray       # (nu, nv, 3) their pairing norms +-1
     basis_p: np.ndarray       # (nu, nv, 3, 6) the same for S_perp
     signs_p: np.ndarray
-    source: LegendreGrid = None
     meta: dict = field(default_factory=dict)
 
     @cached_property
@@ -67,6 +70,11 @@ class GaussMapGrid:
         proj.flags.writeable = False
         self.build_proj = lambda: proj
         return proj
+
+    @property
+    def eps(self):
+        """1 on a real chart, i on a complex-conjugate chart (conj(S) = S_perp)."""
+        return 1.0 if self.chart.reality == REAL else 1.0j
 
     @property
     def star(self):
@@ -116,7 +124,6 @@ def conformal_gauss(grid):
     scale = np.linalg.norm(span_s, axis=-1) ** 2
     scale3 = scale[..., 0] * scale[..., 1] * scale[..., 2]
     degenerate = np.abs(np.linalg.det(gram_s)) < 1e-8 * np.maximum(scale3, 1e-300)
-    eps = 1.0 if ch.reality == "real" else 1.0j
     with np.errstate(all="ignore"):
         basis_s, signs_s = _structured_orthobasis(sp, span_s)
         basis_p, signs_p = _structured_orthobasis(sp, span_p)
@@ -132,9 +139,8 @@ def conformal_gauss(grid):
         return proj
 
     return GaussMapGrid(
-        space=sp, chart=ch, span_s=span_s, span_p=span_p, build_proj=build_proj, eps=eps,
-        degenerate=degenerate, source=grid, meta=dict(grid.meta),
-        basis_s=basis_s, signs_s=signs_s, basis_p=basis_p, signs_p=signs_p,
+        space=sp, chart=ch, span_s=span_s, span_p=span_p, build_proj=build_proj,
+        degenerate=degenerate, basis_s=basis_s, signs_s=signs_s, basis_p=basis_p, signs_p=signs_p,
     )
 
 
@@ -273,10 +279,7 @@ def grassmann_pair(space, a, b):
 def willmore_density(gauss):
     """Per-node <S_u, S_v>; equals the conjugate-coefficient product p q."""
     su, sv = gauss.derivatives
-    rho = grassmann_pair(gauss.space, su, sv)
-    if gauss.chart.reality == "real":
-        return rho.real
-    return rho
+    return grassmann_pair(gauss.space, su, sv)
 
 
 def conformality_residual(gauss):
@@ -423,8 +426,5 @@ def reconstruct(gauss):
         float(np.min(interior(s1_u / np.maximum(s2_u, 1e-300), margin))),
         float(np.min(interior(s1_v / np.maximum(s2_v, 1e-300), margin))),
     )
-    l = smooth_phase(l_dir)
-    s = smooth_phase(s_dir)
-    out = LegendreGrid(gauss.space, l, s, gauss.chart, meta=dict(gauss.meta))
-    out.meta["reconstruction_rank_gap"] = rank_gap
-    return out
+    return LegendreGrid(gauss.space, smooth_phase(l_dir), smooth_phase(s_dir), gauss.chart,
+                        meta={"reconstruction_rank_gap": rank_gap})

@@ -120,12 +120,14 @@ def node_list(mask):
 
 
 def smooth_phase(fld):
-    """Align per-node phases (signs, in the real case) across the grid.
+    """Align per-node phases across the grid, keeping the field's dtype.
 
     Works along the center column, then column by column outward, so the
     field can be finite differenced; input must span a smooth line field.
+    A float64 field (a real chart) only flips signs, exactly: each node is
+    multiplied by +-1.  A complex field is turned by unit phases.
     """
-    out = np.array(fld, dtype=complex)
+    out = np.array(fld)
     n, m = out.shape[:2]
     jc = m // 2
 
@@ -141,6 +143,4 @@ def smooth_phase(fld):
         out[:, j] = align(out[:, j], out[:, j - 1])
     for j in range(jc - 1, -1, -1):
         out[:, j] = align(out[:, j], out[:, j + 1])
-    if np.max(np.abs(out.imag)) < 1e-9 * np.max(np.abs(out.real)):
-        out = out.real.astype(complex)
     return out

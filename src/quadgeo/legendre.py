@@ -12,7 +12,7 @@ into the (4,2) space, and the line-geometric lift l = f ^ f_u, s = f ^ f_v of
 a projective surface in asymptotic coordinates into the (3,3) space.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     NotImmersedError,
     UmbilicError,
 )
-from .grids import REAL, GridChart, d_u, d_v, interior
+from .grids import GridChart, d_u, d_v, interior
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
@@ -116,7 +116,7 @@ def lie_lift(surface):
     nu[..., V_INF] = 2.0 * np.einsum("...k,...k->...", n, f)
     l = nu + surface.kappa1[..., None] * phi
     s = nu + surface.kappa2[..., None] * phi
-    return LegendreGrid(pl.lie_space(), l, s, surface.chart, meta=dict(surface.meta))
+    return LegendreGrid(pl.lie_space(), l, s, surface.chart)
 
 
 def proj_lift(surface):
@@ -133,17 +133,15 @@ def proj_lift(surface):
     f = surface.points.astype(complex)
     fu = d_u(f, surface.chart)
     fv = d_v(f, surface.chart)
-    span = np.stack([f, fu, fv], axis=-2)
-    # real on a real chart; the derivatives still go through complex
+    # float64 where exactly real; the derivatives still go through complex
     # arithmetic, which rounds them differently from float64 division
-    if surface.chart.reality == REAL:
-        span = span.real
+    span = pl.real_if_exact(np.stack([f, fu, fv], axis=-2))[0]
     rank_scale = np.linalg.svd(span, compute_uv=False)
     if np.min(interior(rank_scale[..., 2] / rank_scale[..., 0])) < 1e-10:
         raise NotImmersedError("projective surface is not immersed on the chart")
     l = pl.plucker_embed(f, fu)
     s = pl.plucker_embed(f, fv)
-    grid = LegendreGrid(pl.plucker_space(), l, s, surface.chart, meta=dict(surface.meta))
+    grid = LegendreGrid(pl.plucker_space(), l, s, surface.chart)
     rep = validate(grid)
     if rep["focal_max"] > ASYMPTOTIC_CHART_TOL:
         raise NotAsymptoticChartError(
@@ -218,7 +216,8 @@ def conjugate_coefficients(grid):
     w in span{l, s} solve R x = Q^H w in closed form: p is the s-coordinate
     of l_u and q the l-coordinate of s_v.  Raises IllConditionedFrameError
     where cond(l, s) = sigma1 / sigma2 > 1e8, read from R's singular values
-    (sigma1^2 + sigma2^2 = |R|_F^2 and sigma1 sigma2 = r11 r22).
+    (sigma1^2 + sigma2^2 = |R|_F^2 and sigma1 sigma2 = r11 r22).  p and q
+    are float64 when both are exactly real (`pl.real_if_exact`).
     """
     ch = grid.chart
     q1, q2, r11, r12, r22 = _focal_basis(grid.l, grid.s)
@@ -231,11 +230,7 @@ def conjugate_coefficients(grid):
     sv = d_v(grid.s, ch)
     p = _hdot(q2, lu) / r22
     q = (_hdot(q1, sv) - r12 * (_hdot(q2, sv) / r22)) / r11
-    if ch.reality == "real" and max(np.max(np.abs(p.imag)), np.max(np.abs(q.imag))) < 1e-9 * (
-        1.0 + np.max(np.abs(p)) + np.max(np.abs(q))
-    ):
-        p, q = p.real, q.real
-    return ConjugateCoefficients(p, q)
+    return ConjugateCoefficients(*pl.real_if_exact(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +241,5 @@ def apply_group(grid, g):
     """Transform the focal frame by a pairing-preserving 6x6 map (`pl.check_group_element`)."""
     pl.check_group_element(g, grid.space)
     g = np.asarray(g, dtype=complex)
-    out = replace(grid, l=np.einsum("ij,...j->...i", g, grid.l),
-                  s=np.einsum("ij,...j->...i", g, grid.s))
-    out.meta = dict(grid.meta)
-    return out
+    return LegendreGrid(grid.space, np.einsum("ij,...j->...i", g, grid.l),
+                        np.einsum("ij,...j->...i", g, grid.s), grid.chart)

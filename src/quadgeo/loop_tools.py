@@ -15,13 +15,14 @@ evaluates the family at lambda = +-i and re-reads the result in the real
 basis of S_o + i S_o_perp.  Pairings go through `PseudoSpace.pair`; group
 elements are inverted by `PseudoSpace.adjoint`, never numerically.
 
-Arrays carry the dtype of their data.  `_splitting` reads a Gauss map's
-splitting as float64 when it is exactly real (a real chart), so frames,
-edges, holonomies and their exp/log stay float64 there; they are complex
-only where the mathematics is: complex-conjugate charts (eps = i), the +-i
-basis of the duality and complex lambda.  The dual connection is complex
-only until its imaginary defect is measured (`dual_connection`); it keeps
-its real part, so the dual frames and Gauss map are float64.
+Arrays carry the dtype of their data; nothing here reads the chart flag.
+`_splitting` reads a Gauss map's splitting as float64 when it is exactly
+real (`pl.real_if_exact`, as on a real chart), so frames, edges,
+holonomies and their exp/log stay float64 there; they are complex only
+where the mathematics is: complex-conjugate charts (eps = i), the +-i basis
+of the duality and complex lambda.  The dual connection is complex only
+until its imaginary defect is measured (`dual_connection`); it keeps its
+real part, so the dual frames and Gauss map are float64.
 
 Each Gauss map is framed once and each frame field's connection taken once:
 `frame` and `maurer_cartan` keep their result on their argument, read-only,
@@ -188,7 +189,7 @@ def make_pair(gauss):
     """
     proj, basis_s, basis_p = _splitting(gauss)
     node = (gauss.chart.nu // 2, gauss.chart.nv // 2)
-    signs = np.concatenate([gauss.signs_s[node], gauss.signs_p[node]], axis=0).real
+    signs = np.concatenate([gauss.signs_s[node], gauss.signs_p[node]], axis=0)
     rows = np.concatenate([basis_s[node], basis_p[node]], axis=0)
     return SymmetricPair(
         space=gauss.space,
@@ -368,7 +369,7 @@ def integrate_frame(alpha, f0=None):
     return out, consistency
 
 
-def gauss_from_frame(framegrid, reference_gauss=None):
+def gauss_from_frame(framegrid):
     """Gauss map S(node) = F(node) S_o from a frame field.
 
     Its projection 0.5 (F star_o F* / eps + 1) is built on first read.
@@ -389,9 +390,8 @@ def gauss_from_frame(framegrid, reference_gauss=None):
 
     return gm.GaussMapGrid(
         space=framegrid.space, chart=framegrid.chart, span_s=span_s, span_p=span_p,
-        build_proj=build_proj, eps=pair.eps, degenerate=degenerate,
+        build_proj=build_proj, degenerate=degenerate,
         basis_s=span_s, signs_s=signs[..., 0:3], basis_p=span_p, signs_p=signs[..., 3:6],
-        source=reference_gauss.source if reference_gauss is not None else None,
     )
 
 
@@ -441,7 +441,7 @@ def spectral_deform(gauss, lam):
     deformed, consistency = integrate_frame(
         spectral_connection(alpha, lam), f0=fr.frames[ic, jc]
     )
-    out = gauss_from_frame(deformed, gauss)
+    out = gauss_from_frame(deformed)
     out.meta["lambda"] = complex(lam)
     out.meta["integration_consistency"] = consistency
     return out
@@ -538,7 +538,7 @@ def dualize(gauss):
     arrays are float64: the dual connection's imaginary defect is measured,
     in meta['imaginary_defect'], before its real part is kept.
     """
-    if gauss.chart.reality != "real" or gauss.signature_z != "(1,1)":
+    if gauss.signature_z != "(1,1)":
         raise SignatureError("duality needs a real (1,1) chart")
     alpha_d, defect = dual_connection(maurer_cartan(frame(gauss)))
     fr_d, consistency = integrate_frame(alpha_d)

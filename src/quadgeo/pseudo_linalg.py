@@ -13,15 +13,17 @@ group and of SL(4).  Two standard spaces are used throughout:
   isotropic with <v_0, v_inf> = -1/2.
 
 Vectors are plain ndarrays of shape (..., 6).  The lift and the spanning
-sections of the Gauss map are complex, where reality is an assertion, not a
-representation choice; they are differentiated in complex, because numpy
-divides complex data by 2h through its reciprocal and float64 data by 2h
-itself.  Past the differences, data whose imaginary parts are all exactly 0
-is read as float64 (`real_if_exact`): the derivatives of the Gauss map
-(`gauss_map.dS`), the power steps of `gauss_map.image_direction` (behind
-`reconstruct` and the tension image angle) and the loop-algebra arrays
-(`loop_tools`, `matfun`) are float64 on real charts and complex only where
-the mathematics is complex.
+sections of the Gauss map are complex; they are differentiated in complex,
+because numpy divides complex data by 2h through its reciprocal and float64
+data by 2h itself.  `real_if_exact` is the package's one realness rule: the
+chart flag picks only the derivative stencils (`grids`) and a Gauss map's
+eps (`gauss_map.GaussMapGrid.eps`), and every other choice between float64
+and complex follows the data, float64 when every imaginary part is exactly
+0.  So on real charts the rank test of `legendre.proj_lift`, the conjugate
+coefficients, the densities of `functionals`, `gauss_map.dS`, the power
+steps of `gauss_map.image_direction` (so `reconstruct` returns float64
+(l, s)) and the loop-algebra arrays (`loop_tools`, `matfun`) are float64,
+and complex only where the mathematics is complex.
 `PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
 and one adjoint (the inverse of a pairing-orthogonal element).
 

@@ -83,8 +83,8 @@ class GridLineFields:
     """Bilinear interpolation of two sign-coherent line fields on a grid."""
 
     def __init__(self, d1, d2, window):
-        self.d1 = smooth_phase(d1).real
-        self.d2 = smooth_phase(d2).real
+        self.d1 = smooth_phase(d1)
+        self.d2 = smooth_phase(d2)
         self.window = window
 
     def eval(self, pts):

@@ -33,7 +33,7 @@ UMBILIC_RTOL = 1e-6
 
 @dataclass
 class SurfaceGrid:
-    """An immersion sampled on a chart."""
+    """An immersion sampled on a chart, a real one for a Euclidean surface."""
 
     geometry: str
     points: np.ndarray
@@ -49,6 +49,9 @@ class SurfaceGrid:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.points.shape != (self.chart.nu, self.chart.nv, want):
             raise ValueError("point field shape does not match chart/geometry")
+        if self.geometry == EUCLIDEAN3 and self.chart.reality != grids.REAL:
+            raise NotCurvatureLineError(f"reality {self.chart.reality!r}: a {EUCLIDEAN3} "
+                                        "surface's curvature-line net is real")
 
     def has_kappa(self):
         return self.kappa1 is not None and self.kappa2 is not None
@@ -325,13 +328,13 @@ def principal_data(surface, residual_tol=1e-2):
     if surface.geometry != EUCLIDEAN3 or surface.normal is None:
         raise ValueError("principal_data needs a Euclidean surface with normals")
     ch = surface.chart
-    fu = d_u(surface.points, ch).real
-    fv = d_v(surface.points, ch).real
+    fu = d_u(surface.points, ch)
+    fv = d_v(surface.points, ch)
     scale = np.linalg.norm(np.cross(fu, fv), axis=-1)
     if np.min(interior(scale)) < 1e-12:
         raise NotImmersedError("surface is not immersed on the chart")
-    nu_ = d_u(surface.normal, ch).real
-    nv_ = d_v(surface.normal, ch).real
+    nu_ = d_u(surface.normal, ch)
+    nv_ = d_v(surface.normal, ch)
     k1 = -_dot(nu_, fu) / _dot(fu, fu)
     k2 = -_dot(nv_, fv) / _dot(fv, fv)
     res1 = np.linalg.norm(nu_ + k1[..., None] * fu, axis=-1) / (

@@ -294,6 +294,9 @@ def test_dualize_command_on_a_projective_quadric(tmp_path):
     ["descent", "--surface", "{tmp}/good.json", "--step-size", "-1e-6"],
     ["generate", "--kind", "torus", "--grid-nu", "9", "--grid-nv", "9", "--asymptotic"],
     ["check", "--suite", "conformality", "--grids", "17,33", "--param", "tol"],
+    ["generate", "--kind", "ellipsoid", "--grid-nu", "9", "--grid-nv", "9",
+     "--param", "reality=complex_conjugate"],
+    ["gauss", "--surface", "{tmp}/complex_chart.json"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -303,6 +306,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         "list": ([good], "JSON object"),
         "geometry": (dict(good, geometry="euclidean4"), "'geometry'"),
         "float_nu": (dict(good, nu=9.7), "'nu' must be"),
+        # curvature-line nets are real: a Euclidean file takes only a real chart
+        "complex_chart": (dict(good, reality="complex_conjugate"), "reality"),
     }
     for name, (data, _) in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

@@ -114,14 +114,46 @@ def _einsum_dS(gauss):
     return out
 
 
+def _eps_i_chart(n):
+    return sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+                           n, n, reality="complex_conjugate")
+
+
 def test_willmore_density_stays_complex_on_an_eps_i_chart():
-    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
-                           17, 17, reality="complex_conjugate")
+    conv = _eps_i_chart(17)
     gauss = gm.conformal_gauss(lg.proj_lift(conv))
     assert gauss.eps == 1j
     rho = gm.willmore_density(gauss)
     assert rho.dtype == np.complex128
     assert np.array_equal(rho, gm.grassmann_pair(gauss.space, *gauss.derivatives))
+
+
+def _conjugate_pq(surface):
+    cc = lg.conjugate_coefficients(lg.lift(surface))
+    return cc.p, cc.q
+
+
+def _reconstructed_lines(surface):
+    rec = gm.reconstruct(gm.conformal_gauss(lg.lift(surface)))
+    return rec.l, rec.s
+
+
+@pytest.mark.parametrize("real_surface,compute", [
+    (checks.make_ellipsoid, _conjugate_pq),
+    (checks.make_asymptotic_graph, lambda surface: (fn.proj_density(surface),)),
+    (checks.make_ellipsoid,
+     lambda surface: (fn.willmore_gradient_density(gm.conformal_gauss(lg.lift(surface))),)),
+    (checks.make_ellipsoid,
+     lambda surface: (gm.willmore_density(gm.conformal_gauss(lg.lift(surface))),)),
+    (checks.make_ellipsoid, _reconstructed_lines),
+], ids=["conjugate_coefficients", "proj_density", "willmore_gradient_density",
+        "willmore_density", "reconstruct"])
+def test_dtype_follows_the_data(real_surface, compute):
+    # the dtype follows the data: a real chart's results are exactly real and
+    # float64, an eps = i chart's are complex128
+    for surface, dtype in ((real_surface(33), np.float64), (_eps_i_chart(33), np.complex128)):
+        for out in compute(surface):
+            assert out.dtype == dtype
 
 
 def test_dS_equals_the_einsum_bit_for_bit():
@@ -130,8 +162,7 @@ def test_dS_equals_the_einsum_bit_for_bit():
     # 0; an eps = i chart stays complex128 and agrees to roundoff
     lifted = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(17)))
     from_frame = lt.gauss_from_frame(lt.frame(lifted))
-    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
-                           17, 17, reality="complex_conjugate")
+    conv = _eps_i_chart(17)
     complex_chart = gm.conformal_gauss(lg.proj_lift(conv))
     assert complex_chart.eps == 1j
     cases = ((lifted, np.complex128, np.float64), (from_frame, np.float64, np.float64),
@@ -179,11 +210,10 @@ def test_conformality_convergence():
 def test_willmore_density_equals_pq():
     devs = []
     for n in (33, 65):
-        gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(n)))
-        grid = gauss.source
+        grid = lg.lift(checks.make_ellipsoid(n))
         cc = lg.conjugate_coefficients(grid)
-        rho = gm.willmore_density(gauss)
-        devs.append(float(np.max(interior(np.abs(rho - (cc.p * cc.q).real)))))
+        rho = gm.willmore_density(gm.conformal_gauss(grid))
+        devs.append(float(np.max(interior(np.abs(rho - cc.p * cc.q)))))
     assert devs[-1] < 1e-3
     assert np.log2(devs[0] / devs[1]) > 1.8
 
@@ -298,7 +328,7 @@ def _smooth_random_splitting(seed=7, n=33):
     b6 = span_s.swapaxes(-1, -2)
     proj = b6 @ np.linalg.inv(gram_s) @ b6.swapaxes(-1, -2) @ sp.gram
     return gm.GaussMapGrid(
-        space=sp, chart=ch, span_s=span_s, span_p=span_p, build_proj=lambda: proj, eps=1.0,
+        space=sp, chart=ch, span_s=span_s, span_p=span_p, build_proj=lambda: proj,
         degenerate=np.zeros((n, n), dtype=bool),
         basis_s=span_s, signs_s=np.broadcast_to(signs[0:3], (n, n, 3)).copy(),
         basis_p=span_p, signs_p=np.broadcast_to(signs[3:6], (n, n, 3)).copy(),
@@ -357,8 +387,7 @@ def test_image_direction_matches_the_svd(ellipsoid_gauss65):
     # each near rank one: largest s2/s1 from 6.3e-5 (S_u) to 7.5e-2 (eps = i)
     gauss = ellipsoid_gauss65
     su, sv = gauss.derivatives
-    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
-                           33, 33, reality="complex_conjugate")
+    conv = _eps_i_chart(33)
     complex_su, _ = gm.conformal_gauss(lg.proj_lift(conv)).derivatives
     assert complex_su.dtype == np.complex128 and np.any(complex_su.imag)
     ops = (su, gauss.space.adjoint(sv), gm.tension(gauss).tau, complex_su)
@@ -413,9 +442,8 @@ def test_lapack_budget_of_the_diagnostics(ellipsoid_lift65, ellipsoid_gauss65, m
 
 
 def test_reconstruct_roundtrip():
-    gauss = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(129)))
-    grid = gauss.source
-    rec = gm.reconstruct(gauss)
+    grid = lg.lift(checks.make_ellipsoid(129))
+    rec = gm.reconstruct(gm.conformal_gauss(grid))
     assert np.max(interior(gm.line_angle(rec.l, grid.l))) < 1e-4
     assert np.max(interior(gm.line_angle(rec.s, grid.s))) < 1e-4
     rep = lg.validate(rec)

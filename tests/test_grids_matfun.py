@@ -227,10 +227,19 @@ def test_smooth_phase_aligns_signs_and_keeps_orthogonal_nodes():
     rng = np.random.default_rng(3)
     flips = rng.choice([-1.0, 1.0], size=(7, 9, 1))
     field = np.tile([0.6, 0.8], (7, 9, 1))
-    out = smooth_phase(flips * field).real
-    assert np.allclose(out, field) or np.allclose(out, -field)
+    # float64 in, float64 out: only signs flip, so the values are exact
+    out = smooth_phase(flips * field)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, field) or np.array_equal(out, -field)
+    # complex in, complex out: one common unit phase times the field
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(7, 9, 1)))
+    out = smooth_phase(phases * field)
+    assert out.dtype == np.complex128
+    ratio = out[..., 0] / field[..., 0]
+    assert np.allclose(ratio, ratio[0, 0], rtol=0.0, atol=1e-14)
+    assert np.allclose(np.abs(ratio), 1.0, rtol=0.0, atol=1e-14)
     # a node orthogonal to the node before it keeps its phase; nothing vanishes
     field[3, 4] = [0.8, -0.6]
-    out = smooth_phase(field).real
+    out = smooth_phase(field)
     assert np.array_equal(out[3, 4], field[3, 4])
     assert np.all(np.linalg.norm(out, axis=-1) > 0.99)

@@ -203,7 +203,7 @@ def test_real_chart_stays_float64(ellipsoid_connection):
     # its lambda=2 connection and rebuild the map as spectral_deform does
     ic, jc = gauss.chart.nu // 2, gauss.chart.nv // 2
     frames, _ = lt.integrate_frame(lt.spectral_connection(alpha, 2.0), f0=fr.frames[ic, jc])
-    deformed = lt.gauss_from_frame(frames, gauss)
+    deformed = lt.gauss_from_frame(frames)
     assert deformed.star.dtype == np.float64 and deformed.proj.dtype == np.float64
 
 

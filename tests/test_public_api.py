@@ -1,10 +1,15 @@
-"""Every public function and class of the package has a caller outside tests.
+"""Every public function, class, method and property has a caller outside tests.
 
-A public top-level definition in `src/quadgeo` counts as used when its name
-appears (as a name or an attribute) in `src/quadgeo` or `perfbench`, outside
-its own definition.  The names below are used by tests only, on purpose,
-and each must be named by some test.  Oracles and inputs that only tests
-need live in tests/oracles.py, not in the package.
+A public top-level definition in `src/quadgeo`, or a public method or
+property of a public class there, counts as used when its name appears (as
+a name or an attribute) in `src/quadgeo` or `perfbench`, outside its own
+definition.  Matching is by name only, for methods as for functions: a
+name counts as used when any name or attribute of the same spelling is
+used, whatever object it belongs to (`SymmetricPair.split` also matches
+`str.split` in cli.py), so a test-only method whose name something else
+shares still passes.  Dunder methods are not checked.  The names below are used by tests only, on
+purpose, and each must be named by some test.  Oracles and inputs that only
+tests need live in tests/oracles.py, not in the package.
 """
 
 import ast
@@ -19,22 +24,37 @@ TEST_ONLY = (
 )
 
 
-def _names(node):
-    """Names and attribute names used under `node`."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _uses(node):
+    """Each use of a name or attribute name under `node`, once per use."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _public(body):
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
 
 
 def _unreferenced():
-    """Public definitions no other top-level statement of src/ or perfbench/ names."""
+    """Public definitions whose name nothing in src/ or perfbench/ uses outside them.
+
+    Top-level functions and classes go by `module.name`, the methods and
+    properties of public classes by `module.Class.name`.
+    """
     package = sorted((ROOT / "src" / "quadgeo").glob("*.py"))
-    statements = [(path, node) for path in package + sorted((ROOT / "perfbench").glob("*.py"))
-                  for node in ast.parse(path.read_text()).body]
-    uses = collections.Counter(name for _, node in statements for name in _names(node))
-    return {f"{path.stem}.{node.name}" for path, node in statements
-            if path in package and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and uses[node.name] == (node.name in _names(node))}
+    trees = {path: ast.parse(path.read_text())
+             for path in package + sorted((ROOT / "perfbench").glob("*.py"))}
+    uses = collections.Counter(name for tree in trees.values() for name in _uses(tree))
+    definitions = []
+    for path in package:
+        for node in _public(trees[path].body):
+            definitions.append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{path.stem}.{node.name}.{member.name}", member)
+                                for member in _public(node.body)]
+    # unused when every use of the name lies inside the definition itself
+    return {qualified for qualified, node in definitions
+            if uses[node.name] == _uses(node).count(node.name)}
 
 
 def test_public_api_has_callers_outside_tests():
@@ -44,7 +64,7 @@ def test_public_api_has_callers_outside_tests():
     assert kept - unreferenced == set(), "now used outside tests: drop it from TEST_ONLY"
     tested = {name for path in sorted((ROOT / "tests").glob("*.py"))
               if path.name != pathlib.Path(__file__).name
-              for name in _names(ast.parse(path.read_text()))}
-    dead = {name for name in kept if name.split(".")[1] not in tested}
+              for name in _uses(ast.parse(path.read_text()))}
+    dead = {name for name in kept if name.split(".")[-1] not in tested}
     assert dead == set(), "no test names it: delete it rather than list it"
 
