@@ -127,9 +127,10 @@ def willmore_gradient_density(gauss):
     real (`pl.real_if_exact`).
     """
     sp = gauss.space
-    s = gauss.span_p[..., 0, :]
-    l = gauss.span_s[..., 0, :]
-    basis_p = gauss.span_p
+    # the dot products run in complex: float64 einsums sum in another order
+    basis_p = gauss.span_p.astype(complex, copy=False)
+    s = basis_p[..., 0, :]
+    l = gauss.span_s[..., 0, :].astype(complex, copy=False)
     w = sp.pair(basis_p, s[..., None, :])  # <e_k, s>
     wh = w.conj() / np.maximum(np.einsum("...k,...k->...", w, w.conj()).real, 1e-300)[..., None]
     if np.max(np.abs(np.einsum("...k,...k->...", wh, w) - 1.0)) > 1e-6:

@@ -6,17 +6,28 @@ nondegenerate induced pairing, orthogonal to span{s, s_u, s_uu}; the pair
 reflection star = eps (2P - 1) with star^2 = eps^2 (eps = 1 on real charts,
 i on complex-conjugate charts, where conj(S) = S_perp).  eps is the one
 quantity here read from the chart flag (`GaussMapGrid.eps`); every dtype
-follows the data (`pl.real_if_exact`), so on a real chart the derivatives,
-the density, the image directions and the reconstructed (l, s) are
-float64.  A map stores only what it computed: no source grid, no copied
-surface meta.  The energy path never reads P, so a map builds it on first
-read of `proj`.
+follows the data (`pl.real_if_exact`), so on a real chart the spans, the
+bases, P, the derivatives, the tension field, the density, the image
+directions and the reconstructed (l, s) are float64.  A map stores only
+what it computed: no source grid, no copied surface meta.  The energy path
+never reads P, so a map builds it on first read of `proj`.
+
+The float64 path equals the complex128 computation on the same data bit
+for bit (`tests/oracles.py` holds that computation).  numpy divides complex
+data by a real through the real's reciprocal, so every such division here
+is a multiply by the reciprocal: 1/(2h) and 1/h^2 in the stencils
+(`grids._times_reciprocal`), 1/sqrt|n|, 1/beta and 1/sqrt 2 in
+`_structured_orthobasis`.  On complex data these products are the
+divisions bit for bit, except that a division by a complex beta or
+denominator (eps = i charts) moves at roundoff.  Three ops whose float64
+kernels round differently stay in complex: the 3x3 Gram inverse behind P,
+the dot products of `line_angle` (and `functionals.willmore_gradient_density`)
+and the matvecs of `tension_kernel_residual`.
 
 The derivatives of S (`dS`) differentiate the section fields of S and keep
 their S_perp components: (S_u) sigma = P_perp d_u sigma, stored as a 6x6
 operator annihilating S_perp, which is the Hom(S, S_perp)-valued derivative
-on S.  The sections are differentiated in complex; on a real chart, whose
-bases are exactly real, the rest of `dS` and its result are float64.  Only
+on S; on a real chart the bases, `dS` and its result are float64.  Only
 the tension field works from the projection field: it is the covariant
 derivative tau = P_perp d_u(S_v) P with S_v = P_perp (d_v P) P (the
 Codazzi-equivalent P_perp d_v(S_u) P is reported as a cross-check).  The
@@ -30,7 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateReconstructionError
-from .grids import REAL, GridChart, d_u, d_v, d_uu, d_vv, interior, smooth_phase
+from .grids import (REAL, GridChart, _times_reciprocal, d_u, d_v, d_uu, d_vv, interior,
+                    smooth_phase)
 from .legendre import LegendreGrid
 from . import pseudo_linalg as pl
 
@@ -114,9 +126,9 @@ def conformal_gauss(grid):
     `proj`.
     """
     sp, ch = grid.space, grid.chart
-    l, s = grid.l, grid.s
-    span_s = np.stack([l, d_v(l, ch), d_vv(l, ch)], axis=-2)
-    span_p = np.stack([s, d_u(s, ch), d_uu(s, ch)], axis=-2)
+    l, s = pl.real_if_exact(grid.l, grid.s)
+    span_s = np.stack([l, _times_reciprocal(d_v, l, ch), _times_reciprocal(d_vv, l, ch)], axis=-2)
+    span_p = np.stack([s, _times_reciprocal(d_u, s, ch), _times_reciprocal(d_uu, s, ch)], axis=-2)
     # note: no Euclidean rescaling of the sections anywhere downstream; the
     # orthonormal bases are built from pairing quantities alone, so the whole
     # discrete pipeline commutes with pairing-orthogonal maps to roundoff
@@ -133,7 +145,12 @@ def conformal_gauss(grid):
 
     def build_proj():
         b6 = span_s.swapaxes(-1, -2)  # columns
-        gram_inv = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(3), gram_s))
+        # LAPACK rounds a float64 inverse differently from a complex one;
+        # the complex inverse of a real Gram is exactly real
+        gram = np.where(degenerate[..., None, None], np.eye(3), gram_s)
+        gram_inv = np.linalg.inv(gram.astype(complex))
+        if not np.iscomplexobj(gram_s):
+            gram_inv = np.ascontiguousarray(gram_inv.real)
         proj = b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram
         proj[target] = proj[source]
         return proj
@@ -206,16 +223,18 @@ def _structured_orthobasis(space, rows):
     n = space.pair(b, b)
     real_n = np.abs(n.imag) <= 1e-10 * np.abs(n)
     d2 = np.where(real_n, np.sign(n.real), 1.0)
-    denom = np.where(real_n, np.sqrt(np.abs(n)).astype(complex), np.sqrt(n + 0j))
-    e2 = b / denom[..., None]
+    denom = np.sqrt(np.abs(n))
+    if np.iscomplexobj(n):
+        denom = np.where(real_n, denom, np.sqrt(n))
+    e2 = b * (1.0 / denom)[..., None]
     inner = space.pair(c, e2) / d2
     w = c - inner[..., None] * e2
     beta = space.pair(a, w)
-    p = a / beta[..., None]
+    p = a * (1.0 / beta)[..., None]
     m = space.pair(w, w)
     x = w - 0.5 * m[..., None] * p
-    e3 = (p + x) / np.sqrt(2.0)   # norm +1
-    e1 = (p - x) / np.sqrt(2.0)   # norm -1
+    e3 = (p + x) * (1.0 / np.sqrt(2.0))   # norm +1
+    e1 = (p - x) * (1.0 / np.sqrt(2.0))   # norm -1
     basis = np.stack([e1, e2, e3], axis=-2)
     signs = np.stack([-np.ones_like(d2), d2, np.ones_like(d2)], axis=-1)
     return basis, signs
@@ -231,10 +250,11 @@ def dS(gauss):
     Dividing by the signs treats the bases' Gram as diagonal (true to O(h^2));
     consumers read the pair once per map from `GaussMapGrid.derivatives`.
 
-    When both bases are exactly real (a real chart; `pl.real_if_exact`), the
-    section derivatives are still taken in complex and their real parts kept,
-    and the coordinates, coefficients, contraction and result are float64:
-    bit for bit the real parts of the complex computation, whose imaginary
+    On a real chart the bases are float64 (`conformal_gauss`,
+    `loop_tools.gauss_from_frame`), and so are the section derivatives (by
+    `grids._times_reciprocal`, which rounds like the complex stencils), the
+    coordinates, coefficients, contraction and result: bit for bit the real
+    parts of the computation on the bases cast to complex, whose imaginary
     parts are all 0.  Complex-conjugate charts stay complex throughout.
 
     The contraction sum_kj b_p[k, i] coeff[k, j] coords_s[j, l] adds its nine
@@ -247,15 +267,13 @@ def dS(gauss):
     moves to about 5e-6 relative.
     """
     sp = gauss.space
-    b_s, b_p = pl.real_if_exact(gauss.basis_s, gauss.basis_p)
+    b_s, b_p = gauss.basis_s, gauss.basis_p
     # sigma -> S-coordinates extractor (diagonal Gram, condition 1)
     coords_s = (b_s @ sp.gram) / gauss.signs_s[..., None]
     bp, cs = _nodes_last(b_p), _nodes_last(coords_s)
     out = []
     for deriv in (d_u, d_v):
-        w = deriv(gauss.basis_s, gauss.chart)        # derivatives of sections
-        if not np.iscomplexobj(b_s):
-            w = w.real
+        w = _times_reciprocal(deriv, b_s, gauss.chart)    # derivatives of sections
         coeff = sp.pair(b_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
         cf = _nodes_last(coeff)
         acc = np.zeros((6, 6) + b_p.shape[:-2], dtype=np.result_type(bp, cf, cs))
@@ -295,11 +313,12 @@ def tension(gauss):
     is P_perp (dA) P, and S_v = P_perp (d_v P) P); their difference vanishes
     with the discretization by the Codazzi identity.
     """
-    pp = np.eye(6) - gauss.proj
-    du_op = pp @ d_u(gauss.proj, gauss.chart) @ gauss.proj
-    dv_op = pp @ d_v(gauss.proj, gauss.chart) @ gauss.proj
-    tau = pp @ d_u(dv_op, gauss.chart) @ gauss.proj
-    alt = pp @ d_v(du_op, gauss.chart) @ gauss.proj
+    proj, ch = gauss.proj, gauss.chart
+    pp = np.eye(6) - proj
+    du_op = pp @ _times_reciprocal(d_u, proj, ch) @ proj
+    dv_op = pp @ _times_reciprocal(d_v, proj, ch) @ proj
+    tau = pp @ _times_reciprocal(d_u, dv_op, ch) @ proj
+    alt = pp @ _times_reciprocal(d_v, du_op, ch) @ proj
     return TensionField(tau=tau, norm=np.linalg.norm(tau, axis=(-2, -1)),
                         codazzi_diff=np.linalg.norm(tau - alt, axis=(-2, -1)))
 
@@ -355,7 +374,8 @@ def image_direction(op):
 
 def line_angle(x, y):
     """Angle between complex lines spanned by x and y (Hermitian)."""
-    num = np.abs(np.einsum("...k,...k->...", x, y.conj()))
+    # in complex: a float64 einsum sums in another order
+    num = np.abs(np.einsum("...k,...k->...", x, y.conj(), dtype=complex))
     den = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
     return np.arccos(np.clip(num / np.maximum(den, 1e-300), 0.0, 1.0))
 
@@ -369,8 +389,9 @@ def tension_image_angle(gauss, tension_field):
 def tension_kernel_residual(gauss, tension_field):
     """Action of tau_S on l and l_v (a basis of l-perp within S), normalized."""
     tau = tension_field.tau
-    act_l = np.linalg.norm((tau @ gauss.span_s[..., 0, :, None])[..., 0], axis=-1)
-    act_lv = np.linalg.norm((tau @ gauss.span_s[..., 1, :, None])[..., 0], axis=-1)
+    # matvecs in complex: float64 BLAS rounds them differently
+    act_l, act_lv = (np.linalg.norm(np.matmul(tau, gauss.span_s[..., k, :, None],
+                                              dtype=complex)[..., 0], axis=-1) for k in (0, 1))
     scale = np.maximum(
         tension_field.norm * np.linalg.norm(gauss.span_s[..., 0:2, :], axis=-1).max(-1),
         1e-300,

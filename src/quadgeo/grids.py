@@ -52,27 +52,35 @@ def check_sizes(nu, nv):
         raise GridTooSmallError("grid sizes must be >= 5 (2-node stencil margins)")
 
 
-def _diff_axis(field, h, axis):
-    """2nd-order first derivative along one axis, one-sided at the edges."""
+def _stencil(field, axis, order):
+    """2h f' (order 1) or h^2 f'' (order 2) along one axis: the numerators of
+    the 2nd-order stencils, central inside and one-sided at the edges."""
     f = np.asarray(field)
     out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
     fm = np.moveaxis(f, axis, 0)
     om = np.moveaxis(out, axis, 0)
-    om[1:-1] = (fm[2:] - fm[:-2]) / (2.0 * h)
-    om[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
-    om[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
+    if order == 1:
+        np.subtract(fm[2:], fm[:-2], out=om[1:-1])
+        om[0] = -3.0 * fm[0] + 4.0 * fm[1] - fm[2]
+        om[-1] = 3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]
+    else:
+        om[1:-1] = fm[2:] - 2.0 * fm[1:-1] + fm[:-2]
+        om[0] = 2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]
+        om[-1] = 2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]
+    return out
+
+
+def _diff_axis(field, h, axis):
+    """2nd-order first derivative along one axis, one-sided at the edges."""
+    out = _stencil(field, axis, 1)
+    out /= 2.0 * h
     return out
 
 
 def _diff2_axis(field, h, axis):
     """2nd-order second derivative along one axis, one-sided at the edges."""
-    f = np.asarray(field)
-    out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
-    fm = np.moveaxis(f, axis, 0)
-    om = np.moveaxis(out, axis, 0)
-    om[1:-1] = (fm[2:] - 2.0 * fm[1:-1] + fm[:-2]) / (h * h)
-    om[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / (h * h)
-    om[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / (h * h)
+    out = _stencil(field, axis, 2)
+    out /= h * h
     return out
 
 
@@ -102,6 +110,27 @@ def d_vv(field, chart):
     if chart.reality == REAL:
         return _diff2_axis(field, chart.hv, 1)
     return d_v(d_v(field, chart), chart)
+
+
+def _times_reciprocal(deriv, field, chart):
+    """`deriv` (d_u, d_v, d_uu or d_vv) multiplying by 1/(2h) or 1/h^2 where it divides.
+
+    numpy divides complex data by a real as a multiply by the real's
+    reciprocal (Smith's algorithm), so on complex data this is `deriv`'s
+    result bit for bit, and on float64 data it is the real part of `deriv`
+    on the same data cast to complex128.  On a complex-conjugate chart it
+    is `deriv` itself.  Only `gauss_map` differences with it; the other
+    float64 callers keep the dividing stencils, whose last bits the
+    `invariance` and `descent` reports amplify into compared digits.
+    """
+    if chart.reality != REAL:
+        return deriv(field, chart)
+    axis = 0 if deriv in (d_u, d_uu) else 1
+    order = 1 if deriv in (d_u, d_v) else 2
+    h = chart.hu if axis == 0 else chart.hv
+    out = _stencil(field, axis, order)
+    out *= 1.0 / (2.0 * h) if order == 1 else 1.0 / (h * h)
+    return out
 
 
 def interior(field, margin=2):

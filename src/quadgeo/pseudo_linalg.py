@@ -12,18 +12,21 @@ group and of SL(4).  Two standard spaces are used throughout:
   v_inf): v_1..v_3 orthonormal spacelike, v_-1 timelike, and (v_0, v_inf)
   isotropic with <v_0, v_inf> = -1/2.
 
-Vectors are plain ndarrays of shape (..., 6).  The lift and the spanning
-sections of the Gauss map are complex; they are differentiated in complex,
-because numpy divides complex data by 2h through its reciprocal and float64
-data by 2h itself.  `real_if_exact` is the package's one realness rule: the
-chart flag picks only the derivative stencils (`grids`) and a Gauss map's
-eps (`gauss_map.GaussMapGrid.eps`), and every other choice between float64
-and complex follows the data, float64 when every imaginary part is exactly
-0.  So on real charts the rank test of `legendre.proj_lift`, the conjugate
-coefficients, the densities of `functionals`, `gauss_map.dS`, the power
-steps of `gauss_map.image_direction` (so `reconstruct` returns float64
-(l, s)) and the loop-algebra arrays (`loop_tools`, `matfun`) are float64,
-and complex only where the mathematics is complex.
+Vectors are plain ndarrays of shape (..., 6).  The lift is complex and is
+differentiated in complex, because numpy divides complex data by 2h through
+its reciprocal and float64 data by 2h itself; the Gauss map reads it as
+float64 on real charts and rounds like the complex code by multiplying by
+the same reciprocals (`grids._times_reciprocal`, `gauss_map`).
+`real_if_exact` is the package's one realness rule: the chart flag picks
+only the derivative stencils (`grids`) and a Gauss map's eps
+(`gauss_map.GaussMapGrid.eps`), and every other choice between float64 and
+complex follows the data, float64 when every imaginary part is exactly 0.
+So on real charts the rank test of `legendre.proj_lift`, the conjugate
+coefficients, the densities of `functionals`, the Gauss map's spans, bases,
+P, `dS` and tension field, the power steps of `gauss_map.image_direction`
+(so `reconstruct` returns float64 (l, s)) and the loop-algebra arrays
+(`loop_tools`, `matfun`) are float64, and complex only where the
+mathematics is complex.
 `PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
 and one adjoint (the inverse of a pairing-orthogonal element).
 
@@ -126,11 +129,12 @@ def real_if_exact(*arrays):
     The package's one rule for dropping the imaginary zeros of a real chart.
     Complex products and sums of data with zero imaginary parts, and complex
     division by +-1 + 0j, equal their float64 counterparts bit for bit, so
-    computing on the real parts moves no digit.  Returns a tuple.
+    computing on the real parts moves no digit.  Returns a tuple; float
+    arrays pass through untouched.
     """
-    if any(np.any(a.imag) for a in arrays):
+    if any(np.iscomplexobj(a) and np.any(a.imag) for a in arrays):
         return arrays
-    return tuple(a.real for a in arrays)
+    return tuple(a.real if np.iscomplexobj(a) else a for a in arrays)
 
 
 @functools.cache

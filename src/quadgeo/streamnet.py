@@ -23,8 +23,8 @@ consistent up to sign.  Grid fields are sign-aligned once by
 
 import numpy as np
 
-from .errors import StreamlineError
-from .grids import GridChart, d_u, d_v, smooth_phase
+from .errors import SignatureError, StreamlineError
+from .grids import REAL, GridChart, d_u, d_v, smooth_phase
 from .surfaces import PROJECTIVE3, SurfaceGrid, _unit, hessian_null_directions
 
 
@@ -241,10 +241,15 @@ def asymptotic_reparametrize(surface, out_nu, out_nv, h1, h2, sampler=None):
     """Resample a projective surface on a chart following asymptotic directions.
 
     With a sampler the new nodes are sampled exactly; without one they are
-    bilinearly resampled from the input grid.
+    bilinearly resampled from the input grid.  The net follows real
+    asymptotic lines, so a source on a complex-conjugate chart, whose
+    asymptotic parameters are complex, raises SignatureError.
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("asymptotic reparametrization needs a projective surface")
+    if surface.chart.reality != REAL:
+        raise SignatureError(f"reality {surface.chart.reality!r}: an asymptotic net follows "
+                             "real asymptotic lines and gives a real chart")
     fields = asymptotic_fields(surface, sampler)
     pos = march_net(fields, _net_center(surface), h1, h2, out_nu, out_nv)
     if sampler is not None:

@@ -1,14 +1,17 @@
 """Oracles and inputs that only the tests use.
 
 Independent references (the Hodge star of a quadric form, the group defect
-of a frame) and test surfaces (a chart that is not curvature-line, exact
-asymptotic and elliptic graph charts) that no suite or command needs.
+of a frame, the Gauss map computed in complex128 throughout) and test
+surfaces (a chart that is not curvature-line, exact asymptotic and elliptic
+graph charts) that no suite or command needs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from quadgeo import gauss_map as gm
+from quadgeo.grids import d_u, d_uu, d_v, d_vv
 from quadgeo.pseudo_linalg import _BIVECTOR_PAIRS, plucker_space
 from quadgeo.surfaces import EUCLIDEAN3, PROJECTIVE3, ProjectiveGraphSampler, _unit
 
@@ -70,6 +73,86 @@ def orthogonality_defect(f, gram):
     """Batched norm of F^T G F - G."""
     e = np.asarray(f).swapaxes(-1, -2) @ gram @ np.asarray(f) - gram
     return np.sqrt(np.abs(e * e.conj()).sum(axis=(-2, -1)))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss map in complex128
+
+
+def complex_gauss_map(grid):
+    """`gm.conformal_gauss` computed in complex128 throughout, P built at once.
+
+    The lift is cast to complex128 and differenced by the dividing stencils
+    of `grids`; every division, by a real or a complex quantity, is a
+    division, and the 3x3 Gram is inverted in complex.  On a real chart the
+    package's float64 path must equal these fields bit for bit.
+    """
+    sp, ch = grid.space, grid.chart
+    l, s = (np.asarray(x, dtype=complex) for x in (grid.l, grid.s))
+    span_s = np.stack([l, d_v(l, ch), d_vv(l, ch)], axis=-2)
+    span_p = np.stack([s, d_u(s, ch), d_uu(s, ch)], axis=-2)
+    gram_s = sp.pair(span_s[..., :, None, :], span_s[..., None, :, :])
+    scale = np.linalg.norm(span_s, axis=-1) ** 2
+    scale3 = scale[..., 0] * scale[..., 1] * scale[..., 2]
+    degenerate = np.abs(np.linalg.det(gram_s)) < 1e-8 * np.maximum(scale3, 1e-300)
+    with np.errstate(all="ignore"):
+        basis_s, signs_s = _complex_orthobasis(sp, span_s)
+        basis_p, signs_p = _complex_orthobasis(sp, span_p)
+    b6 = span_s.swapaxes(-1, -2)
+    gram_inv = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(3), gram_s))
+    proj = b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram
+    target, source = gm._fill_sources(degenerate)
+    for fld in (basis_s, basis_p, signs_s, signs_p, proj):
+        fld[target] = fld[source]
+    return gm.GaussMapGrid(
+        space=sp, chart=ch, span_s=span_s, span_p=span_p, build_proj=lambda: proj,
+        degenerate=degenerate, basis_s=basis_s, signs_s=signs_s, basis_p=basis_p, signs_p=signs_p,
+    )
+
+
+def _complex_orthobasis(space, rows):
+    """`gm._structured_orthobasis` with complex divisions."""
+    a, b, c = rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
+    n = space.pair(b, b)
+    real_n = np.abs(n.imag) <= 1e-10 * np.abs(n)
+    d2 = np.where(real_n, np.sign(n.real), 1.0)
+    denom = np.where(real_n, np.sqrt(np.abs(n)).astype(complex), np.sqrt(n + 0j))
+    e2 = b / denom[..., None]
+    w = c - (space.pair(c, e2) / d2)[..., None] * e2
+    p = a / space.pair(a, w)[..., None]
+    x = w - 0.5 * space.pair(w, w)[..., None] * p
+    basis = np.stack([(p - x) / np.sqrt(2.0), e2, (p + x) / np.sqrt(2.0)], axis=-2)
+    signs = np.stack([-np.ones_like(d2), d2, np.ones_like(d2)], axis=-1)
+    return basis, signs
+
+
+def einsum_dS(gauss):
+    """(S_u, S_v) by the three-operand einsum over the bases cast to complex128.
+
+    The sections are differenced by the dividing stencils of `grids`.  On a
+    real chart `gm.dS` must equal the real parts bit for bit.
+    """
+    sp = gauss.space
+    b_s, b_p = (np.asarray(b, dtype=complex) for b in (gauss.basis_s, gauss.basis_p))
+    coords_s = (b_s @ sp.gram) / gauss.signs_s[..., None]
+    out = []
+    for deriv in (d_u, d_v):
+        w = deriv(b_s, gauss.chart)
+        coeff = sp.pair(b_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
+        out.append(np.einsum("...ki,...kj,...jl->...il", b_p, coeff, coords_s))
+    return out
+
+
+def complex_tension(gauss):
+    """`gm.tension` on P cast to complex128, differenced by the stencils of `grids`."""
+    proj, ch = np.asarray(gauss.proj, dtype=complex), gauss.chart
+    pp = np.eye(6) - proj
+    du_op = pp @ d_u(proj, ch) @ proj
+    dv_op = pp @ d_v(proj, ch) @ proj
+    tau = pp @ d_u(dv_op, ch) @ proj
+    alt = pp @ d_v(du_op, ch) @ proj
+    return gm.TensionField(tau=tau, norm=np.linalg.norm(tau, axis=(-2, -1)),
+                           codazzi_diff=np.linalg.norm(tau - alt, axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,9 @@ def test_dualize_command_on_a_projective_quadric(tmp_path):
     ["generate", "--kind", "ellipsoid", "--grid-nu", "9", "--grid-nv", "9",
      "--param", "reality=complex_conjugate"],
     ["gauss", "--surface", "{tmp}/complex_chart.json"],
+    # the asymptotic net is real: a complex-conjugate chart is not dropped silently
+    ["generate", "--kind", "perturbed_graph", "--grid-nu", "17", "--grid-nv", "17",
+     "--asymptotic", "--param", "reality=complex_conjugate"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)

@@ -10,9 +10,10 @@ from quadgeo import pseudo_linalg as pl
 from quadgeo import loop_tools as lt
 from quadgeo import surfaces as sf
 from quadgeo.errors import DegenerateReconstructionError
-from quadgeo.grids import GridChart, d_u, d_v, interior
+from quadgeo.grids import GridChart, interior
 
-from oracles import QuadricForm, convex_graph_sampler, hodge_star
+from oracles import (QuadricForm, complex_gauss_map, complex_tension, convex_graph_sampler,
+                     einsum_dS, hodge_star)
 
 
 def test_torus_star_constant(torus_gauss65):
@@ -102,18 +103,6 @@ def test_dS_rank_structure(ellipsoid_gauss65):
     assert np.min(interior(s1 / s2)) > 1e3  # near rank one
 
 
-def _einsum_dS(gauss):
-    # dS with the three-operand einsum contraction it must reproduce bit for bit
-    sp = gauss.space
-    coords_s = (gauss.basis_s @ sp.gram) / gauss.signs_s[..., None]
-    out = []
-    for deriv in (d_u, d_v):
-        w = deriv(gauss.basis_s, gauss.chart)
-        coeff = sp.pair(gauss.basis_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
-        out.append(np.einsum("...ki,...kj,...jl->...il", gauss.basis_p, coeff, coords_s))
-    return out
-
-
 def _eps_i_chart(n):
     return sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
                            n, n, reality="complex_conjugate")
@@ -138,6 +127,12 @@ def _reconstructed_lines(surface):
     return rec.l, rec.s
 
 
+def _gauss_map_fields(surface):
+    gauss = gm.conformal_gauss(lg.lift(surface))
+    return (gauss.span_s, gauss.span_p, gauss.basis_s, gauss.basis_p, gauss.proj,
+            *gauss.derivatives, gm.tension(gauss).tau)
+
+
 @pytest.mark.parametrize("real_surface,compute", [
     (checks.make_ellipsoid, _conjugate_pq),
     (checks.make_asymptotic_graph, lambda surface: (fn.proj_density(surface),)),
@@ -146,8 +141,9 @@ def _reconstructed_lines(surface):
     (checks.make_ellipsoid,
      lambda surface: (gm.willmore_density(gm.conformal_gauss(lg.lift(surface))),)),
     (checks.make_ellipsoid, _reconstructed_lines),
+    (checks.make_ellipsoid, _gauss_map_fields),
 ], ids=["conjugate_coefficients", "proj_density", "willmore_gradient_density",
-        "willmore_density", "reconstruct"])
+        "willmore_density", "reconstruct", "gauss_map_fields"])
 def test_dtype_follows_the_data(real_surface, compute):
     # the dtype follows the data: a real chart's results are exactly real and
     # float64, an eps = i chart's are complex128
@@ -157,19 +153,20 @@ def test_dtype_follows_the_data(real_surface, compute):
 
 
 def test_dS_equals_the_einsum_bit_for_bit():
-    # on a real chart dS runs in float64 and equals the real part of the
-    # einsum over the stored (complex) bases, whose imaginary part is exactly
-    # 0; an eps = i chart stays complex128 and agrees to roundoff
+    # on a real chart the stored bases and dS are float64, and dS equals the
+    # real part of the einsum over the bases cast to complex128, whose
+    # imaginary part is exactly 0; an eps = i chart stays complex128 and
+    # agrees to roundoff
     lifted = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(17)))
     from_frame = lt.gauss_from_frame(lt.frame(lifted))
     conv = _eps_i_chart(17)
     complex_chart = gm.conformal_gauss(lg.proj_lift(conv))
     assert complex_chart.eps == 1j
-    cases = ((lifted, np.complex128, np.float64), (from_frame, np.float64, np.float64),
+    cases = ((lifted, np.float64, np.float64), (from_frame, np.float64, np.float64),
              (complex_chart, np.complex128, np.complex128))
     for gauss, stored, dtype in cases:
         assert gauss.basis_s.dtype == stored
-        for got, want in zip(gm.dS(gauss), _einsum_dS(gauss)):
+        for got, want in zip(gm.dS(gauss), einsum_dS(gauss)):
             assert got.dtype == dtype and got.flags.c_contiguous
             assert np.max(np.abs(got)) > 1e-3  # a map that moves
             if dtype == np.complex128:
@@ -524,20 +521,65 @@ def test_reconstruct_builds_no_projection(ellipsoid_lift65, torus_lift65):
 
 
 def _eager_proj(gauss):
-    # conformal_gauss's Gram-inverse formula with its degenerate-node fill
-    sp, span_s = gauss.space, gauss.span_s
+    # conformal_gauss's Gram-inverse formula with its degenerate-node fill,
+    # in complex128, real where exactly real
+    sp, span_s = gauss.space, gauss.span_s.astype(complex)
     gram_s = sp.pair(span_s[..., :, None, :], span_s[..., None, :, :])
     b6 = span_s.swapaxes(-1, -2)
     gram_inv = np.linalg.inv(np.where(gauss.degenerate[..., None, None], np.eye(3), gram_s))
-    return _roll_fill_reference(b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram, gauss.degenerate)
+    proj = _roll_fill_reference(b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram, gauss.degenerate)
+    return pl.real_if_exact(proj)[0]
 
 
-def test_proj_built_on_first_read_equals_the_eager_formulas(ellipsoid_lift65):
+@pytest.fixture(scope="module")
+def descent_moved_lift():
     # one large descent step leaves nodes where the span's pairing
     # degenerates, so conformal_gauss fills them from valid neighbors
     surface = checks.make_ellipsoid(33, checks.ELL_WINDOW_TENSION)
     _, moved = fn.willmore_descent(surface, steps=1, step_size=1e-4)
-    refit = gm.conformal_gauss(lg.lie_lift(moved))
+    return lg.lie_lift(moved)
+
+
+def _moved_by_the_group():
+    g = pl.random_pseudo_orthogonal(pl.lie_space(), np.random.default_rng(11))
+    return lg.apply_group(lg.lift(checks.make_ellipsoid(33)), g)
+
+
+@pytest.mark.parametrize("make_lift", [
+    lambda request: lg.lift(checks.make_ellipsoid(33)),
+    lambda request: lg.lift(checks.make_ellipsoid(33, checks.ELL_WINDOW_TENSION)),
+    lambda request: request.getfixturevalue("torus_lift65"),
+    lambda request: request.getfixturevalue("descent_moved_lift"),
+    lambda request: _moved_by_the_group(),
+], ids=["ellipsoid33", "ellipsoid33-tension-window", "torus65", "descent-moved", "group-moved"])
+def test_float64_gauss_map_equals_the_complex_path_bit_for_bit(make_lift, request, monkeypatch):
+    # on a real chart the splitting, P, dS and tau are float64 and equal the
+    # complex128 computation bit for bit, and so do the diagnostics read
+    # from them
+    grid = make_lift(request)
+    new, old = gm.conformal_gauss(grid), complex_gauss_map(grid)
+    if request.node.callspec.id == "descent-moved":
+        assert new.degenerate.sum() > 10
+    for name in ("span_s", "span_p", "basis_s", "basis_p", "signs_s", "signs_p", "proj"):
+        got, want = getattr(new, name), getattr(old, name)
+        assert got.dtype == np.float64 and np.array_equal(got, want), name
+    assert np.array_equal(new.degenerate, old.degenerate)
+    for got, want in zip(new.derivatives, einsum_dS(old)):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    tf_new, tf_old = gm.tension(new), complex_tension(old)
+    for name in ("tau", "norm", "codazzi_diff"):
+        got, want = getattr(tf_new, name), getattr(tf_old, name)
+        assert got.dtype == np.float64 and np.array_equal(got, want), name
+    assert np.array_equal(gm.tension_image_angle(new, tf_new), gm.tension_image_angle(old, tf_old))
+    assert np.array_equal(gm.tension_kernel_residual(new, tf_new),
+                          gm.tension_kernel_residual(old, tf_old))
+    got = fn.willmore_gradient_density(new)
+    monkeypatch.setattr(gm, "tension", complex_tension)
+    assert np.array_equal(got, fn.willmore_gradient_density(old))
+
+
+def test_proj_built_on_first_read_equals_the_eager_formulas(ellipsoid_lift65, descent_moved_lift):
+    refit = gm.conformal_gauss(descent_moved_lift)
     assert refit.degenerate.sum() > 10
     with np.errstate(all="ignore"):
         basis_s, signs_s = gm._structured_orthobasis(refit.space, refit.span_s)

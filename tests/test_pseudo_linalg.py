@@ -135,17 +135,54 @@ def test_numpy_complex_semantics_behind_the_float64_paths(rng):
     for divisor in (signs, signs + 0j):
         assert np.array_equal(ac / divisor, a * signs + 0j)
         assert np.array_equal((ac / divisor).real, a / signs)
-    # complex data is divided by a real h through its reciprocal, which is
-    # why the sections are differentiated in complex before the real parts
-    # are taken
+    # complex data is divided by a real h through its reciprocal
     h = 2.0 * 0.0123456789
     assert np.array_equal(ac / h, ac * (1.0 / h))
+
+
+def test_numpy_rounding_behind_the_float64_gauss_map(rng):
+    # gauss_map computes a real chart's splitting, P, dS and tau in float64
+    # and must equal the complex128 computation bit for bit; that holds only
+    # while numpy rounds as checked here
+    n = 33
+    # 1. complex data divided by a real is multiplied by its reciprocal
+    # (Smith's algorithm), so float64 code multiplies by the same reciprocal:
+    # the stencils' 2h and h^2, 1/sqrt|n|, 1/beta and 1/sqrt(2)
+    a = rng.standard_normal((n, n, 6))
+    ac = a + 0j
+    h = 0.0123456789
+    d = np.abs(rng.standard_normal((n, n, 1))) + 0.1
+    for real in (2.0 * h, h * h, np.sqrt(2.0), d):
+        for divisor in (real, real + 0j):
+            assert np.array_equal(ac / divisor, ac * (1.0 / real))
+            assert np.array_equal((ac / divisor).real, a * (1.0 / real))
+    # 2. complex matmuls of zero-imaginary data equal float64 matmuls: P's
+    # stacked (6x3)(3x3)(3x6)(6x6) product, with the span read transposed,
+    # and the 6x6 products of tau
+    span = rng.standard_normal((n, n, 3, 6))
+    gram_inv = rng.standard_normal((n, n, 3, 3))
+    gram = SP42.gram
+    want = span.swapaxes(-1, -2) @ gram_inv @ span @ gram
+    spanc = span + 0j
+    got = spanc.swapaxes(-1, -2) @ (gram_inv + 0j) @ spanc @ gram
+    assert np.array_equal(got, want) and not np.any(got.imag)
+    x, y, z = rng.standard_normal((3, n, n, 6, 6))
+    got = (x + 0j) @ (y + 0j) @ (z + 0j)
+    assert np.array_equal(got, x @ y @ z) and not np.any(got.imag)
+    assert np.array_equal(np.linalg.norm(x + 0j, axis=(-2, -1)), np.linalg.norm(x, axis=(-2, -1)))
+    # 3. the ops whose float64 kernels round differently take dtype=complex,
+    # which runs the complex kernel on float64 input
+    u, v = rng.standard_normal((2, n, n, 6))
+    assert np.array_equal(np.einsum("...k,...k->...", u, v, dtype=complex),
+                          np.einsum("...k,...k->...", u + 0j, v + 0j))
+    assert np.array_equal(np.matmul(x, u[..., None], dtype=complex), (x + 0j) @ (u[..., None] + 0j))
 
 
 def test_real_if_exact(rng):
     x = rng.standard_normal((4, 6))
     real, also = pl.real_if_exact(x + 0j, x.copy())
     assert real.dtype == also.dtype == np.float64 and np.array_equal(real, x)
+    assert pl.real_if_exact(x)[0] is x  # a float array passes through untouched
     y = x + 0j
     y[2, 3] += 1e-300j  # one nonzero imaginary part keeps every array complex
     kept = pl.real_if_exact(x + 0j, y)
