@@ -18,7 +18,7 @@ from . import legendre as lg
 from . import pseudo_linalg as pl
 from . import surfaces as sf
 from .errors import NotAsymptoticChartError, UmbilicError
-from .grids import GridChart, d_u, d_v, interior, node_list
+from .grids import GridChart, _times_reciprocal, d_u, d_v, interior, node_list
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
 MARGIN = gm.DENSITY_MARGIN
@@ -78,18 +78,24 @@ def proj_density(surface):
     precisely when the net is nondegenerate), and the components of f_uu,
     f_vv off that span witness the asymptotic property of the chart (at most
     `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).  The density p q is
-    float64 when it is exactly real (`pl.real_if_exact`).
+    float64 when it is exactly real (`pl.real_if_exact`).  As in
+    `lg.proj_lift`, f is differenced by the multiplying stencils and the
+    ratios multiply by 1/det(f, f_u, f_v, f_uv), so on a real chart the
+    float64 density equals the complex computation bit for bit.
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_density needs a projective surface")
-    ch = surface.chart
-    f = surface.points.astype(complex)
-    fu, fv = d_u(f, ch), d_v(f, ch)
-    fuu, fvv = d_u(fu, ch), d_v(fv, ch)
-    fuv = d_v(fu, ch)
+    f, ch = surface.points, surface.chart
+    fu, fv = _times_reciprocal(d_u, f, ch), _times_reciprocal(d_v, f, ch)
+    fuu, fvv = _times_reciprocal(d_u, fu, ch), _times_reciprocal(d_v, fv, ch)
+    fuv = _times_reciprocal(d_v, fu, ch)
 
     def det4(*cols):
-        return np.linalg.det(np.stack(cols, axis=-1))
+        # LAPACK rounds a float64 determinant differently from a complex
+        # one; the complex determinant of real columns is exactly real
+        m = np.stack(cols, axis=-1)
+        det = np.linalg.det(m.astype(complex, copy=False))
+        return det if np.iscomplexobj(m) else det.real
 
     # chart witness: second derivatives must stay in span{f, f_u, f_v}; the
     # covector f* that annihilates it is the signed 3x3 cofactors of
@@ -112,9 +118,9 @@ def proj_density(surface):
         raise NotAsymptoticChartError(
             f"off-span residual {worst:.2e}: chart is not asymptotic"
         )
-    den = det4(f, fu, fv, fuv)
-    p = det4(f, fu, fuu, fuv) / den
-    q = -det4(f, fv, fvv, fuv) / den
+    inv_den = 1.0 / det4(f, fu, fv, fuv)
+    p = det4(f, fu, fuu, fuv) * inv_den
+    q = -det4(f, fv, fvv, fuv) * inv_den
     return pl.real_if_exact(p * q)[0]
 
 
@@ -136,7 +142,7 @@ def willmore_gradient_density(gauss):
     if np.max(np.abs(np.einsum("...k,...k->...", wh, w) - 1.0)) > 1e-6:
         raise ValueError("<s, .> degenerates on the stored S_perp basis")
     sigma = np.einsum("...k,...ki->...i", wh, basis_p)
-    tau_star = sp.adjoint(gm.tension(gauss).tau)
+    tau_star = sp.adjoint(gm._tau(gauss))
     img = np.einsum("...ij,...j->...i", tau_star, sigma)
     num = np.einsum("...k,...k->...", img, l.conj())
     den = np.einsum("...k,...k->...", l, l.conj()).real

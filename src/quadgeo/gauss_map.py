@@ -12,8 +12,9 @@ directions and the reconstructed (l, s) are float64.  A map stores only
 what it computed: no source grid, no copied surface meta.  The energy path
 never reads P, so a map builds it on first read of `proj`.
 
-The float64 path equals the complex128 computation on the same data bit
-for bit (`tests/oracles.py` holds that computation).  numpy divides complex
+The float64 path reads the float64 lift of a real chart (`legendre`) and
+equals the complex128 computation on the same data bit for bit
+(`tests/oracles.py` holds that computation).  numpy divides complex
 data by a real through the real's reciprocal, so every such division here
 is a multiply by the reciprocal: 1/(2h) and 1/h^2 in the stencils
 (`grids._times_reciprocal`), 1/sqrt|n|, 1/beta and 1/sqrt 2 in
@@ -30,7 +31,8 @@ operator annihilating S_perp, which is the Hom(S, S_perp)-valued derivative
 on S; on a real chart the bases, `dS` and its result are float64.  Only
 the tension field works from the projection field: it is the covariant
 derivative tau = P_perp d_u(S_v) P with S_v = P_perp (d_v P) P (the
-Codazzi-equivalent P_perp d_v(S_u) P is reported as a cross-check).  The
+Codazzi-equivalent P_perp d_v(S_u) P is reported as a cross-check by
+`tension`; `functionals.willmore_gradient_density` reads tau alone).  The
 Grassmannian metric is <A, B> = -tr(B* A) with the pairing adjoint
 B* = G^-1 B^T G (`PseudoSpace.adjoint`).
 """
@@ -313,14 +315,21 @@ def tension(gauss):
     is P_perp (dA) P, and S_v = P_perp (d_v P) P); their difference vanishes
     with the discretization by the Codazzi identity.
     """
+    tau = _tau(gauss)
     proj, ch = gauss.proj, gauss.chart
     pp = np.eye(6) - proj
     du_op = pp @ _times_reciprocal(d_u, proj, ch) @ proj
-    dv_op = pp @ _times_reciprocal(d_v, proj, ch) @ proj
-    tau = pp @ _times_reciprocal(d_u, dv_op, ch) @ proj
     alt = pp @ _times_reciprocal(d_v, du_op, ch) @ proj
     return TensionField(tau=tau, norm=np.linalg.norm(tau, axis=(-2, -1)),
                         codazzi_diff=np.linalg.norm(tau - alt, axis=(-2, -1)))
+
+
+def _tau(gauss):
+    """The tension field tau = P_perp d_u(S_v) P alone, S_v = P_perp (d_v P) P."""
+    proj, ch = gauss.proj, gauss.chart
+    pp = np.eye(6) - proj
+    dv_op = pp @ _times_reciprocal(d_v, proj, ch) @ proj
+    return pp @ _times_reciprocal(d_u, dv_op, ch) @ proj
 
 
 def image_direction(op):

@@ -117,17 +117,30 @@ def _times_reciprocal(deriv, field, chart):
 
     numpy divides complex data by a real as a multiply by the real's
     reciprocal (Smith's algorithm), so on complex data this is `deriv`'s
-    result bit for bit, and on float64 data it is the real part of `deriv`
-    on the same data cast to complex128.  On a complex-conjugate chart it
-    is `deriv` itself.  Only `gauss_map` differences with it; the other
-    float64 callers keep the dividing stencils, whose last bits the
-    `invariance` and `descent` reports amplify into compared digits.
+    result bit for bit, and on float64 data it is `deriv`'s result on the
+    same data cast to complex128 (the real part on a real chart).  On a
+    complex-conjugate chart the Wirtinger combinations are built from the
+    multiplying stencils too, so a float64 field there differences as its
+    complex cast does.  The lift, the Gauss map and `functionals.proj_density`
+    difference with it; the other float64 callers keep the dividing
+    stencils, whose last bits the `invariance` and `descent` reports amplify
+    into compared digits.
     """
-    if chart.reality != REAL:
-        return deriv(field, chart)
-    axis = 0 if deriv in (d_u, d_uu) else 1
+    first = d_u if deriv in (d_u, d_uu) else d_v
     order = 1 if deriv in (d_u, d_v) else 2
-    h = chart.hu if axis == 0 else chart.hv
+    if chart.reality == REAL:
+        if first is d_u:
+            return _times_reciprocal_axis(field, chart.hu, 0, order)
+        return _times_reciprocal_axis(field, chart.hv, 1, order)
+    if order == 2:
+        return _times_reciprocal(first, _times_reciprocal(first, field, chart), chart)
+    dx = _times_reciprocal_axis(field, chart.hu, 0, 1)
+    dy = _times_reciprocal_axis(field, chart.hv, 1, 1)
+    return 0.5 * (dx - 1j * dy) if first is d_u else 0.5 * (dx + 1j * dy)
+
+
+def _times_reciprocal_axis(field, h, axis, order):
+    """The stencil numerator along one axis times 1/(2h) (order 1) or 1/h^2 (order 2)."""
     out = _stencil(field, axis, order)
     out *= 1.0 / (2.0 * h) if order == 1 else 1.0 / (h * h)
     return out

@@ -10,6 +10,15 @@ Two lifts produce such grids: the sphere-geometric lift of a Euclidean
 surface with its curvature spheres l = nu + kappa1 phi, s = nu + kappa2 phi
 into the (4,2) space, and the line-geometric lift l = f ^ f_u, s = f ^ f_v of
 a projective surface in asymptotic coordinates into the (3,3) space.
+
+(l, s) have the data's dtype: float64 on a real chart, complex128 on a
+complex-conjugate one.  On a real chart the lifts, `validate` and
+`conjugate_coefficients` compute in float64 and equal the complex128
+computation on the same data bit for bit (`tests/oracles.py` holds it):
+they difference with `grids._times_reciprocal`, multiply by 1/|l| and 1/r22
+where numpy's complex division by a real would, and take the Hermitian
+dots (`_hdot`) and the group action (`apply_group`) in the complex kernel,
+since a float64 einsum sums in another order.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +32,7 @@ from .errors import (
     NotImmersedError,
     UmbilicError,
 )
-from .grids import GridChart, d_u, d_v, interior
+from .grids import GridChart, _times_reciprocal, d_u, d_v, interior
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
@@ -60,8 +69,14 @@ def _enorm(x):
 
 
 def _hdot(x, y):
-    """Hermitian product x^H y over the last axis."""
-    return np.einsum("...k,...k->...", x.conj(), y)
+    """Hermitian product x^H y over the last axis, by the complex kernel.
+
+    A float64 einsum sums in another order; on float64 data the complex
+    kernel's result is exactly real and its real part is returned.
+    """
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        return np.einsum("...k,...k->...", x.conj(), y)
+    return np.einsum("...k,...k->...", x, y, dtype=complex).real
 
 
 def _focal_basis(l, s):
@@ -72,16 +87,18 @@ def _focal_basis(l, s):
     Where |t| <= 1e-12 |s|, s lies in span{l} to roundoff and t has no
     direction: q2 and r22 are 0 there, so projecting onto span{q1, q2}
     projects onto span{l} alone, as a pseudo-inverse's rank cut does.
-    Returns (q1, q2, r11, r12, r22).
+    Returns (q1, q2, r11, r12, r22).  It multiplies by 1/|l| and 1/|t|,
+    as numpy's complex division by a real does, so float64 and complex
+    input round alike.
     """
     r11 = _enorm(l)
-    q1 = l / r11[..., None]
+    q1 = l * (1.0 / r11)[..., None]
     r12 = _hdot(q1, s)
     t = s - q1 * r12[..., None]
     r22 = _enorm(t)
     dependent = r22 <= 1e-12 * _enorm(s)
     r22[dependent] = 0.0
-    q2 = t / np.where(dependent, 1.0, r22)[..., None]
+    q2 = t * (1.0 / np.where(dependent, 1.0, r22))[..., None]
     q2[dependent] = 0.0
     return q1, q2, r11, r12, r22
 
@@ -106,11 +123,11 @@ def lie_lift(surface):
     f = surface.points.astype(float)
     n = surface.normal.astype(float)
     shape = f.shape[:2]
-    phi = np.zeros(shape + (6,), dtype=complex)
+    phi = np.zeros(shape + (6,))
     phi[..., V_ZERO] = 1.0
     phi[..., 2:5] = f
     phi[..., V_INF] = np.einsum("...k,...k->...", f, f)
-    nu = np.zeros(shape + (6,), dtype=complex)
+    nu = np.zeros(shape + (6,))
     nu[..., V_MINUS] = 1.0
     nu[..., 2:5] = n
     nu[..., V_INF] = 2.0 * np.einsum("...k,...k->...", n, f)
@@ -122,30 +139,28 @@ def lie_lift(surface):
 def proj_lift(surface):
     """Contact lift of a projective surface in asymptotic coordinates.
 
-    l = f ^ f_u and s = f ^ f_v via the Plucker embedding.  Raises
-    NotImmersedError where (f, f_u, f_v) has rank below 3 (singular-value
-    ratio < 1e-10 at an interior node; a float64 SVD on a real chart) and
-    NotAsymptoticChartError when the focal residual exceeds
-    ASYMPTOTIC_CHART_TOL = 5e-2 (the chart is not asymptotic).
+    l = f ^ f_u and s = f ^ f_v via the Plucker embedding, in the data's
+    dtype: float64 on a real chart, where f is differenced by the
+    multiplying stencils (`grids._times_reciprocal`) and so equals the
+    complex computation bit for bit.  Raises NotImmersedError where
+    (f, f_u, f_v) has rank below 3 (singular-value ratio < 1e-10 at an
+    interior node) and NotAsymptoticChartError when the focal residual
+    (`_focal`) exceeds ASYMPTOTIC_CHART_TOL = 5e-2 (the chart is not
+    asymptotic).
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_lift needs a projective surface")
-    f = surface.points.astype(complex)
-    fu = d_u(f, surface.chart)
-    fv = d_v(f, surface.chart)
-    # float64 where exactly real; the derivatives still go through complex
-    # arithmetic, which rounds them differently from float64 division
-    span = pl.real_if_exact(np.stack([f, fu, fv], axis=-2))[0]
-    rank_scale = np.linalg.svd(span, compute_uv=False)
+    f, ch = surface.points, surface.chart
+    fu = _times_reciprocal(d_u, f, ch)
+    fv = _times_reciprocal(d_v, f, ch)
+    rank_scale = np.linalg.svd(np.stack([f, fu, fv], axis=-2), compute_uv=False)
     if np.min(interior(rank_scale[..., 2] / rank_scale[..., 0])) < 1e-10:
         raise NotImmersedError("projective surface is not immersed on the chart")
-    l = pl.plucker_embed(f, fu)
-    s = pl.plucker_embed(f, fv)
-    grid = LegendreGrid(pl.plucker_space(), l, s, surface.chart)
-    rep = validate(grid)
-    if rep["focal_max"] > ASYMPTOTIC_CHART_TOL:
+    grid = LegendreGrid(pl.plucker_space(), pl.plucker_embed(f, fu), pl.plucker_embed(f, fv), ch)
+    focal_max = float(np.max(interior(_focal(grid)[2])))
+    if focal_max > ASYMPTOTIC_CHART_TOL:
         raise NotAsymptoticChartError(
-            f"focal residual {rep['focal_max']:.2e} exceeds {ASYMPTOTIC_CHART_TOL:.1e}: "
+            f"focal residual {focal_max:.2e} exceeds {ASYMPTOTIC_CHART_TOL:.1e}: "
             "chart is not asymptotic"
         )
     return grid
@@ -162,16 +177,35 @@ def lift(surface):
 # residuals / validation
 
 
+def _focal(grid):
+    """First derivatives, their scale and the focal residual field of a grid.
+
+    Returns ((l_u, l_v, s_u, s_v), scale, focal): scale is the largest
+    interior norm of the four derivatives, and focal the larger norm of the
+    components of l_u and s_v outside span{l, s}, against scale, projected
+    out with the span's orthonormal basis from `_focal_basis`.
+    """
+    l, s, ch = grid.l, grid.s, grid.chart
+    derivs = (_times_reciprocal(d_u, l, ch), _times_reciprocal(d_v, l, ch),
+              _times_reciprocal(d_u, s, ch), _times_reciprocal(d_v, s, ch))
+    scale = max(np.max(interior(_enorm(w))) for w in derivs)
+    q1, q2, *_ = _focal_basis(l, s)
+
+    def off_span(w):
+        return _enorm(w - q1 * _hdot(q1, w)[..., None] - q2 * _hdot(q2, w)[..., None])
+
+    return derivs, scale, np.maximum(off_span(derivs[0]), off_span(derivs[3])) / scale
+
+
 def validate(grid):
     """Invariant residuals of a LegendreGrid, normalized by global scales.
 
     nullity: |<l,l>|, |<s,s>|, |<l,s>| against |l||s|;
     legendre: |<l_u, s>| (and counterparts) against sup |l_u| |s|;
-    focal: components of l_u, s_v outside span{l, s} against sup |l_u|, |s_v|,
-    projected out with the span's orthonormal basis from `_focal_basis`.
-    Interior (2-node margin) maxima are reported as *_max.
+    focal: components of l_u, s_v outside span{l, s} against sup |l_u|, |s_v|
+    (`_focal`).  Interior (2-node margin) maxima are reported as *_max.
     """
-    sp, ch = grid.space, grid.chart
+    sp = grid.space
     l, s = grid.l, grid.s
     el, es = _enorm(l), _enorm(s)
     null_f = np.maximum(
@@ -179,22 +213,12 @@ def validate(grid):
         np.maximum(np.abs(sp.pair(s, s)) / (es * es),
                    np.abs(sp.pair(l, s)) / (el * es)),
     )
-    lu, lv = d_u(l, ch), d_v(l, ch)
-    su, sv = d_u(s, ch), d_v(s, ch)
-    scale_d = max(np.max(interior(_enorm(lu))), np.max(interior(_enorm(sv))),
-                  np.max(interior(_enorm(lv))), np.max(interior(_enorm(su))))
+    (lu, lv, su, sv), scale_d, foc_f = _focal(grid)
     scale_f = max(np.max(interior(el)), np.max(interior(es)))
     leg_f = np.maximum.reduce([
         np.abs(sp.pair(lu, s)), np.abs(sp.pair(lv, s)),
         np.abs(sp.pair(su, l)), np.abs(sp.pair(sv, l)),
     ]) / (scale_d * scale_f)
-
-    q1, q2, *_ = _focal_basis(l, s)
-
-    def off_span(w):
-        return _enorm(w - q1 * _hdot(q1, w)[..., None] - q2 * _hdot(q2, w)[..., None])
-
-    foc_f = np.maximum(off_span(lu), off_span(sv)) / scale_d
     return {
         "nullity": null_f,
         "legendre": leg_f,
@@ -217,7 +241,9 @@ def conjugate_coefficients(grid):
     of l_u and q the l-coordinate of s_v.  Raises IllConditionedFrameError
     where cond(l, s) = sigma1 / sigma2 > 1e8, read from R's singular values
     (sigma1^2 + sigma2^2 = |R|_F^2 and sigma1 sigma2 = r11 r22).  p and q
-    are float64 when both are exactly real (`pl.real_if_exact`).
+    are float64 when both are exactly real (`pl.real_if_exact`).  The
+    divisions by r11 and r22 are multiplies by their reciprocals, as in
+    `_focal_basis`.
     """
     ch = grid.chart
     q1, q2, r11, r12, r22 = _focal_basis(grid.l, grid.s)
@@ -226,10 +252,11 @@ def conjugate_coefficients(grid):
     sigma1_sq = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0)))
     if not np.all(sigma1_sq <= 1e8 * det):  # NaN nodes are refused too
         raise IllConditionedFrameError("(l, s) basis is numerically dependent")
-    lu = d_u(grid.l, ch)
-    sv = d_v(grid.s, ch)
-    p = _hdot(q2, lu) / r22
-    q = (_hdot(q1, sv) - r12 * (_hdot(q2, sv) / r22)) / r11
+    lu = _times_reciprocal(d_u, grid.l, ch)
+    sv = _times_reciprocal(d_v, grid.s, ch)
+    inv_r22 = 1.0 / r22
+    p = _hdot(q2, lu) * inv_r22
+    q = (_hdot(q1, sv) - r12 * (_hdot(q2, sv) * inv_r22)) * (1.0 / r11)
     return ConjugateCoefficients(*pl.real_if_exact(p, q))
 
 
@@ -238,8 +265,12 @@ def conjugate_coefficients(grid):
 
 
 def apply_group(grid, g):
-    """Transform the focal frame by a pairing-preserving 6x6 map (`pl.check_group_element`)."""
+    """Transform the focal frame by a pairing-preserving 6x6 map (`pl.check_group_element`).
+
+    The products run in the complex kernel, since a float64 einsum sums in
+    another order; the moved frame is float64 when it is exactly real
+    (`pl.real_if_exact`), as it is for real g and (l, s).
+    """
     pl.check_group_element(g, grid.space)
-    g = np.asarray(g, dtype=complex)
-    return LegendreGrid(grid.space, np.einsum("ij,...j->...i", g, grid.l),
-                        np.einsum("ij,...j->...i", g, grid.s), grid.chart)
+    l, s = (np.einsum("ij,...j->...i", g, x, dtype=complex) for x in (grid.l, grid.s))
+    return LegendreGrid(grid.space, *pl.real_if_exact(l, s), grid.chart)

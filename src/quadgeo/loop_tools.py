@@ -418,8 +418,12 @@ def spectral_deform(gauss, lam):
     admissible lambda are real for (1,1) charts and unimodular for (2,0)
     charts.  Curved (2,0) charts frame like any other (the graph chart of
     `convex_graph_sampler(0.05)` in tests/oracles.py on (-0.4, 0.4)^2 at 33^2
-    and 65^2, with flatness at the roundoff floor at lambda=1), but those
-    graphs are not harmonic, so they are refused here.  Raises
+    and 65^2, with flatness at the roundoff floor at lambda=1).  That chart
+    is refused here because it is not asymptotic: the second fundamental
+    form of z = x^2 + y^2 + cx x^4 is conformal to dx^2 + dy^2 only at
+    cx = 0, so its focal residual does not fall under refinement (1.2e-2,
+    1.3e-2, 1.4e-2 at 33^2, 65^2, 129^2) and its lambda=2 flatness grows
+    (1.06, 2.42, 5.14).  Raises
     NonHarmonicInputError when the spectral family is measurably non-flat:
     the lambda=2 residual exceeds FLAT_FLOOR and HARMONIC_FACTOR = 10 times
     the lambda=1 floor.

@@ -12,21 +12,22 @@ group and of SL(4).  Two standard spaces are used throughout:
   v_inf): v_1..v_3 orthonormal spacelike, v_-1 timelike, and (v_0, v_inf)
   isotropic with <v_0, v_inf> = -1/2.
 
-Vectors are plain ndarrays of shape (..., 6).  The lift is complex and is
-differentiated in complex, because numpy divides complex data by 2h through
-its reciprocal and float64 data by 2h itself; the Gauss map reads it as
-float64 on real charts and rounds like the complex code by multiplying by
-the same reciprocals (`grids._times_reciprocal`, `gauss_map`).
+Vectors are plain ndarrays of shape (..., 6), float64 on real charts.
+numpy divides complex data by a real through the real's reciprocal and
+float64 data by the real itself, so the float64 lift and Gauss map multiply
+by the same reciprocals (`grids._times_reciprocal`, `legendre`,
+`gauss_map`) and round like the complex computation bit for bit;
+`plucker_embed` keeps its inputs' dtype.
 `real_if_exact` is the package's one realness rule: the chart flag picks
 only the derivative stencils (`grids`) and a Gauss map's eps
 (`gauss_map.GaussMapGrid.eps`), and every other choice between float64 and
 complex follows the data, float64 when every imaginary part is exactly 0.
-So on real charts the rank test of `legendre.proj_lift`, the conjugate
-coefficients, the densities of `functionals`, the Gauss map's spans, bases,
-P, `dS` and tension field, the power steps of `gauss_map.image_direction`
-(so `reconstruct` returns float64 (l, s)) and the loop-algebra arrays
-(`loop_tools`, `matfun`) are float64, and complex only where the
-mathematics is complex.
+So on real charts the lift (l, s), its residuals and conjugate
+coefficients, the rank test of `legendre.proj_lift`, the densities of
+`functionals`, the Gauss map's spans, bases, P, `dS` and tension field, the
+power steps of `gauss_map.image_direction` (so `reconstruct` returns
+float64 (l, s)) and the loop-algebra arrays (`loop_tools`, `matfun`) are
+float64, and complex only where the mathematics is complex.
 `PseudoSpace.pair` and `PseudoSpace.adjoint` are the package's one pairing
 and one adjoint (the inverse of a pairing-orthogonal element).
 
@@ -158,12 +159,13 @@ def lie_space():
 def plucker_embed(x, y):
     """Bivector x ^ y of two 4-vectors in the fixed (3,3) basis.
 
-    Batched over leading axes.  Raises DegenerateInputError for (single)
-    parallel inputs.
+    Batched over leading axes, in the inputs' dtype: float64 products of
+    real data equal complex products of their zero-imaginary casts.  Raises
+    DegenerateInputError for (single) parallel inputs.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    out = np.empty(x.shape[:-1] + (6,), dtype=complex)
+    x = np.asarray(x)
+    y = np.asarray(y)
+    out = np.empty(x.shape[:-1] + (6,), dtype=np.result_type(x, y, float))
     for k, (i, j) in enumerate(_BIVECTOR_PAIRS):
         out[..., k] = x[..., i] * y[..., j] - x[..., j] * y[..., i]
     if out.ndim == 1:

@@ -1,7 +1,8 @@
 """Oracles and inputs that only the tests use.
 
 Independent references (the Hodge star of a quadric form, the group defect
-of a frame, the Gauss map computed in complex128 throughout) and test
+of a frame, the lift, its residuals and the Gauss map computed in
+complex128 throughout) and test
 surfaces (a chart that is not curvature-line, exact asymptotic and elliptic
 graph charts) that no suite or command needs.
 """
@@ -11,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from quadgeo import gauss_map as gm
-from quadgeo.grids import d_u, d_uu, d_v, d_vv
+from quadgeo import legendre as lg
+from quadgeo import pseudo_linalg as pl
+from quadgeo.grids import d_u, d_uu, d_v, d_vv, interior
 from quadgeo.pseudo_linalg import _BIVECTOR_PAIRS, plucker_space
 from quadgeo.surfaces import EUCLIDEAN3, PROJECTIVE3, ProjectiveGraphSampler, _unit
 
@@ -73,6 +76,117 @@ def orthogonality_defect(f, gram):
     """Batched norm of F^T G F - G."""
     e = np.asarray(f).swapaxes(-1, -2) @ gram @ np.asarray(f) - gram
     return np.sqrt(np.abs(e * e.conj()).sum(axis=(-2, -1)))
+
+
+# ---------------------------------------------------------------------------
+# the lift in complex128
+#
+# On a real chart the package's float64 lift, residuals, conjugate
+# coefficients and projective density must equal these bit for bit: every
+# field is complex128 and differenced by the dividing stencils of `grids`,
+# and every division is a division.
+
+
+def complex_lie_lift(surface):
+    """`lg.lie_lift` with complex128 sphere fields."""
+    f, n = surface.points.astype(float), surface.normal.astype(float)
+    phi = np.zeros(f.shape[:2] + (6,), dtype=complex)
+    phi[..., lg.V_ZERO] = 1.0
+    phi[..., 2:5] = f
+    phi[..., lg.V_INF] = np.einsum("...k,...k->...", f, f)
+    nu = np.zeros(f.shape[:2] + (6,), dtype=complex)
+    nu[..., lg.V_MINUS] = 1.0
+    nu[..., 2:5] = n
+    nu[..., lg.V_INF] = 2.0 * np.einsum("...k,...k->...", n, f)
+    return lg.LegendreGrid(pl.lie_space(), nu + surface.kappa1[..., None] * phi,
+                           nu + surface.kappa2[..., None] * phi, surface.chart)
+
+
+def _complex_plucker(x, y):
+    out = np.empty(x.shape[:-1] + (6,), dtype=complex)
+    for k, (i, j) in enumerate(_BIVECTOR_PAIRS):
+        out[..., k] = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+    return out
+
+
+def complex_proj_lift(surface):
+    """`lg.proj_lift` on f cast to complex128, without its refusals."""
+    f = surface.points.astype(complex)
+    fu, fv = d_u(f, surface.chart), d_v(f, surface.chart)
+    return lg.LegendreGrid(pl.plucker_space(), _complex_plucker(f, fu), _complex_plucker(f, fv),
+                           surface.chart)
+
+
+def _complex_hdot(x, y):
+    return np.einsum("...k,...k->...", x.conj(), y)
+
+
+def _complex_focal_basis(l, s):
+    r11 = np.linalg.norm(l, axis=-1)
+    q1 = l / r11[..., None]
+    r12 = _complex_hdot(q1, s)
+    t = s - q1 * r12[..., None]
+    r22 = np.linalg.norm(t, axis=-1)
+    dependent = r22 <= 1e-12 * np.linalg.norm(s, axis=-1)
+    r22[dependent] = 0.0
+    q2 = t / np.where(dependent, 1.0, r22)[..., None]
+    q2[dependent] = 0.0
+    return q1, q2, r11, r12, r22
+
+
+def complex_validate(grid):
+    """`lg.validate` on (l, s) cast to complex128: the residual fields."""
+    sp, ch = grid.space, grid.chart
+    l, s = (np.asarray(x, dtype=complex) for x in (grid.l, grid.s))
+    el, es = np.linalg.norm(l, axis=-1), np.linalg.norm(s, axis=-1)
+    null_f = np.maximum(
+        np.abs(sp.pair(l, l)) / (el * el),
+        np.maximum(np.abs(sp.pair(s, s)) / (es * es), np.abs(sp.pair(l, s)) / (el * es)),
+    )
+    lu, lv, su, sv = d_u(l, ch), d_v(l, ch), d_u(s, ch), d_v(s, ch)
+    scale_d = max(np.max(interior(np.linalg.norm(w, axis=-1))) for w in (lu, sv, lv, su))
+    scale_f = max(np.max(interior(el)), np.max(interior(es)))
+    leg_f = np.maximum.reduce([np.abs(sp.pair(lu, s)), np.abs(sp.pair(lv, s)),
+                               np.abs(sp.pair(su, l)), np.abs(sp.pair(sv, l))])
+    q1, q2, *_ = _complex_focal_basis(l, s)
+
+    def off_span(w):
+        w = w - q1 * _complex_hdot(q1, w)[..., None] - q2 * _complex_hdot(q2, w)[..., None]
+        return np.linalg.norm(w, axis=-1)
+
+    return {"nullity": null_f, "legendre": leg_f / (scale_d * scale_f),
+            "focal": np.maximum(off_span(lu), off_span(sv)) / scale_d}
+
+
+def complex_conjugate_coefficients(grid):
+    """`lg.conjugate_coefficients` on (l, s) cast to complex128, without its refusal."""
+    l, s = (np.asarray(x, dtype=complex) for x in (grid.l, grid.s))
+    q1, q2, r11, r12, r22 = _complex_focal_basis(l, s)
+    lu, sv = d_u(l, grid.chart), d_v(s, grid.chart)
+    p = _complex_hdot(q2, lu) / r22
+    q = (_complex_hdot(q1, sv) - r12 * (_complex_hdot(q2, sv) / r22)) / r11
+    return lg.ConjugateCoefficients(p, q)
+
+
+def complex_apply_group(grid, g):
+    """`lg.apply_group` with g and (l, s) cast to complex128."""
+    g = np.asarray(g, dtype=complex)
+    l, s = (np.einsum("ij,...j->...i", g, np.asarray(x, dtype=complex)) for x in (grid.l, grid.s))
+    return lg.LegendreGrid(grid.space, l, s, grid.chart)
+
+
+def complex_proj_density(surface):
+    """`fn.proj_density` on f cast to complex128, without its chart refusal."""
+    ch = surface.chart
+    f = surface.points.astype(complex)
+    fu, fv = d_u(f, ch), d_v(f, ch)
+    fuu, fvv, fuv = d_u(fu, ch), d_v(fv, ch), d_v(fu, ch)
+
+    def det4(*cols):
+        return np.linalg.det(np.stack(cols, axis=-1))
+
+    den = det4(f, fu, fv, fuv)
+    return (det4(f, fu, fuu, fuv) / den) * (-det4(f, fv, fvv, fuv) / den)
 
 
 # ---------------------------------------------------------------------------

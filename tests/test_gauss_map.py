@@ -133,21 +133,51 @@ def _gauss_map_fields(surface):
             *gauss.derivatives, gm.tension(gauss).tau)
 
 
-@pytest.mark.parametrize("real_surface,compute", [
-    (checks.make_ellipsoid, _conjugate_pq),
-    (checks.make_asymptotic_graph, lambda surface: (fn.proj_density(surface),)),
-    (checks.make_ellipsoid,
-     lambda surface: (fn.willmore_gradient_density(gm.conformal_gauss(lg.lift(surface))),)),
-    (checks.make_ellipsoid,
-     lambda surface: (gm.willmore_density(gm.conformal_gauss(lg.lift(surface))),)),
-    (checks.make_ellipsoid, _reconstructed_lines),
-    (checks.make_ellipsoid, _gauss_map_fields),
+def _lift_fields(surface):
+    grid = lg.lift(surface)
+    return grid.l, grid.s
+
+
+def _validate_fields(surface):
+    rep = lg.validate(lg.lift(surface))
+    return rep["nullity"], rep["legendre"], rep["focal"]
+
+
+def _moved_lift_fields(surface):
+    grid = lg.lift(surface)
+    moved = lg.apply_group(grid, pl.random_pseudo_orthogonal(grid.space, np.random.default_rng(3)))
+    return moved.l, moved.s
+
+
+ALL_REAL = (checks.make_ellipsoid, checks.make_quadric, checks.make_asymptotic_graph)
+
+
+@pytest.mark.parametrize("real_surfaces,compute,eps_i_dtype", [
+    ((checks.make_ellipsoid,), _conjugate_pq, np.complex128),
+    ((checks.make_asymptotic_graph,), lambda surface: (fn.proj_density(surface),), np.complex128),
+    ((checks.make_ellipsoid,),
+     lambda surface: (fn.willmore_gradient_density(gm.conformal_gauss(lg.lift(surface))),),
+     np.complex128),
+    ((checks.make_ellipsoid,),
+     lambda surface: (gm.willmore_density(gm.conformal_gauss(lg.lift(surface))),), np.complex128),
+    ((checks.make_ellipsoid,), _reconstructed_lines, np.complex128),
+    ((checks.make_ellipsoid,), _gauss_map_fields, np.complex128),
+    # a Euclidean surface takes only a real chart
+    ((checks.make_ellipsoid,), _lift_fields, None),
+    ((checks.make_quadric, checks.make_asymptotic_graph), _lift_fields, np.complex128),
+    # the residual fields are norms, real on every chart
+    (ALL_REAL, _validate_fields, np.float64),
+    (ALL_REAL, _moved_lift_fields, np.complex128),
 ], ids=["conjugate_coefficients", "proj_density", "willmore_gradient_density",
-        "willmore_density", "reconstruct", "gauss_map_fields"])
-def test_dtype_follows_the_data(real_surface, compute):
+        "willmore_density", "reconstruct", "gauss_map_fields", "lie_lift", "proj_lift",
+        "validate", "apply_group"])
+def test_dtype_follows_the_data(real_surfaces, compute, eps_i_dtype):
     # the dtype follows the data: a real chart's results are exactly real and
     # float64, an eps = i chart's are complex128
-    for surface, dtype in ((real_surface(33), np.float64), (_eps_i_chart(33), np.complex128)):
+    cases = [(make(33), np.float64) for make in real_surfaces]
+    if eps_i_dtype is not None:
+        cases.append((_eps_i_chart(33), eps_i_dtype))
+    for surface, dtype in cases:
         for out in compute(surface):
             assert out.dtype == dtype
 
@@ -574,8 +604,28 @@ def test_float64_gauss_map_equals_the_complex_path_bit_for_bit(make_lift, reques
     assert np.array_equal(gm.tension_kernel_residual(new, tf_new),
                           gm.tension_kernel_residual(old, tf_old))
     got = fn.willmore_gradient_density(new)
-    monkeypatch.setattr(gm, "tension", complex_tension)
+    monkeypatch.setattr(gm, "_tau", lambda gauss: complex_tension(gauss).tau)
     assert np.array_equal(got, fn.willmore_gradient_density(old))
+
+
+@pytest.mark.parametrize("make_lift", [
+    lambda request: lg.lift(checks.make_ellipsoid(33)),
+    lambda request: request.getfixturevalue("descent_moved_lift"),
+], ids=["ellipsoid33", "descent-moved"])
+def test_willmore_gradient_density_reads_tau_alone(make_lift, request, monkeypatch):
+    # the gradient density builds tau without tension's Codazzi cross-check,
+    # and equals the density read from tension's tau bit for bit
+    gauss = gm.conformal_gauss(make_lift(request))
+    tau = gm.tension(gauss).tau
+    assert np.array_equal(gm._tau(gauss), tau)
+
+    def no_tension(gauss):
+        raise AssertionError("the gradient density called tension")
+
+    monkeypatch.setattr(gm, "tension", no_tension)
+    got = fn.willmore_gradient_density(gauss)
+    monkeypatch.setattr(gm, "_tau", lambda gauss: tau)
+    assert got.dtype == np.float64 and np.array_equal(got, fn.willmore_gradient_density(gauss))
 
 
 def test_proj_built_on_first_read_equals_the_eager_formulas(ellipsoid_lift65, descent_moved_lift):

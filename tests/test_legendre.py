@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quadgeo import checks, legendre as lg, pseudo_linalg as pl
+from quadgeo import checks, functionals as fn, legendre as lg, pseudo_linalg as pl
 from quadgeo import surfaces as sf
 from quadgeo.errors import (
     GroupElementError,
@@ -14,7 +14,9 @@ from quadgeo.errors import (
 )
 from quadgeo.grids import GridChart, d_u, d_v, interior
 
-from oracles import convex_graph_sampler, ruled_graph_sampler
+from oracles import (complex_apply_group, complex_conjugate_coefficients, complex_lie_lift,
+                     complex_proj_density, complex_proj_lift, complex_validate,
+                     convex_graph_sampler, ruled_graph_sampler)
 
 
 def test_lie_lift_point_example():
@@ -147,10 +149,13 @@ def _pinv_conjugate_reference(grid):
     return xu[..., 1], xv[..., 0]
 
 
-def _convex_chart_lift(n):
-    conv = sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
+def _convex_chart(n):
+    return sf.make_surface(convex_graph_sampler(0.05), (-0.4, 0.4, -0.4, 0.4),
                            n, n, reality="complex_conjugate")
-    return lg.proj_lift(conv)
+
+
+def _convex_chart_lift(n):
+    return lg.proj_lift(_convex_chart(n))
 
 
 @pytest.fixture(scope="module", params=["ellipsoid", "quadric", "convex-eps-i"])
@@ -241,3 +246,53 @@ def test_apply_group_preserves_invariants(ellipsoid_lift65, rng):
     rep = lg.validate(moved)
     assert rep["nullity_max"] < 1e-10
     assert rep["legendre_max"] < 1e-3
+
+
+@pytest.mark.parametrize("make_surface", [
+    lambda: checks.make_ellipsoid(33),
+    lambda: checks.make_ellipsoid(33, checks.ELL_WINDOW_TENSION),
+    lambda: checks.make_torus(33),
+    lambda: checks.make_quadric(33),
+    lambda: checks.make_asymptotic_graph(33),
+    lambda: checks.make_asymptotic_graph(65),
+], ids=["ellipsoid33", "ellipsoid33-tension-window", "torus33", "quadric33", "asymptotic33",
+        "asymptotic65"])
+def test_float64_lift_equals_the_complex_path_bit_for_bit(make_surface):
+    # on a real chart the lift, its residual fields, the conjugate
+    # coefficients, the projective density and a group-moved lift are float64
+    # and equal the complex128 computation with dividing stencils and
+    # divisions bit for bit
+    surface = make_surface()
+    projective = surface.geometry == sf.PROJECTIVE3
+    grid = lg.lift(surface)
+    old = complex_proj_lift(surface) if projective else complex_lie_lift(surface)
+
+    def same(got, want):
+        return got.dtype == np.float64 and np.array_equal(got, want)
+
+    assert same(grid.l, old.l) and same(grid.s, old.s)
+    rep, want = lg.validate(grid), complex_validate(old)
+    for name in ("nullity", "legendre", "focal"):
+        assert same(rep[name], want[name]), name
+    cc, want = lg.conjugate_coefficients(grid), complex_conjugate_coefficients(old)
+    assert same(cc.p, want.p) and same(cc.q, want.q)
+    if projective:
+        assert same(fn.proj_density(surface), complex_proj_density(surface))
+    g = pl.random_pseudo_orthogonal(grid.space, np.random.default_rng(5))
+    moved, want = lg.apply_group(grid, g), complex_apply_group(old, g)
+    assert same(moved.l, want.l) and same(moved.s, want.s)
+
+
+def test_eps_i_lift_equals_the_complex_path_bit_for_bit():
+    # on a complex-conjugate chart the Wirtinger stencils multiply by the
+    # reciprocals too, so differencing the float64 points equals differencing
+    # their complex cast, and the complex lift keeps its bits
+    conv = _convex_chart(33)
+    grid, old = lg.proj_lift(conv), complex_proj_lift(conv)
+    assert grid.l.dtype == np.complex128
+    assert np.array_equal(grid.l, old.l) and np.array_equal(grid.s, old.s)
+    rep, want = lg.validate(grid), complex_validate(old)
+    for name in ("nullity", "legendre", "focal"):
+        assert np.array_equal(rep[name], want[name]), name
+    cc, want = lg.conjugate_coefficients(grid), complex_conjugate_coefficients(old)
+    assert np.array_equal(cc.p, want.p) and np.array_equal(cc.q, want.q)

@@ -400,7 +400,9 @@ def test_frame_on_curved_20_chart(curved_20_connection):
 
 
 def test_spectral_deform_rejects_curved_20_chart(curved_20_connection):
-    # z = x^2 + y^2 + cx x^4 is not harmonic: lambda = 2 flatness is O(1)
+    # the conjugate chart of z = x^2 + y^2 + cx x^4 is not asymptotic (its
+    # focal residual does not fall under refinement), so its lambda = 2
+    # flatness is O(1) and grows with the grid
     gauss = curved_20_connection[0]
     with pytest.raises(NonHarmonicInputError):
         lt.spectral_deform(gauss, np.exp(0.3j))

@@ -178,6 +178,38 @@ def test_numpy_rounding_behind_the_float64_gauss_map(rng):
     assert np.array_equal(np.matmul(x, u[..., None], dtype=complex), (x + 0j) @ (u[..., None] + 0j))
 
 
+def test_numpy_rounding_behind_the_float64_lift(rng):
+    # legendre and functionals.proj_density compute a real chart's lift,
+    # residuals, conjugate coefficients and density in float64 and must equal
+    # the complex128 computation bit for bit; that holds only while numpy
+    # rounds as checked here (the divisions by a real are pinned above)
+    n = 33
+    u, v = rng.standard_normal((2, n, n, 6))
+    # 1. einsum with dtype=complex on float64 input runs the complex kernel,
+    # exactly real: the Hermitian dots of 6-vectors and the group action
+    got = np.einsum("...k,...k->...", u, v, dtype=complex)
+    assert np.array_equal(got, np.einsum("...k,...k->...", (u + 0j).conj(), v + 0j))
+    assert not np.any(got.imag)
+    g = rng.standard_normal((6, 6))
+    got = np.einsum("ij,...j->...i", g, u, dtype=complex)
+    assert np.array_equal(got, np.einsum("ij,...j->...i", g + 0j, u + 0j))
+    assert not np.any(got.imag)
+    assert np.array_equal(np.linalg.norm(u, axis=-1), np.linalg.norm(u + 0j, axis=-1))
+    # 2. the complex determinant of float64 columns is exactly real and
+    # equals that of zero-imaginary columns; dividing by such a determinant
+    # multiplies by its reciprocal
+    cols = rng.standard_normal((n, n, 4, 4))
+    det = np.linalg.det(cols.astype(complex))
+    assert not np.any(det.imag)
+    assert np.array_equal(det, np.linalg.det(np.asarray(cols, dtype=complex) + 0j))
+    num = np.linalg.det(rng.standard_normal((n, n, 4, 4)) + 0j)
+    assert np.array_equal((num / det).real, num.real * (1.0 / det.real))
+    # 3. plucker_embed's float64 products equal the zero-imaginary complex ones
+    x, y = rng.standard_normal((2, n, n, 4))
+    got, want = pl.plucker_embed(x, y), pl.plucker_embed(x + 0j, y + 0j)
+    assert got.dtype == np.float64 and np.array_equal(got, want) and not np.any(want.imag)
+
+
 def test_real_if_exact(rng):
     x = rng.standard_normal((4, 6))
     real, also = pl.real_if_exact(x + 0j, x.copy())
