@@ -18,7 +18,7 @@ from . import legendre as lg
 from . import pseudo_linalg as pl
 from . import surfaces as sf
 from .errors import NotAsymptoticChartError, UmbilicError
-from .grids import GridChart, _times_reciprocal, d_u, d_v, interior, node_list
+from .grids import GridChart, d_u, d_v, divided_difference, interior, node_list
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
 MARGIN = gm.DENSITY_MARGIN
@@ -78,17 +78,16 @@ def proj_density(surface):
     precisely when the net is nondegenerate), and the components of f_uu,
     f_vv off that span witness the asymptotic property of the chart (at most
     `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).  The density p q is
-    float64 when it is exactly real (`pl.real_if_exact`).  As in
-    `lg.proj_lift`, f is differenced by the multiplying stencils and the
-    ratios multiply by 1/det(f, f_u, f_v, f_uv), so on a real chart the
-    float64 density equals the complex computation bit for bit.
+    float64 when it is exactly real (`pl.real_if_exact`).  The ratios
+    multiply by 1/det(f, f_u, f_v, f_uv), so on a real chart the float64
+    density equals the complex computation bit for bit.
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_density needs a projective surface")
     f, ch = surface.points, surface.chart
-    fu, fv = _times_reciprocal(d_u, f, ch), _times_reciprocal(d_v, f, ch)
-    fuu, fvv = _times_reciprocal(d_u, fu, ch), _times_reciprocal(d_v, fv, ch)
-    fuv = _times_reciprocal(d_v, fu, ch)
+    fu, fv = d_u(f, ch), d_v(f, ch)
+    fuu, fvv = d_u(fu, ch), d_v(fv, ch)
+    fuv = d_v(fu, ch)
 
     def det4(*cols):
         # LAPACK rounds a float64 determinant differently from a complex
@@ -171,10 +170,10 @@ def _move_surface(surface, amplitude):
     differences amplify); curvatures are refit from the Rodrigues equations.
     """
     ch = surface.chart
-    fu = d_u(surface.points, ch)
-    fv = d_v(surface.points, ch)
-    au = d_u(amplitude, ch)
-    av = d_v(amplitude, ch)
+    fu = divided_difference(surface.points, ch.hu, 0)
+    fv = divided_difference(surface.points, ch.hv, 1)
+    au = divided_difference(amplitude, ch.hu, 0)
+    av = divided_difference(amplitude, ch.hv, 1)
     e = np.einsum("...k,...k->...", fu, fu)
     f = np.einsum("...k,...k->...", fu, fv)
     g = np.einsum("...k,...k->...", fv, fv)

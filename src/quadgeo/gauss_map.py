@@ -17,7 +17,7 @@ equals the complex128 computation on the same data bit for bit
 (`tests/oracles.py` holds that computation).  numpy divides complex
 data by a real through the real's reciprocal, so every such division here
 is a multiply by the reciprocal: 1/(2h) and 1/h^2 in the stencils
-(`grids._times_reciprocal`), 1/sqrt|n|, 1/beta and 1/sqrt 2 in
+(`grids.d_u` and its siblings), 1/sqrt|n|, 1/beta and 1/sqrt 2 in
 `_structured_orthobasis`.  On complex data these products are the
 divisions bit for bit, except that a division by a complex beta or
 denominator (eps = i charts) moves at roundoff.  Three ops whose float64
@@ -43,8 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateReconstructionError
-from .grids import (REAL, GridChart, _times_reciprocal, d_u, d_v, d_uu, d_vv, interior,
-                    smooth_phase)
+from .grids import REAL, GridChart, d_u, d_uu, d_v, d_vv, interior, smooth_phase
 from .legendre import LegendreGrid
 from . import pseudo_linalg as pl
 
@@ -129,8 +128,8 @@ def conformal_gauss(grid):
     """
     sp, ch = grid.space, grid.chart
     l, s = pl.real_if_exact(grid.l, grid.s)
-    span_s = np.stack([l, _times_reciprocal(d_v, l, ch), _times_reciprocal(d_vv, l, ch)], axis=-2)
-    span_p = np.stack([s, _times_reciprocal(d_u, s, ch), _times_reciprocal(d_uu, s, ch)], axis=-2)
+    span_s = np.stack([l, d_v(l, ch), d_vv(l, ch)], axis=-2)
+    span_p = np.stack([s, d_u(s, ch), d_uu(s, ch)], axis=-2)
     # note: no Euclidean rescaling of the sections anywhere downstream; the
     # orthonormal bases are built from pairing quantities alone, so the whole
     # discrete pipeline commutes with pairing-orthogonal maps to roundoff
@@ -253,8 +252,8 @@ def dS(gauss):
     consumers read the pair once per map from `GaussMapGrid.derivatives`.
 
     On a real chart the bases are float64 (`conformal_gauss`,
-    `loop_tools.gauss_from_frame`), and so are the section derivatives (by
-    `grids._times_reciprocal`, which rounds like the complex stencils), the
+    `loop_tools.gauss_from_frame`), and so are the section derivatives (the
+    stencils of `grids` round float64 and complex data alike), the
     coordinates, coefficients, contraction and result: bit for bit the real
     parts of the computation on the bases cast to complex, whose imaginary
     parts are all 0.  Complex-conjugate charts stay complex throughout.
@@ -275,7 +274,7 @@ def dS(gauss):
     bp, cs = _nodes_last(b_p), _nodes_last(coords_s)
     out = []
     for deriv in (d_u, d_v):
-        w = _times_reciprocal(deriv, b_s, gauss.chart)    # derivatives of sections
+        w = deriv(b_s, gauss.chart)    # derivatives of sections
         coeff = sp.pair(b_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
         cf = _nodes_last(coeff)
         acc = np.zeros((6, 6) + b_p.shape[:-2], dtype=np.result_type(bp, cf, cs))
@@ -318,8 +317,8 @@ def tension(gauss):
     tau = _tau(gauss)
     proj, ch = gauss.proj, gauss.chart
     pp = np.eye(6) - proj
-    du_op = pp @ _times_reciprocal(d_u, proj, ch) @ proj
-    alt = pp @ _times_reciprocal(d_v, du_op, ch) @ proj
+    du_op = pp @ d_u(proj, ch) @ proj
+    alt = pp @ d_v(du_op, ch) @ proj
     return TensionField(tau=tau, norm=np.linalg.norm(tau, axis=(-2, -1)),
                         codazzi_diff=np.linalg.norm(tau - alt, axis=(-2, -1)))
 
@@ -328,8 +327,8 @@ def _tau(gauss):
     """The tension field tau = P_perp d_u(S_v) P alone, S_v = P_perp (d_v P) P."""
     proj, ch = gauss.proj, gauss.chart
     pp = np.eye(6) - proj
-    dv_op = pp @ _times_reciprocal(d_v, proj, ch) @ proj
-    return pp @ _times_reciprocal(d_u, dv_op, ch) @ proj
+    dv_op = pp @ d_v(proj, ch) @ proj
+    return pp @ d_u(dv_op, ch) @ proj
 
 
 def image_direction(op):

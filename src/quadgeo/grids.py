@@ -10,6 +10,11 @@ On a chart with reality='complex_conjugate' the two index axes are real
 coordinates (x, y) and the conjugate parameters are u = x + iy, v = x - iy;
 the derivative operators are then the Wirtinger combinations
 d_u = (d_x - i d_y)/2 and d_v = (d_x + i d_y)/2.
+
+The stencils multiply their numerators by 1/(2h) and 1/h^2.  numpy divides
+complex data by a real that way (Smith's algorithm), so a float64 field
+differences bit for bit as its complex128 cast does, on either chart.  The
+one exception is `divided_difference`, kept for two real-chart callers.
 """
 
 from dataclasses import dataclass
@@ -70,79 +75,51 @@ def _stencil(field, axis, order):
     return out
 
 
-def _diff_axis(field, h, axis):
-    """2nd-order first derivative along one axis, one-sided at the edges."""
-    out = _stencil(field, axis, 1)
-    out /= 2.0 * h
-    return out
-
-
-def _diff2_axis(field, h, axis):
-    """2nd-order second derivative along one axis, one-sided at the edges."""
-    out = _stencil(field, axis, 2)
-    out /= h * h
+def _scaled(field, h, axis, order):
+    """The stencil numerator along one axis times 1/(2h) (order 1) or 1/h^2 (order 2)."""
+    out = _stencil(field, axis, order)
+    out *= 1.0 / (2.0 * h) if order == 1 else 1.0 / (h * h)
     return out
 
 
 def d_u(field, chart):
     if chart.reality == REAL:
-        return _diff_axis(field, chart.hu, 0)
-    dx = _diff_axis(field, chart.hu, 0)
-    dy = _diff_axis(field, chart.hv, 1)
+        return _scaled(field, chart.hu, 0, 1)
+    dx = _scaled(field, chart.hu, 0, 1)
+    dy = _scaled(field, chart.hv, 1, 1)
     return 0.5 * (dx - 1j * dy)
 
 
 def d_v(field, chart):
     if chart.reality == REAL:
-        return _diff_axis(field, chart.hv, 1)
-    dx = _diff_axis(field, chart.hu, 0)
-    dy = _diff_axis(field, chart.hv, 1)
+        return _scaled(field, chart.hv, 1, 1)
+    dx = _scaled(field, chart.hu, 0, 1)
+    dy = _scaled(field, chart.hv, 1, 1)
     return 0.5 * (dx + 1j * dy)
 
 
 def d_uu(field, chart):
     if chart.reality == REAL:
-        return _diff2_axis(field, chart.hu, 0)
+        return _scaled(field, chart.hu, 0, 2)
     return d_u(d_u(field, chart), chart)
 
 
 def d_vv(field, chart):
     if chart.reality == REAL:
-        return _diff2_axis(field, chart.hv, 1)
+        return _scaled(field, chart.hv, 1, 2)
     return d_v(d_v(field, chart), chart)
 
 
-def _times_reciprocal(deriv, field, chart):
-    """`deriv` (d_u, d_v, d_uu or d_vv) multiplying by 1/(2h) or 1/h^2 where it divides.
+def divided_difference(field, h, axis):
+    """First derivative along one axis of a real chart, dividing by 2h.
 
-    numpy divides complex data by a real as a multiply by the real's
-    reciprocal (Smith's algorithm), so on complex data this is `deriv`'s
-    result bit for bit, and on float64 data it is `deriv`'s result on the
-    same data cast to complex128 (the real part on a real chart).  On a
-    complex-conjugate chart the Wirtinger combinations are built from the
-    multiplying stencils too, so a float64 field there differences as its
-    complex cast does.  The lift, the Gauss map and `functionals.proj_density`
-    difference with it; the other float64 callers keep the dividing
-    stencils, whose last bits the `invariance` and `descent` reports amplify
-    into compared digits.
+    The one exception to the multiplying stencils: `surfaces.principal_data`
+    and `functionals._move_surface` keep this rounding, because the
+    `invariance` and `descent` reports amplify its last bits into compared
+    digits.  Delete it once ROADMAP item 6 has conditioned both suites.
     """
-    first = d_u if deriv in (d_u, d_uu) else d_v
-    order = 1 if deriv in (d_u, d_v) else 2
-    if chart.reality == REAL:
-        if first is d_u:
-            return _times_reciprocal_axis(field, chart.hu, 0, order)
-        return _times_reciprocal_axis(field, chart.hv, 1, order)
-    if order == 2:
-        return _times_reciprocal(first, _times_reciprocal(first, field, chart), chart)
-    dx = _times_reciprocal_axis(field, chart.hu, 0, 1)
-    dy = _times_reciprocal_axis(field, chart.hv, 1, 1)
-    return 0.5 * (dx - 1j * dy) if first is d_u else 0.5 * (dx + 1j * dy)
-
-
-def _times_reciprocal_axis(field, h, axis, order):
-    """The stencil numerator along one axis times 1/(2h) (order 1) or 1/h^2 (order 2)."""
-    out = _stencil(field, axis, order)
-    out *= 1.0 / (2.0 * h) if order == 1 else 1.0 / (h * h)
+    out = _stencil(field, axis, 1)
+    out /= 2.0 * h
     return out
 
 

@@ -148,11 +148,14 @@ def write_connection(alpha, path):
 
 
 def read_report(path):
-    """A `qg check` report: a JSON object with a string 'suite' and a boolean 'pass'."""
+    """A `qg check` report: a JSON object with a string 'suite', a boolean
+    'pass' and, if present, an object 'convergence_orders'."""
     with open(path) as fh:
         data = json.load(fh)
     if not (isinstance(data, dict) and isinstance(data.get("suite"), str)
-            and isinstance(data.get("pass"), bool)):
-        raise MalformedInputError(f"{path} is not a check report "
-                                  "(a JSON object with a string 'suite' and a boolean 'pass')")
+            and isinstance(data.get("pass"), bool)
+            and isinstance(data.get("convergence_orders", {}), dict)):
+        raise MalformedInputError(f"{path} is not a check report (a JSON object with a "
+                                  "string 'suite', a boolean 'pass' and an object "
+                                  "'convergence_orders')")
     return data

@@ -15,10 +15,11 @@ a projective surface in asymptotic coordinates into the (3,3) space.
 complex-conjugate one.  On a real chart the lifts, `validate` and
 `conjugate_coefficients` compute in float64 and equal the complex128
 computation on the same data bit for bit (`tests/oracles.py` holds it):
-they difference with `grids._times_reciprocal`, multiply by 1/|l| and 1/r22
-where numpy's complex division by a real would, and take the Hermitian
-dots (`_hdot`) and the group action (`apply_group`) in the complex kernel,
-since a float64 einsum sums in another order.
+the stencils of `grids` round float64 and complex data alike, they
+multiply by 1/|l| and 1/r22 where numpy's complex division by a real
+would, and they take the Hermitian dots (`_hdot`) and the group action
+(`apply_group`) in the complex kernel, since a float64 einsum sums in
+another order.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .errors import (
     NotImmersedError,
     UmbilicError,
 )
-from .grids import GridChart, _times_reciprocal, d_u, d_v, interior
+from .grids import GridChart, d_u, d_v, interior
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
@@ -140,19 +141,17 @@ def proj_lift(surface):
     """Contact lift of a projective surface in asymptotic coordinates.
 
     l = f ^ f_u and s = f ^ f_v via the Plucker embedding, in the data's
-    dtype: float64 on a real chart, where f is differenced by the
-    multiplying stencils (`grids._times_reciprocal`) and so equals the
-    complex computation bit for bit.  Raises NotImmersedError where
-    (f, f_u, f_v) has rank below 3 (singular-value ratio < 1e-10 at an
-    interior node) and NotAsymptoticChartError when the focal residual
-    (`_focal`) exceeds ASYMPTOTIC_CHART_TOL = 5e-2 (the chart is not
-    asymptotic).
+    dtype: float64 on a real chart, where it equals the complex computation
+    bit for bit.  Raises NotImmersedError where (f, f_u, f_v) has rank
+    below 3 (singular-value ratio < 1e-10 at an interior node) and
+    NotAsymptoticChartError when the focal residual (`_focal`) exceeds
+    ASYMPTOTIC_CHART_TOL = 5e-2 (the chart is not asymptotic).
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_lift needs a projective surface")
     f, ch = surface.points, surface.chart
-    fu = _times_reciprocal(d_u, f, ch)
-    fv = _times_reciprocal(d_v, f, ch)
+    fu = d_u(f, ch)
+    fv = d_v(f, ch)
     rank_scale = np.linalg.svd(np.stack([f, fu, fv], axis=-2), compute_uv=False)
     if np.min(interior(rank_scale[..., 2] / rank_scale[..., 0])) < 1e-10:
         raise NotImmersedError("projective surface is not immersed on the chart")
@@ -186,8 +185,7 @@ def _focal(grid):
     out with the span's orthonormal basis from `_focal_basis`.
     """
     l, s, ch = grid.l, grid.s, grid.chart
-    derivs = (_times_reciprocal(d_u, l, ch), _times_reciprocal(d_v, l, ch),
-              _times_reciprocal(d_u, s, ch), _times_reciprocal(d_v, s, ch))
+    derivs = (d_u(l, ch), d_v(l, ch), d_u(s, ch), d_v(s, ch))
     scale = max(np.max(interior(_enorm(w))) for w in derivs)
     q1, q2, *_ = _focal_basis(l, s)
 
@@ -252,8 +250,8 @@ def conjugate_coefficients(grid):
     sigma1_sq = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0)))
     if not np.all(sigma1_sq <= 1e8 * det):  # NaN nodes are refused too
         raise IllConditionedFrameError("(l, s) basis is numerically dependent")
-    lu = _times_reciprocal(d_u, grid.l, ch)
-    sv = _times_reciprocal(d_v, grid.s, ch)
+    lu = d_u(grid.l, ch)
+    sv = d_v(grid.s, ch)
     inv_r22 = 1.0 / r22
     p = _hdot(q2, lu) * inv_r22
     q = (_hdot(q1, sv) - r12 * (_hdot(q2, sv) * inv_r22)) * (1.0 / r11)

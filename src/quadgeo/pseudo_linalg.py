@@ -15,8 +15,8 @@ group and of SL(4).  Two standard spaces are used throughout:
 Vectors are plain ndarrays of shape (..., 6), float64 on real charts.
 numpy divides complex data by a real through the real's reciprocal and
 float64 data by the real itself, so the float64 lift and Gauss map multiply
-by the same reciprocals (`grids._times_reciprocal`, `legendre`,
-`gauss_map`) and round like the complex computation bit for bit;
+by the same reciprocals (the stencils of `grids`, `legendre`, `gauss_map`)
+and round like the complex computation bit for bit;
 `plucker_embed` keeps its inputs' dtype.
 `real_if_exact` is the package's one realness rule: the chart flag picks
 only the derivative stencils (`grids`) and a Gauss map's eps

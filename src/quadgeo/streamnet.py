@@ -219,9 +219,9 @@ def asymptotic_fields(surface, sampler=None):
     # grid route: II class from the dual vector f* with f*(f)=f*(f_u)=f*(f_v)=0
     ch = surface.chart
     f = surface.points
-    fu, fv = d_u(f, ch).real, d_v(f, ch).real
-    fuu, fvv = d_u(fu, ch).real, d_v(fv, ch).real
-    fuv = d_v(fu, ch).real
+    fu, fv = d_u(f, ch), d_v(f, ch)
+    fuu, fvv = d_u(fu, ch), d_v(fv, ch)
+    fuv = d_v(fu, ch)
     span = np.stack([f, fu, fv], axis=-2)
     _, _, vt = np.linalg.svd(span)
     fstar = vt[..., 3, :]
@@ -255,6 +255,6 @@ def asymptotic_reparametrize(surface, out_nu, out_nv, h1, h2, sampler=None):
     if sampler is not None:
         pts = sampler.point(pos[..., 0], pos[..., 1])
     else:
-        pts = bilinear_sample(surface.points.real, _surface_window(surface), pos)
+        pts = bilinear_sample(surface.points, _surface_window(surface), pos)
     meta = dict(surface.meta, reparametrized=True, asymptotic=True)
     return SurfaceGrid(PROJECTIVE3, pts, GridChart(out_nu, out_nv, h1, h2), meta=meta)

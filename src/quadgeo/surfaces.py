@@ -18,12 +18,13 @@ import numpy as np
 from . import grids
 from .errors import (
     FocalValueError,
+    NonFiniteInputError,
     NotCurvatureLineError,
     NotImmersedError,
     SignatureError,
     UmbilicError,
 )
-from .grids import GridChart, d_u, d_v, interior
+from .grids import GridChart, divided_difference, interior
 
 EUCLIDEAN3 = "euclidean3"
 PROJECTIVE3 = "projective3"
@@ -288,19 +289,28 @@ def symmetric_eigen_2x2(a11, a12, a22):
 
 
 def make_surface(sampler, window, nu, nv, reality=grids.REAL):
-    """Sample a generator on a regular chart."""
+    """Sample a generator on a regular chart.
+
+    Raises NonFiniteInputError, naming the field, where the generator is
+    singular on the chart (a cone's apex gives an infinite kappa2).
+    """
     u0, u1, v0, v1 = window
     grids.check_sizes(nu, nv)
     chart = GridChart(nu, nv, (u1 - u0) / (nu - 1), (v1 - v0) / (nv - 1), reality)
     uu, vv = np.meshgrid(np.linspace(u0, u1, nu), np.linspace(v0, v1, nv), indexing="ij")
-    pts = sampler.point(uu, vv)
-    kwargs = {}
-    if sampler.geometry == EUCLIDEAN3:
-        kwargs["normal"] = sampler.normal(uu, vv)
-        if hasattr(sampler, "kappa"):
-            kwargs["kappa1"], kwargs["kappa2"] = sampler.kappa(uu, vv)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kwargs = {"points": sampler.point(uu, vv)}
+        if sampler.geometry == EUCLIDEAN3:
+            kwargs["normal"] = sampler.normal(uu, vv)
+            if hasattr(sampler, "kappa"):
+                kwargs["kappa1"], kwargs["kappa2"] = sampler.kappa(uu, vv)
+    for name, values in kwargs.items():
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise NonFiniteInputError(f"generated field {name!r} has {bad} non-finite values "
+                                      "on the chart")
     return SurfaceGrid(
-        sampler.geometry, pts, chart,
+        sampler.geometry, chart=chart,
         meta={"window": tuple(float(w) for w in window),
               "generator": type(sampler).__name__},
         **kwargs,
@@ -328,13 +338,13 @@ def principal_data(surface, residual_tol=1e-2):
     if surface.geometry != EUCLIDEAN3 or surface.normal is None:
         raise ValueError("principal_data needs a Euclidean surface with normals")
     ch = surface.chart
-    fu = d_u(surface.points, ch)
-    fv = d_v(surface.points, ch)
+    fu = divided_difference(surface.points, ch.hu, 0)
+    fv = divided_difference(surface.points, ch.hv, 1)
     scale = np.linalg.norm(np.cross(fu, fv), axis=-1)
     if np.min(interior(scale)) < 1e-12:
         raise NotImmersedError("surface is not immersed on the chart")
-    nu_ = d_u(surface.normal, ch)
-    nv_ = d_v(surface.normal, ch)
+    nu_ = divided_difference(surface.normal, ch.hu, 0)
+    nv_ = divided_difference(surface.normal, ch.hv, 1)
     k1 = -_dot(nu_, fu) / _dot(fu, fu)
     k2 = -_dot(nv_, fv) / _dot(fv, fv)
     res1 = np.linalg.norm(nu_ + k1[..., None] * fu, axis=-1) / (

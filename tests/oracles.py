@@ -83,8 +83,9 @@ def orthogonality_defect(f, gram):
 #
 # On a real chart the package's float64 lift, residuals, conjugate
 # coefficients and projective density must equal these bit for bit: every
-# field is complex128 and differenced by the dividing stencils of `grids`,
-# and every division is a division.
+# field is complex128 and differenced by the stencils of `grids` (on complex
+# data their multiply by 1/(2h) is numpy's division by 2h), and every other
+# division is a division.
 
 
 def complex_lie_lift(surface):
@@ -196,10 +197,11 @@ def complex_proj_density(surface):
 def complex_gauss_map(grid):
     """`gm.conformal_gauss` computed in complex128 throughout, P built at once.
 
-    The lift is cast to complex128 and differenced by the dividing stencils
-    of `grids`; every division, by a real or a complex quantity, is a
-    division, and the 3x3 Gram is inverted in complex.  On a real chart the
-    package's float64 path must equal these fields bit for bit.
+    The lift is cast to complex128 and differenced by the stencils of
+    `grids`, which round complex data as a division by 2h and h^2 does;
+    every other division, by a real or a complex quantity, is a division,
+    and the 3x3 Gram is inverted in complex.  On a real chart the package's
+    float64 path must equal these fields bit for bit.
     """
     sp, ch = grid.space, grid.chart
     l, s = (np.asarray(x, dtype=complex) for x in (grid.l, grid.s))
@@ -243,8 +245,9 @@ def _complex_orthobasis(space, rows):
 def einsum_dS(gauss):
     """(S_u, S_v) by the three-operand einsum over the bases cast to complex128.
 
-    The sections are differenced by the dividing stencils of `grids`.  On a
-    real chart `gm.dS` must equal the real parts bit for bit.
+    The sections are differenced by the stencils of `grids` on complex data,
+    where their multiply by 1/(2h) is numpy's division by 2h.  On a real
+    chart `gm.dS` must equal the real parts bit for bit.
     """
     sp = gauss.space
     b_s, b_p = (np.asarray(b, dtype=complex) for b in (gauss.basis_s, gauss.basis_p))

@@ -300,6 +300,9 @@ def test_dualize_command_on_a_projective_quadric(tmp_path):
     # the asymptotic net is real: a complex-conjugate chart is not dropped silently
     ["generate", "--kind", "perturbed_graph", "--grid-nu", "17", "--grid-nv", "17",
      "--asymptotic", "--param", "reality=complex_conjugate"],
+    ["merge", "{tmp}/orders.json"],
+    # the default window holds the cone's apex, where kappa2 is infinite
+    ["generate", "--kind", "revolution", "--param", "profile=cone", "--grid-nu", "33"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -311,6 +314,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         "float_nu": (dict(good, nu=9.7), "'nu' must be"),
         # curvature-line nets are real: a Euclidean file takes only a real chart
         "complex_chart": (dict(good, reality="complex_conjugate"), "reality"),
+        "orders": ({"suite": "conformality", "pass": True, "convergence_orders": "abc"},
+                   "'convergence_orders'"),
     }
     for name, (data, _) in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -322,6 +327,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     jsonio.write_surface(surf, tmp_path / "nan.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
     err = capsys.readouterr().err
     assert err.startswith(f"qg {argv[0]}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -339,7 +345,9 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     if flag == "--config":
         assert "tol must be" in err
     if argv[0] == "merge":
-        assert "good.json is not a check report" in err
+        assert f"{argv[-1]} is not a check report" in err
+    if "profile=cone" in argv:
+        assert "'kappa2'" in err
 
 
 @pytest.mark.parametrize("flags,lam", [([], 2.0), (["--lambda-re", "1"], 1.0),

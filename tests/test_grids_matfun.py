@@ -54,6 +54,21 @@ def test_wirtinger_derivatives():
     assert np.max(np.abs(interior(d_u(f, ch) - 2 * w))) < 1e-10
 
 
+@pytest.mark.parametrize("reality", ["real", "complex_conjugate"])
+@pytest.mark.parametrize("deriv", [d_u, d_v, d_uu, d_vv], ids=["d_u", "d_v", "d_uu", "d_vv"])
+def test_float64_field_differences_as_its_complex_cast(deriv, reality, rng):
+    # numpy divides complex data by a real through the real's reciprocal, so
+    # stencils that multiply by 1/(2h) and 1/h^2 give a float64 field the
+    # bits of its complex128 cast; the float64 lift and Gauss map rely on it
+    ch = GridChart(17, 13, 0.0123456789, 0.0370370371, reality=reality)
+    f = rng.standard_normal((17, 13, 6))
+    got, want = deriv(f, ch), deriv(f.astype(complex), ch)
+    if reality == "real":
+        assert got.dtype == np.float64
+        want = want.real
+    assert np.array_equal(got, want)
+
+
 def test_expm_logm_roundtrip(rng):
     a = 0.3 * rng.standard_normal((40, 6, 6))
     m = matfun.expm(a)

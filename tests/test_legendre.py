@@ -260,7 +260,7 @@ def test_apply_group_preserves_invariants(ellipsoid_lift65, rng):
 def test_float64_lift_equals_the_complex_path_bit_for_bit(make_surface):
     # on a real chart the lift, its residual fields, the conjugate
     # coefficients, the projective density and a group-moved lift are float64
-    # and equal the complex128 computation with dividing stencils and
+    # and equal the complex128 computation with complex stencils and
     # divisions bit for bit
     surface = make_surface()
     projective = surface.geometry == sf.PROJECTIVE3
