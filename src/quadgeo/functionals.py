@@ -133,9 +133,9 @@ def willmore_gradient_density(gauss):
     """
     sp = gauss.space
     # the dot products run in complex: float64 einsums sum in another order
-    basis_p = gauss.span_p.astype(complex, copy=False)
+    basis_p = np.ascontiguousarray(gauss.span_p).astype(complex, copy=False)
     s = basis_p[..., 0, :]
-    l = gauss.span_s[..., 0, :].astype(complex, copy=False)
+    l = np.ascontiguousarray(gauss.span_s)[..., 0, :].astype(complex, copy=False)
     w = sp.pair(basis_p, s[..., None, :])  # <e_k, s>
     wh = w.conj() / np.maximum(np.einsum("...k,...k->...", w, w.conj()).real, 1e-300)[..., None]
     if np.max(np.abs(np.einsum("...k,...k->...", wh, w) - 1.0)) > 1e-6:

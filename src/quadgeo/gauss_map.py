@@ -25,6 +25,18 @@ kernels round differently stay in complex: the 3x3 Gram inverse behind P,
 the dot products of `line_angle` (and `functionals.willmore_gradient_density`)
 and the matvecs of `tension_kernel_residual`.
 
+The span and basis fields have the shape (nu, nv, 3, 6) but are stored
+nodes-innermost, in memory order (row, component, u, v) (`nodes_innermost`;
+`loop_tools.gauss_from_frame` stores its spans so too).  So the stencils,
+the pairings and the contraction of `conformal_gauss`,
+`_structured_orthobasis` and `dS` run over contiguous (nu, nv) planes of
+nodes, with the same bits as on C-contiguous arrays: numpy rounds an
+elementwise ufunc, and a stacked det or inv, alike in any memory order.  Its
+reductions over the component axes (a 9-entry Frobenius norm, a sum over
+(3, 6)) and its BLAS products with a non-monomial matrix do depend on the
+order, so they read `np.ascontiguousarray` copies, which have the strides
+of the (nu, nv, 3, 6) fields stacked in C order.
+
 The derivatives of S (`dS`) differentiate the section fields of S and keep
 their S_perp components: (S_u) sigma = P_perp d_u sigma, stored as a 6x6
 operator annihilating S_perp, which is the Hom(S, S_perp)-valued derivative
@@ -57,7 +69,9 @@ class GaussMapGrid:
 
     `build_proj` is a callable, holding no reference to the map, that
     returns the (nu, nv, 6, 6) pairing-orthogonal projection P onto S; each
-    constructor passes its own, and the first read of `proj` runs it.
+    constructor passes its own, and the first read of `proj` runs it.  The
+    span and basis fields are stored nodes-innermost, in memory order
+    (row, component, u, v) behind their (nu, nv, 3, 6) shape.
     """
 
     space: pl.PseudoSpace
@@ -127,14 +141,16 @@ def conformal_gauss(grid):
     `proj`.
     """
     sp, ch = grid.space, grid.chart
-    l, s = pl.real_if_exact(grid.l, grid.s)
-    span_s = np.stack([l, d_v(l, ch), d_vv(l, ch)], axis=-2)
-    span_p = np.stack([s, d_u(s, ch), d_uu(s, ch)], axis=-2)
+    # component-first memory behind the (nu, nv, 6) shapes: the stencils and
+    # every pairing below run over contiguous planes of nodes
+    l, s = (nodes_innermost(f) for f in pl.real_if_exact(grid.l, grid.s))
+    span_s = _stack_rows([l, d_v(l, ch), d_vv(l, ch)])
+    span_p = _stack_rows([s, d_u(s, ch), d_uu(s, ch)])
     # note: no Euclidean rescaling of the sections anywhere downstream; the
     # orthonormal bases are built from pairing quantities alone, so the whole
     # discrete pipeline commutes with pairing-orthogonal maps to roundoff
-    gram_s = sp.pair(span_s[..., :, None, :], span_s[..., None, :, :])
-    scale = np.linalg.norm(span_s, axis=-1) ** 2
+    gram_s = _planes(_row_gram(sp, span_s, span_s))
+    scale = np.linalg.norm(np.ascontiguousarray(span_s), axis=-1) ** 2
     scale3 = scale[..., 0] * scale[..., 1] * scale[..., 2]
     degenerate = np.abs(np.linalg.det(gram_s)) < 1e-8 * np.maximum(scale3, 1e-300)
     with np.errstate(all="ignore"):
@@ -145,11 +161,13 @@ def conformal_gauss(grid):
         fld[target] = fld[source]
 
     def build_proj():
-        b6 = span_s.swapaxes(-1, -2)  # columns
+        # the products read C-contiguous copies: numpy hands only such
+        # operands to BLAS, the kernels whose rounding P is pinned to
+        b6 = np.ascontiguousarray(span_s).swapaxes(-1, -2)  # columns
         # LAPACK rounds a float64 inverse differently from a complex one;
         # the complex inverse of a real Gram is exactly real
         gram = np.where(degenerate[..., None, None], np.eye(3), gram_s)
-        gram_inv = np.linalg.inv(gram.astype(complex))
+        gram_inv = np.linalg.inv(np.ascontiguousarray(gram, dtype=complex))
         if not np.iscomplexobj(gram_s):
             gram_inv = np.ascontiguousarray(gram_inv.real)
         proj = b6 @ gram_inv @ b6.swapaxes(-1, -2) @ sp.gram
@@ -205,9 +223,10 @@ def orthogonality_residual(gauss):
     Normalized by the product of the largest row scales; vanishes for a
     genuine conformal Gauss map.
     """
-    cross = gauss.space.pair(gauss.span_s[..., :, None, :], gauss.span_p[..., None, :, :])
-    sa = np.max(np.linalg.norm(gauss.span_s, axis=-1), axis=-1)
-    sb = np.max(np.linalg.norm(gauss.span_p, axis=-1), axis=-1)
+    span_s, span_p = np.ascontiguousarray(gauss.span_s), np.ascontiguousarray(gauss.span_p)
+    cross = gauss.space.pair(span_s[..., :, None, :], span_p[..., None, :, :])
+    sa = np.max(np.linalg.norm(span_s, axis=-1), axis=-1)
+    sb = np.max(np.linalg.norm(span_p, axis=-1), axis=-1)
     return np.linalg.norm(cross, axis=(-2, -1)) / np.maximum(sa * sb, 1e-300)
 
 
@@ -219,6 +238,8 @@ def _structured_orthobasis(space, rows):
     Returns (rows, signs): the Gram's diagonal is signs = +-1 but, as finite
     differences hold <a, b> = 0 only to O(h^2), its off-diagonal is O(h^2)
     (ellipsoid interior, S / S_perp: 9.0e-5 / 1.4e-4 at 33^2, 2.3e-5 / 3.7e-5 at 65^2).
+    On nodes-innermost rows every step runs over node planes, and the
+    returned rows are stored nodes-innermost too.
     """
     a, b, c = rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
     n = space.pair(b, b)
@@ -236,7 +257,7 @@ def _structured_orthobasis(space, rows):
     x = w - 0.5 * m[..., None] * p
     e3 = (p + x) * (1.0 / np.sqrt(2.0))   # norm +1
     e1 = (p - x) * (1.0 / np.sqrt(2.0))   # norm -1
-    basis = np.stack([e1, e2, e3], axis=-2)
+    basis = _stack_rows([e1, e2, e3])
     signs = np.stack([-np.ones_like(d2), d2, np.ones_like(d2)], axis=-1)
     return basis, signs
 
@@ -258,36 +279,65 @@ def dS(gauss):
     parts of the computation on the bases cast to complex, whose imaginary
     parts are all 0.  Complex-conjugate charts stay complex throughout.
 
-    The contraction sum_kj b_p[k, i] coeff[k, j] coords_s[j, l] adds its nine
-    rank-one terms (b_p[k] coeff[k, j]) coords_s[j] to zero, k outer and j
-    inner, with the nodes on the last axis: the order and association of
+    The bases are read in place as (row, component, u, v) node planes (a
+    map from `conformal_gauss` or `gauss_from_frame` stores them so; any
+    other layout gives the same bits, more slowly).  The coefficients
+    <b_p[k], d b_s[j]> are paired on those planes, and the coordinates
+    b_s @ G gather and scale b_s's components, as G is monomial (adding +0
+    gives the matmul's zero signs).  The contraction
+    sum_kj b_p[k, i] coeff[k, j] coords_s[j, l] adds, row i by row i, its
+    nine terms (b_p[k, i] coeff[k, j]) coords_s[j] to zero, k outer and j
+    inner: the order and association of
     einsum("...ki,...kj,...jl->...il"), so on a real chart the result equals
     the einsum's bit for bit (on an eps = i chart, to roundoff: einsum fuses
     complex multiply-adds).  Another order (b_p^T @ (coeff @ coords_s))
     moves the last digits, and the `descent` energy sequence amplifies such
-    moves to about 5e-6 relative.
+    moves to about 5e-6 relative.  The result is copied to C order, one
+    (6, 6) operator per node.
     """
     sp = gauss.space
     b_s, b_p = gauss.basis_s, gauss.basis_p
     # sigma -> S-coordinates extractor (diagonal Gram, condition 1)
-    coords_s = (b_s @ sp.gram) / gauss.signs_s[..., None]
-    bp, cs = _nodes_last(b_p), _nodes_last(coords_s)
+    bp = _planes(b_p)
+    cs = _planes(b_s)[:, sp.perm] * sp.weight[:, None, None] + 0.0
+    cs = cs / _planes(gauss.signs_s[..., None])
     out = []
     for deriv in (d_u, d_v):
         w = deriv(b_s, gauss.chart)    # derivatives of sections
-        coeff = sp.pair(b_p[..., :, None, :], w[..., None, :, :]) / gauss.signs_p[..., None]
-        cf = _nodes_last(coeff)
+        cf = _row_gram(sp, b_p, w) / _planes(gauss.signs_p[..., None])
         acc = np.zeros((6, 6) + b_p.shape[:-2], dtype=np.result_type(bp, cf, cs))
-        for k in range(3):
-            for j in range(3):
-                acc += (bp[k] * cf[k, j])[:, None] * cs[j][None]
-        out.append(np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1))))
+        term = np.empty_like(acc[0])    # reused: fresh temporaries grow the heap
+        for i in range(6):    # a row of planes at a time stays in cache
+            for k in range(3):
+                for j in range(3):
+                    acc[i] += np.multiply(bp[k, i] * cf[k, j], cs[j], out=term)
+        out.append(np.ascontiguousarray(_planes(acc)))
     return tuple(out)
 
 
-def _nodes_last(a):
-    """A (..., r, c) field as a contiguous (r, c, ...) array."""
-    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+def nodes_innermost(a):
+    """A copy of the (nu, nv, ...) field a with its shape, stored nodes-innermost.
+
+    The component axes come first in memory, so each ufunc over the field
+    runs over contiguous (nu, nv) planes of nodes.
+    """
+    order = (*range(2, a.ndim), 0, 1)
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+
+def _row_gram(space, a, b):
+    """Pairings <a_k, b_j> of two (nu, nv, r, 6) row families as (r, r', nu, nv) planes."""
+    return space.pair(a.transpose(2, 0, 1, 3)[:, None], b.transpose(2, 0, 1, 3)[None])
+
+
+def _planes(a):
+    """The (r, c, nu, nv) node planes of a (nu, nv, r, c) field, and back: a view."""
+    return a.transpose(2, 3, 0, 1)
+
+
+def _stack_rows(rows):
+    """(nu, nv, 6) rows as one (nu, nv, k, 6) field stored nodes-innermost."""
+    return np.stack([r.transpose(2, 0, 1) for r in rows]).transpose(2, 3, 0, 1)
 
 
 def grassmann_pair(space, a, b):
@@ -391,17 +441,17 @@ def line_angle(x, y):
 def tension_image_angle(gauss, tension_field):
     """Per-node angle between im(tau_S) and span{s} (the focal field)."""
     img, _ = image_direction(tension_field.tau)
-    return line_angle(img, gauss.span_p[..., 0, :])
+    return line_angle(img, np.ascontiguousarray(gauss.span_p)[..., 0, :])
 
 
 def tension_kernel_residual(gauss, tension_field):
     """Action of tau_S on l and l_v (a basis of l-perp within S), normalized."""
-    tau = tension_field.tau
+    tau, span_s = tension_field.tau, np.ascontiguousarray(gauss.span_s)
     # matvecs in complex: float64 BLAS rounds them differently
-    act_l, act_lv = (np.linalg.norm(np.matmul(tau, gauss.span_s[..., k, :, None],
+    act_l, act_lv = (np.linalg.norm(np.matmul(tau, span_s[..., k, :, None],
                                               dtype=complex)[..., 0], axis=-1) for k in (0, 1))
     scale = np.maximum(
-        tension_field.norm * np.linalg.norm(gauss.span_s[..., 0:2, :], axis=-1).max(-1),
+        tension_field.norm * np.linalg.norm(span_s[..., 0:2, :], axis=-1).max(-1),
         1e-300,
     )
     return np.maximum(act_l, act_lv) / scale
@@ -443,7 +493,7 @@ def reconstruct(gauss):
     scale_v = np.linalg.norm(sv, axis=(-2, -1))
     margin = DENSITY_MARGIN
     den = interior(s1_u * scale_v, margin)
-    basis_scale = np.sum(np.abs(gauss.basis_s) ** 2, axis=(-2, -1))
+    basis_scale = np.sum(np.abs(np.ascontiguousarray(gauss.basis_s)) ** 2, axis=(-2, -1))
     if np.max(den) < 1e-10 * np.max(interior(basis_scale, margin)):
         raise DegenerateReconstructionError(
             "a partial derivative of S vanishes (constant or channel-type congruence)"

@@ -62,8 +62,8 @@ def _stencil(field, axis, order):
     the 2nd-order stencils, central inside and one-sided at the edges."""
     f = np.asarray(field)
     out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
-    fm = np.moveaxis(f, axis, 0)
-    om = np.moveaxis(out, axis, 0)
+    fm = f.swapaxes(axis, 0)   # axis 0 or 1: the view np.moveaxis(f, axis, 0)
+    om = out.swapaxes(axis, 0)
     if order == 1:
         np.subtract(fm[2:], fm[:-2], out=om[1:-1])
         om[0] = -3.0 * fm[0] + 4.0 * fm[1] - fm[2]

@@ -376,10 +376,8 @@ def gauss_from_frame(framegrid):
     """
     pair = framegrid.pair
     f = framegrid.frames
-    rows = pair.basis_o[0:3]
-    span_s = (f @ rows.T[None, None]).swapaxes(-1, -2)
-    rows_p = pair.basis_o[3:6]
-    span_p = (f @ rows_p.T[None, None]).swapaxes(-1, -2)
+    span_s, span_p = (gm.nodes_innermost((f @ rows.T).swapaxes(-1, -2))
+                      for rows in (pair.basis_o[0:3], pair.basis_o[3:6]))
     degenerate = np.zeros(f.shape[:2], dtype=bool)
     # F is pairing-orthogonal, so the spans are orthonormal bases already,
     # with the base basis's signs

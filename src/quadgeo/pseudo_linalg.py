@@ -12,7 +12,11 @@ group and of SL(4).  Two standard spaces are used throughout:
   v_inf): v_1..v_3 orthonormal spacelike, v_-1 timelike, and (v_0, v_inf)
   isotropic with <v_0, v_inf> = -1/2.
 
-Vectors are plain ndarrays of shape (..., 6), float64 on real charts.
+Vectors are plain ndarrays of shape (..., 6), float64 on real charts, in
+any memory order: `pair` runs elementwise over the component slices, so a
+field stored with its components outermost (the Gauss map's spans and
+bases, `gauss_map.nodes_innermost`) pairs over contiguous planes of nodes,
+with the same bits as its C-contiguous copy.
 numpy divides complex data by a real through the real's reciprocal and
 float64 data by the real itself, so the float64 lift and Gauss map multiply
 by the same reciprocals (the stencils of `grids`, `legendre`, `gauss_map`)

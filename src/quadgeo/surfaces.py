@@ -19,6 +19,7 @@ from . import grids
 from .errors import (
     FocalValueError,
     NonFiniteInputError,
+    NotAsymptoticChartError,
     NotCurvatureLineError,
     NotImmersedError,
     SignatureError,
@@ -292,12 +293,22 @@ def make_surface(sampler, window, nu, nv, reality=grids.REAL):
     """Sample a generator on a regular chart.
 
     Raises NonFiniteInputError, naming the field, where the generator is
-    singular on the chart (a cone's apex gives an infinite kappa2).
+    singular on the chart (a cone's apex gives an infinite kappa2), and
+    NotAsymptoticChartError for a complex-conjugate chart of a graph whose
+    Hessian is hyperbolic (h12^2 > h11 h22) at some node: its asymptotic
+    lines are real there, so no complex-conjugate chart of it is asymptotic.
     """
     u0, u1, v0, v1 = window
     grids.check_sizes(nu, nv)
     chart = GridChart(nu, nv, (u1 - u0) / (nu - 1), (v1 - v0) / (nv - 1), reality)
     uu, vv = np.meshgrid(np.linspace(u0, u1, nu), np.linspace(v0, v1, nv), indexing="ij")
+    if reality == grids.COMPLEX_CONJUGATE and hasattr(sampler, "hess"):
+        h11, h12, h22 = sampler.hess(uu, vv)
+        hyperbolic = np.count_nonzero(h12 * h12 - h11 * h22 > 0)
+        if hyperbolic:
+            raise NotAsymptoticChartError(
+                f"reality {reality!r}: the graph is hyperbolic at {hyperbolic} of {nu * nv} "
+                "nodes, where its asymptotic lines are real")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kwargs = {"points": sampler.point(uu, vv)}
         if sampler.geometry == EUCLIDEAN3:

@@ -303,6 +303,11 @@ def test_dualize_command_on_a_projective_quadric(tmp_path):
     ["merge", "{tmp}/orders.json"],
     # the default window holds the cone's apex, where kappa2 is infinite
     ["generate", "--kind", "revolution", "--param", "profile=cone", "--grid-nu", "33"],
+    # hyperbolic graphs have real asymptotic lines: no complex-conjugate chart
+    ["generate", "--kind", "quadric_graph", "--grid-nu", "17", "--grid-nv", "17",
+     "--param", "reality=complex_conjugate"],
+    ["generate", "--kind", "perturbed_graph", "--grid-nu", "17", "--grid-nv", "17",
+     "--param", "reality=complex_conjugate"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)

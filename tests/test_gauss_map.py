@@ -189,21 +189,43 @@ def test_dS_equals_the_einsum_bit_for_bit():
     # agrees to roundoff
     lifted = gm.conformal_gauss(lg.lift(checks.make_ellipsoid(17)))
     from_frame = lt.gauss_from_frame(lt.frame(lifted))
+    # the deformed torus is frame-built (gauss_from_frame) and constant to roundoff
+    deformed = lt.spectral_deform(gm.conformal_gauss(lg.lift(checks.make_torus(33))), 2.0)
     conv = _eps_i_chart(17)
     complex_chart = gm.conformal_gauss(lg.proj_lift(conv))
     assert complex_chart.eps == 1j
-    cases = ((lifted, np.float64, np.float64), (from_frame, np.float64, np.float64),
-             (complex_chart, np.complex128, np.complex128))
-    for gauss, stored, dtype in cases:
-        assert gauss.basis_s.dtype == stored
+    cases = ((lifted, np.float64, 1e-3), (from_frame, np.float64, 1e-3),
+             (deformed, np.float64, 0.0), (complex_chart, np.complex128, 1e-3))
+    for gauss, dtype, moves in cases:
+        assert gauss.basis_s.dtype == dtype
         for got, want in zip(gm.dS(gauss), einsum_dS(gauss)):
             assert got.dtype == dtype and got.flags.c_contiguous
-            assert np.max(np.abs(got)) > 1e-3  # a map that moves
+            assert np.max(np.abs(got)) > moves
             if dtype == np.complex128:
                 assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
                 continue
-            assert not np.any(want.imag)
-            assert np.array_equal(got, want.real)
+            assert _same_bits(got, want)
+
+
+def _same_bits(got, want):
+    """got is float64 and equals want, signs of zero included; a complex want is exactly real."""
+    want = np.asarray(want)
+    if np.iscomplexobj(want):
+        assert not np.any(want.imag)
+        want = want.real
+    return (got.dtype == np.float64 and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_span_and_basis_fields_are_stored_nodes_innermost(ellipsoid_gauss65):
+    # memory order (row, component, u, v) behind the (nu, nv, 3, 6) shape,
+    # for a lifted and a frame-built map
+    from_frame = lt.gauss_from_frame(lt.frame(ellipsoid_gauss65))
+    for gauss in (ellipsoid_gauss65, from_frame):
+        for name in ("span_s", "span_p", "basis_s", "basis_p"):
+            fld = getattr(gauss, name)
+            assert fld.shape == (65, 65, 3, 6), name
+            assert np.moveaxis(fld, (-2, -1), (0, 1)).flags.c_contiguous, name
 
 
 def test_constant_gauss_map_derivatives(quadric_lift65):
@@ -584,28 +606,47 @@ def _moved_by_the_group():
 ], ids=["ellipsoid33", "ellipsoid33-tension-window", "torus65", "descent-moved", "group-moved"])
 def test_float64_gauss_map_equals_the_complex_path_bit_for_bit(make_lift, request, monkeypatch):
     # on a real chart the splitting, P, dS and tau are float64 and equal the
-    # complex128 computation bit for bit, and so do the diagnostics read
-    # from them
+    # complex128 computation bit for bit, and so do the diagnostics read from
+    # them; those that reduce over or multiply the nodes-innermost spans and
+    # bases (the residuals, the tension diagnostics, the gradient density
+    # and reconstruct), and dS, keep the signs of zero too (P and tau take
+    # them from complex matmuls, which round zeros differently)
     grid = make_lift(request)
     new, old = gm.conformal_gauss(grid), complex_gauss_map(grid)
+    vars(old)["derivatives"] = tuple(einsum_dS(old))
     if request.node.callspec.id == "descent-moved":
         assert new.degenerate.sum() > 10
     for name in ("span_s", "span_p", "basis_s", "basis_p", "signs_s", "signs_p", "proj"):
         got, want = getattr(new, name), getattr(old, name)
         assert got.dtype == np.float64 and np.array_equal(got, want), name
     assert np.array_equal(new.degenerate, old.degenerate)
-    for got, want in zip(new.derivatives, einsum_dS(old)):
-        assert got.dtype == np.float64 and np.array_equal(got, want)
+    for got, want in zip(new.derivatives, old.derivatives):
+        assert _same_bits(got, want)
+    for residual in (gm.orthogonality_residual, gm.conformality_residual):
+        assert _same_bits(residual(new), residual(old)), residual.__name__
     tf_new, tf_old = gm.tension(new), complex_tension(old)
     for name in ("tau", "norm", "codazzi_diff"):
         got, want = getattr(tf_new, name), getattr(tf_old, name)
         assert got.dtype == np.float64 and np.array_equal(got, want), name
-    assert np.array_equal(gm.tension_image_angle(new, tf_new), gm.tension_image_angle(old, tf_old))
-    assert np.array_equal(gm.tension_kernel_residual(new, tf_new),
-                          gm.tension_kernel_residual(old, tf_old))
+    for diagnostic in (gm.tension_kernel_residual, gm.tension_image_angle):
+        assert _same_bits(diagnostic(new, tf_new), diagnostic(old, tf_old)), diagnostic.__name__
+    rec_new, rec_old = (_reconstruct_or_refusal(gauss) for gauss in (new, old))
+    if request.node.callspec.id in ("torus65", "descent-moved"):
+        # a constant map, and one whose <S_u, S_v> degenerates: both refuse
+        assert isinstance(rec_new, str) and rec_new == rec_old
+    else:
+        assert _same_bits(rec_new.l, rec_old.l) and _same_bits(rec_new.s, rec_old.s)
+        assert rec_new.meta["reconstruction_rank_gap"] == rec_old.meta["reconstruction_rank_gap"]
     got = fn.willmore_gradient_density(new)
-    monkeypatch.setattr(gm, "_tau", lambda gauss: complex_tension(gauss).tau)
-    assert np.array_equal(got, fn.willmore_gradient_density(old))
+    monkeypatch.setattr(gm, "_tau", lambda gauss: tf_old.tau)
+    assert _same_bits(got, fn.willmore_gradient_density(old))
+
+
+def _reconstruct_or_refusal(gauss):
+    try:
+        return gm.reconstruct(gauss)
+    except DegenerateReconstructionError as err:
+        return str(err)
 
 
 @pytest.mark.parametrize("make_lift", [

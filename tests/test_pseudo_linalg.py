@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgeo import pseudo_linalg as pl
+from quadgeo import gauss_map as gm, pseudo_linalg as pl
 from quadgeo.errors import GroupElementError
 
 from oracles import QuadricForm, hodge_star, lambda2
@@ -176,6 +176,55 @@ def test_numpy_rounding_behind_the_float64_gauss_map(rng):
     assert np.array_equal(np.einsum("...k,...k->...", u, v, dtype=complex),
                           np.einsum("...k,...k->...", u + 0j, v + 0j))
     assert np.array_equal(np.matmul(x, u[..., None], dtype=complex), (x + 0j) @ (u[..., None] + 0j))
+
+
+def _same_bits(got, want):
+    """Equal values and signs of zero, in the real and imaginary parts."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and all(
+        np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        for g, w in ((got.real, want.real), (got.imag, want.imag)))
+
+
+def test_numpy_layout_behind_the_node_innermost_fields(rng):
+    # gauss_map stores its spans and bases nodes-innermost (memory order row,
+    # component, u, v) and runs its pairings and ufuncs on those views; its
+    # outputs keep their bits only while numpy gives the same bits there as
+    # on C-contiguous copies, as checked here (reductions over the component
+    # axes and BLAS products read C-contiguous copies instead)
+    n = 33
+    for dtype in (np.float64, np.complex128):
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if dtype == np.complex128 else x
+
+        a, b = draw(n, n, 3, 6), draw(n, n, 3, 6)
+        a[0, 0] = -0.0  # signed zeros too
+        ai, bi = gm.nodes_innermost(a), gm.nodes_innermost(b)
+        assert ai.shape == a.shape and not ai.flags.c_contiguous
+        assert np.moveaxis(ai, (-2, -1), (0, 1)).flags.c_contiguous
+        signs = np.where(rng.random((n, n, 3, 1)) < 0.5, -1.0, 1.0)
+        mask = rng.random((n, n, 1, 1)) < 0.5
+        for sp in (SP33, SP42):
+            # the row Gram, broadcast over the rows and over planes of rows
+            assert _same_bits(sp.pair(ai[..., :, None, :], bi[..., None, :, :]),
+                              sp.pair(a[..., :, None, :], b[..., None, :, :]))
+            planes = sp.pair(np.moveaxis(ai, -2, 0)[:, None], np.moveaxis(bi, -2, 0)[None])
+            assert _same_bits(np.moveaxis(planes, (0, 1), (-2, -1)),
+                              sp.pair(a[..., :, None, :], b[..., None, :, :]))
+        radicand = (np.abs(ai), np.abs(a)) if dtype == np.float64 else (ai, a)
+        for got, want in (
+                (ai + bi, a + b), (ai - 0.5 * bi, a - 0.5 * b), (ai * bi, a * b),
+                (ai * (1.0 / np.sqrt(2.0)), a * (1.0 / np.sqrt(2.0))),
+                (ai / bi, a / b), (ai / signs, a / signs),
+                (np.sqrt(radicand[0]), np.sqrt(radicand[1])), (np.abs(ai), np.abs(a)),
+                (np.where(mask, ai, bi), np.where(mask, a, b))):
+            assert _same_bits(got, want)
+        # stacked 3x3 determinants and inverses of a nodes-innermost stack
+        m = draw(n, n, 3, 3)
+        mi = gm.nodes_innermost(m)
+        assert _same_bits(np.linalg.det(mi), np.linalg.det(m))
+        assert _same_bits(np.linalg.inv(mi), np.linalg.inv(m))
 
 
 def test_numpy_rounding_behind_the_float64_lift(rng):
