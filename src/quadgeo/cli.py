@@ -5,9 +5,13 @@
     qg check --suite pq-identity --grids 33,65,129 --out report.json
     qg merge --out summary.json report1.json report2.json ...
 
-Configuration is plain key=value (one per line, # comments) via --config,
-overridden by command-line flags.  Reports are deterministic given the same
-config and seed.
+Only `generate` and `check` take key=value parameters: plain key=value lines
+(one per line, # comments) via --config, overridden by each --param and by
+command-line flags.  `generate` accepts its generator's own parameters (the
+sampler's signature), the window_* keys, `reality` and, with --asymptotic,
+`net_step`; `check` the suite's parameters.  Any other key, and --param or
+--config on another command, exits 2.  Reports are deterministic given the
+same config and seed.
 """
 
 import argparse
@@ -25,12 +29,12 @@ from .errors import QuadGeoError, UsageError
 from .grids import interior
 
 GENERATORS = {
-    "torus": (sf.TorusSampler, ("r", "R"), checks.TORUS_WINDOW),
-    "ellipsoid": (sf.EllipsoidConfocalSampler, ("a", "b", "c"), checks.ELL_WINDOW),
-    "sphere": (sf.SphereSampler, ("radius",), (0.4, 1.2, 0.1, 1.2)),
-    "quadric_graph": (sf.quadric_graph_sampler, (), checks.GRAPH_WINDOW),
-    "perturbed_graph": (sf.perturbed_graph_sampler, ("cx", "cy"), checks.GRAPH_WINDOW),
-    "revolution": (sf.RevolutionSampler, ("profile", "c", "slope"), (-0.8, 0.8, 0.1, 1.5)),
+    "torus": (sf.TorusSampler, checks.TORUS_WINDOW),
+    "ellipsoid": (sf.EllipsoidConfocalSampler, checks.ELL_WINDOW),
+    "sphere": (sf.SphereSampler, (0.4, 1.2, 0.1, 1.2)),
+    "quadric_graph": (sf.quadric_graph_sampler, checks.GRAPH_WINDOW),
+    "perturbed_graph": (sf.perturbed_graph_sampler, checks.GRAPH_WINDOW),
+    "revolution": (sf.RevolutionSampler, (-0.8, 0.8, 0.1, 1.5)),
 }
 
 
@@ -123,14 +127,34 @@ def _check_ranges(values, flags):
 WINDOW_KEYS = ("window_u0", "window_u1", "window_v0", "window_v1")
 
 
-def cmd_generate(args, params):
+def _params(args):
+    """The --config file's key=value pairs overridden by each --param, values parsed."""
+    params = load_config(args.config) if args.config else {}
+    for item in args.param:
+        if "=" not in item:
+            raise UsageError(f"--param needs key=value, got {item!r}")
+        key, val = item.split("=", 1)
+        params[key.replace("-", "_")] = val
+    return {key: _parse_value(val) for key, val in params.items()}
+
+
+def cmd_generate(args):
     if args.kind not in GENERATORS:
         raise UsageError(f"unknown surface kind {args.kind!r}")
-    factory, names, default_window = GENERATORS[args.kind]
-    _check_types(params, {**_default_types(factory),
-                          **dict.fromkeys(WINDOW_KEYS + ("net_step",), float)})
-    kwargs = {k: params[k] for k in names if k in params}
-    sampler = factory(**kwargs)
+    factory, default_window = GENERATORS[args.kind]
+    params = _params(args)
+    names = _default_types(factory)
+    types = {**names, **dict.fromkeys(WINDOW_KEYS, float)}
+    if args.asymptotic:
+        types["net_step"] = float
+    accepted = (*types, "reality")
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        hint = "; net_step needs --asymptotic" if "net_step" in unknown else ""
+        raise UsageError(f"kind {args.kind!r} takes no parameter {', '.join(unknown)}; "
+                         f"accepted: {', '.join(accepted)}{hint}")
+    _check_types(params, types)
+    sampler = factory(**{k: v for k, v in params.items() if k in names})
     window = tuple(params.get(key, default_window[i]) for i, key in enumerate(WINDOW_KEYS))
     surface = sf.make_surface(sampler, window, args.grid_nu, args.grid_nv,
                               reality=params.get("reality", "real"))
@@ -156,13 +180,13 @@ def _load_gauss(path):
     return gm.conformal_gauss(lg.lift(_load_surface(path)))
 
 
-def cmd_lift(args, params):
+def cmd_lift(args):
     rep = lg.validate(lg.lift(_load_surface(args.surface)))
     _write_json({k: rep[k] for k in ("nullity_max", "legendre_max", "focal_max")}, args.out)
     return 0
 
 
-def cmd_gauss(args, params):
+def cmd_gauss(args):
     gauss = _load_gauss(args.surface)
     _write_json(
         {
@@ -177,12 +201,12 @@ def cmd_gauss(args, params):
     return 0
 
 
-def cmd_energy(args, params):
+def cmd_energy(args):
     _write_json(jsonio.energy_to_dict(fn.willmore_energy(_load_gauss(args.surface))), args.out)
     return 0
 
 
-def cmd_tension(args, params):
+def cmd_tension(args):
     tf = gm.tension(_load_gauss(args.surface))
     norm, codazzi = (interior(f, gm.TENSION_MARGIN) for f in (tf.norm, tf.codazzi_diff))
     _write_json({"tau_max": float(np.max(norm)), "tau_min": float(np.min(norm)),
@@ -190,8 +214,9 @@ def cmd_tension(args, params):
     return 0
 
 
-def cmd_check(args, params):
+def cmd_check(args):
     accepted = checks.suite_parameters(args.suite)
+    params = _params(args)
     if args.grids:
         params["grids"] = args.grids
     _check_types(params, _default_types(checks.SUITES[args.suite]))
@@ -216,7 +241,7 @@ def cmd_check(args, params):
     return 0 if report["pass"] else 1
 
 
-def cmd_deform(args, params):
+def cmd_deform(args):
     gauss = _load_gauss(args.surface)
     lam = complex(args.lambda_re, args.lambda_im)
     lam = lam.real if lam.imag == 0 else lam
@@ -235,7 +260,7 @@ def cmd_deform(args, params):
     return 0
 
 
-def cmd_dualize(args, params):
+def cmd_dualize(args):
     gauss = _load_gauss(args.surface)
     dual = lt.dualize(gauss)
     alpha = lt.maurer_cartan(lt.frame(dual))
@@ -253,7 +278,7 @@ def cmd_dualize(args, params):
     return 0
 
 
-def cmd_descent(args, params):
+def cmd_descent(args):
     _check_ranges({"steps": args.steps, "step_size": args.step_size},
                   {"steps": "--steps", "step_size": "--step-size"})
     surface = _load_surface(args.surface)
@@ -264,7 +289,7 @@ def cmd_descent(args, params):
     return 0
 
 
-def cmd_merge(args, params):
+def cmd_merge(args):
     reports = [jsonio.read_report(p) for p in args.reports]
     merged = checks.report_merge(reports)
     _write_json(merged, args.out)
@@ -300,13 +325,16 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--out", default="-", help="output JSON path (default stdout)")
+
+    def parameters(p):
+        p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--param", action="append", default=[],
                        help="extra key=value parameter (repeatable)")
 
     p = sub.add_parser("generate", help="write a surface grid JSON")
     common(p)
+    parameters(p)
     p.add_argument("--kind", required=True, help="|".join(GENERATORS))
     p.add_argument("--grid-nu", type=int, default=65)
     p.add_argument("--grid-nv", type=int, default=65)
@@ -320,6 +348,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a named verification suite")
     common(p)
+    parameters(p)
     p.add_argument("--suite", required=True)
     p.add_argument("--grids", help="comma-separated refinement sizes")
     p.add_argument("--tolerance", type=float)
@@ -367,7 +396,9 @@ COMMANDS = {
 def main(argv=None):
     argv = _join_signed_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise UsageError(f"qg {args.command}: unrecognized arguments: {' '.join(extra)}")
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -376,16 +407,7 @@ def main(argv=None):
             value = getattr(args, flag, None)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")
-        params = {}
-        if getattr(args, "config", None):
-            params.update(load_config(args.config))
-        for item in getattr(args, "param", []):
-            if "=" not in item:
-                raise UsageError(f"--param needs key=value, got {item!r}")
-            key, val = item.split("=", 1)
-            params[key.replace("-", "_")] = val
-        params = {key: _parse_value(val) for key, val in params.items()}
-        return COMMANDS[args.command](args, params)
+        return COMMANDS[args.command](args)
     except (QuadGeoError, ValueError, OSError) as exc:
         print(f"qg {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from . import gauss_map as gm
 from . import legendre as lg
 from . import pseudo_linalg as pl
 from . import surfaces as sf
-from .errors import NotAsymptoticChartError, UmbilicError
+from .errors import NotAsymptoticChartError, NotImmersedError, UmbilicError
 from .grids import GridChart, d_u, d_v, divided_difference, interior, node_list
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
@@ -77,7 +77,9 @@ def proj_density(surface):
     The mixed derivative completes the frame (f_uv leaves span{f, f_u, f_v}
     precisely when the net is nondegenerate), and the components of f_uu,
     f_vv off that span witness the asymptotic property of the chart (at most
-    `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).  The density p q is
+    `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).  Where the cofactor
+    covector of (f, f_u, f_v) vanishes (rank below 3) it raises
+    NotImmersedError before any division.  The density p q is
     float64 when it is exactly real (`pl.real_if_exact`).  The ratios
     multiply by 1/det(f, f_u, f_v, f_uv), so on a real chart the float64
     density equals the complex computation bit for bit.
@@ -103,7 +105,11 @@ def proj_density(surface):
     span = np.stack([f, fu, fv], axis=-2)
     fstar = np.stack([(-1) ** k * _det3(np.delete(span, k, axis=-1)) for k in range(4)],
                      axis=-1)
-    fstar /= np.linalg.norm(fstar, axis=-1, keepdims=True)
+    fstar_norm = np.linalg.norm(fstar, axis=-1, keepdims=True)
+    if not np.all(fstar_norm):
+        raise NotImmersedError(f"(f, f_u, f_v) has rank below 3 at {np.sum(fstar_norm == 0)} "
+                               "nodes: projective surface is not immersed on the chart")
+    fstar /= fstar_norm
     scale = max(
         np.max(interior(np.linalg.norm(fuu, axis=-1))),
         np.max(interior(np.linalg.norm(fvv, axis=-1))),

@@ -150,7 +150,9 @@ def conformal_gauss(grid):
     # orthonormal bases are built from pairing quantities alone, so the whole
     # discrete pipeline commutes with pairing-orthogonal maps to roundoff
     gram_s = _planes(_row_gram(sp, span_s, span_s))
-    scale = np.linalg.norm(np.ascontiguousarray(span_s), axis=-1) ** 2
+    # numpy sums a row of fewer than 8 entries in order whatever its stride,
+    # so the row norms of the nodes-innermost view are those of a C copy
+    scale = np.linalg.norm(span_s, axis=-1) ** 2
     scale3 = scale[..., 0] * scale[..., 1] * scale[..., 2]
     degenerate = np.abs(np.linalg.det(gram_s)) < 1e-8 * np.maximum(scale3, 1e-300)
     with np.errstate(all="ignore"):

@@ -68,9 +68,18 @@ def _scalar(data, name, kind):
     return kind(value)
 
 
+SURFACE_FIELDS = ("geometry", "nu", "nv", "hu", "hv", "reality", "points", "normals",
+                  "kappa1", "kappa2", "meta")
+
+
 def surface_from_dict(data):
     if not isinstance(data, dict):
         raise MalformedInputError(f"a surface must be a JSON object, got {type(data).__name__}")
+    unknown = [name for name in data if name not in SURFACE_FIELDS]
+    if unknown:
+        names = ", ".join(f"{name!r:.40}" for name in unknown)
+        raise MalformedInputError(f"a surface takes no field {names}; "
+                                  f"fields: {', '.join(SURFACE_FIELDS)}")
     geometry = data.get("geometry")
     required = ("geometry", "nu", "nv", "hu", "hv", "points")
     for name in required + (("normals",) if geometry == EUCLIDEAN3 else ()):

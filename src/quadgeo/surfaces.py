@@ -107,6 +107,8 @@ class SphereSampler:
     geometry = EUCLIDEAN3
 
     def __init__(self, radius=1.0):
+        if not radius > 0:
+            raise ValueError("need radius > 0")
         self.radius = float(radius)
 
     def point(self, u, v):

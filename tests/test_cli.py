@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -308,6 +309,17 @@ def test_dualize_command_on_a_projective_quadric(tmp_path):
      "--param", "reality=complex_conjugate"],
     ["generate", "--kind", "perturbed_graph", "--grid-nu", "17", "--grid-nv", "17",
      "--param", "reality=complex_conjugate"],
+    # generate refuses a key its generator does not take, net_step without --asymptotic
+    ["generate", "--kind", "torus", "--grid-nu", "9", "--grid-nv", "9", "--param", "RR=5"],
+    ["generate", "--kind", "perturbed_graph", "--grid-nu", "9", "--grid-nv", "9",
+     "--param", "net_step=0.01"],
+    # a sphere of radius 0 has no curvature (1/radius was a ZeroDivisionError)
+    ["generate", "--kind", "sphere", "--grid-nu", "9", "--grid-nv", "9", "--param", "radius=0"],
+    # only generate and check take --param and --config
+    ["lift", "--surface", "{tmp}/good.json", "--param", "r=1"],
+    ["energy", "--config", "{tmp}/tol.cfg", "--surface", "{tmp}/good.json"],
+    # a misspelt field is refused, not dropped (the curvatures would be refit)
+    ["energy", "--surface", "{tmp}/misspelt.json"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)
@@ -321,6 +333,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         "complex_chart": (dict(good, reality="complex_conjugate"), "reality"),
         "orders": ({"suite": "conformality", "pass": True, "convergence_orders": "abc"},
                    "'convergence_orders'"),
+        "misspelt": ({("kappa_1" if k == "kappa1" else k): v for k, v in good.items()},
+                     "'kappa_1'"),
     }
     for name, (data, _) in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -351,8 +365,38 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         assert "tol must be" in err
     if argv[0] == "merge":
         assert f"{argv[-1]} is not a check report" in err
+    if argv[0] not in ("generate", "check"):
+        for flag in ("--param", "--config"):
+            if flag in argv:
+                assert f"unrecognized arguments: {flag}" in err
     if "profile=cone" in argv:
         assert "'kappa2'" in err
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"generate", "check"}))
+def test_only_generate_and_check_take_param_and_config(command, tmp_path, capsys):
+    # the other commands read no key=value parameters, so they take neither flag
+    out = tmp_path / "out.json"
+    args = ["{tmp}/r.json"] if command == "merge" else ["--surface", "{tmp}/s.json"]
+    for extra in (["--param", "r=1"], ["--config", "{tmp}/run.cfg"]):
+        argv = [a.format(tmp=tmp_path) for a in [command, *extra, *args, "--out", str(out)]]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qg {command}: unrecognized arguments: {extra[0]}")
+        assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(cli.GENERATORS))
+def test_generate_takes_every_parameter_of_its_factory(kind, tmp_path):
+    # the accepted keys are the factory's parameters: each one set to its
+    # default gives the file that generating without it gives
+    factory = cli.GENERATORS[kind][0]
+    defaults = {name: p.default for name, p in inspect.signature(factory).parameters.items()}
+    base = ["generate", "--kind", kind, "--grid-nu", "9", "--grid-nv", "9", "--out"]
+    params = [arg for name, value in defaults.items() for arg in ("--param", f"{name}={value}")]
+    assert run(base + [str(tmp_path / "given.json")] + params) == 0
+    assert run(base + [str(tmp_path / "default.json")]) == 0
+    assert (tmp_path / "given.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 @pytest.mark.parametrize("flags,lam", [([], 2.0), (["--lambda-re", "1"], 1.0),

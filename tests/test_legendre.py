@@ -98,13 +98,17 @@ def test_proj_lift_rejects_non_asymptotic():
 @pytest.mark.parametrize("reality", ["real", "complex_conjugate"])
 def test_proj_lift_rejects_a_point_field_of_one_variable(reality):
     # f depends on the first index only, so f_v = 0 on a real chart and
-    # f_u = f_v on a complex-conjugate one: (f, f_u, f_v) has rank 2
+    # f_u = f_v on a complex-conjugate one: (f, f_u, f_v) has rank 2; the
+    # density refuses it too, before any division (no NaN, no warning)
     ch = GridChart(17, 17, 0.05, 0.05, reality=reality)
     x = np.arange(17) * 0.05
     curve = np.stack([np.ones_like(x), x, x * x, x ** 3], axis=-1)
     points = np.broadcast_to(curve[:, None, :], (17, 17, 4)).copy()
+    surface = sf.SurfaceGrid(sf.PROJECTIVE3, points, ch)
     with pytest.raises(NotImmersedError):
-        lg.proj_lift(sf.SurfaceGrid(sf.PROJECTIVE3, points, ch))
+        lg.proj_lift(surface)
+    with np.errstate(all="raise"), pytest.raises(NotImmersedError):
+        fn.proj_density(surface)
 
 
 def test_proj_lift_rescale_invariance():

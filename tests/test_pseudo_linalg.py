@@ -178,14 +178,6 @@ def test_numpy_rounding_behind_the_float64_gauss_map(rng):
     assert np.array_equal(np.matmul(x, u[..., None], dtype=complex), (x + 0j) @ (u[..., None] + 0j))
 
 
-def _same_bits(got, want):
-    """Equal values and signs of zero, in the real and imaginary parts."""
-    got, want = np.asarray(got), np.asarray(want)
-    return got.dtype == want.dtype and all(
-        np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
-        for g, w in ((got.real, want.real), (got.imag, want.imag)))
-
-
 def test_numpy_layout_behind_the_node_innermost_fields(rng):
     # gauss_map stores its spans and bases nodes-innermost (memory order row,
     # component, u, v) and runs its pairings and ufuncs on those views; its
@@ -225,6 +217,16 @@ def test_numpy_layout_behind_the_node_innermost_fields(rng):
         mi = gm.nodes_innermost(m)
         assert _same_bits(np.linalg.det(mi), np.linalg.det(m))
         assert _same_bits(np.linalg.inv(mi), np.linalg.inv(m))
+        # row norms: a row of fewer than 8 entries is summed in order, whatever
+        # its stride (conformal_gauss takes its 6-entry norms on the view)
+        for k in range(1, 8):
+            x = draw(n, n, 3, k)
+            squares = (x.conj() * x).real
+            in_order = squares[..., 0]
+            for j in range(1, k):
+                in_order = in_order + squares[..., j]
+            for row in (x, gm.nodes_innermost(x), np.repeat(x, 2, axis=-1)[..., ::2]):
+                assert _same_bits(np.linalg.norm(row, axis=-1), np.sqrt(in_order))
 
 
 def test_numpy_rounding_behind_the_float64_lift(rng):
