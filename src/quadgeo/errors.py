@@ -5,10 +5,6 @@ class QuadGeoError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
-class DegenerateInputError(QuadGeoError):
-    """Input vectors are (numerically) linearly dependent."""
-
-
 class UmbilicError(QuadGeoError):
     """Principal curvatures coincide on a region; focal data is meaningless there."""
 
@@ -26,7 +22,7 @@ class SignatureError(QuadGeoError):
 
 
 class NotAsymptoticChartError(QuadGeoError):
-    """Chart is not asymptotic: the lift fails focal normalization."""
+    """Chart is not asymptotic: f_uu or f_vv leaves span{f, f_u, f_v}."""
 
 
 class NotImmersedError(QuadGeoError):

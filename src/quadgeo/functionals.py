@@ -17,7 +17,7 @@ from . import gauss_map as gm
 from . import legendre as lg
 from . import pseudo_linalg as pl
 from . import surfaces as sf
-from .errors import NotAsymptoticChartError, NotImmersedError, UmbilicError
+from .errors import UmbilicError
 from .grids import GridChart, d_u, d_v, divided_difference, interior, node_list
 from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
@@ -62,11 +62,6 @@ def lie_density(kappa1, kappa2, chart):
     return dk1 * dk2 / (kappa1 - kappa2) ** 2
 
 
-def _det3(m):
-    """Batched 3x3 determinant as the triple product of the rows."""
-    return np.einsum("...k,...k->...", m[..., 0, :], np.cross(m[..., 1, :], m[..., 2, :]))
-
-
 def proj_density(surface):
     """Asymptotic-coordinate density p q from the homogeneous lift.
 
@@ -75,21 +70,18 @@ def proj_density(surface):
     for q), which are exactly SL(4)-equivariant; a least-squares regression
     would pick up transform-dependent errors through its Euclidean residual.
     The mixed derivative completes the frame (f_uv leaves span{f, f_u, f_v}
-    precisely when the net is nondegenerate), and the components of f_uu,
-    f_vv off that span witness the asymptotic property of the chart (at most
-    `lg.ASYMPTOTIC_CHART_TOL`, as in `lg.proj_lift`).  Where the cofactor
-    covector of (f, f_u, f_v) vanishes (rank below 3) it raises
-    NotImmersedError before any division.  The density p q is
-    float64 when it is exactly real (`pl.real_if_exact`).  The ratios
+    precisely when the net is nondegenerate).  The chart passes
+    `lg._projective_chart` first, the test that `lg.proj_lift` makes too, so
+    a chart that is not immersed (NotImmersedError) or not asymptotic
+    (NotAsymptoticChartError) is refused before any division.  The density
+    p q is float64 when it is exactly real (`pl.real_if_exact`).  The ratios
     multiply by 1/det(f, f_u, f_v, f_uv), so on a real chart the float64
     density equals the complex computation bit for bit.
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_density needs a projective surface")
-    f, ch = surface.points, surface.chart
-    fu, fv = d_u(f, ch), d_v(f, ch)
-    fuu, fvv = d_u(fu, ch), d_v(fv, ch)
-    fuv = d_v(fu, ch)
+    _, f, fu, fv, fuu, fvv = lg._projective_chart(surface)
+    fuv = d_v(fu, surface.chart)
 
     def det4(*cols):
         # LAPACK rounds a float64 determinant differently from a complex
@@ -98,31 +90,6 @@ def proj_density(surface):
         det = np.linalg.det(m.astype(complex, copy=False))
         return det if np.iscomplexobj(m) else det.real
 
-    # chart witness: second derivatives must stay in span{f, f_u, f_v}; the
-    # covector f* that annihilates it is the signed 3x3 cofactors of
-    # (f; f_u; f_v), normalized (its sign and phase are immaterial: only
-    # |f* . f_uu| and |f* . f_vv| are read)
-    span = np.stack([f, fu, fv], axis=-2)
-    fstar = np.stack([(-1) ** k * _det3(np.delete(span, k, axis=-1)) for k in range(4)],
-                     axis=-1)
-    fstar_norm = np.linalg.norm(fstar, axis=-1, keepdims=True)
-    if not np.all(fstar_norm):
-        raise NotImmersedError(f"(f, f_u, f_v) has rank below 3 at {np.sum(fstar_norm == 0)} "
-                               "nodes: projective surface is not immersed on the chart")
-    fstar /= fstar_norm
-    scale = max(
-        np.max(interior(np.linalg.norm(fuu, axis=-1))),
-        np.max(interior(np.linalg.norm(fvv, axis=-1))),
-        np.max(interior(np.linalg.norm(fu, axis=-1))) ** 2,
-    )
-    worst = max(
-        np.max(interior(np.abs(np.einsum("...k,...k->...", fstar, fuu)))),
-        np.max(interior(np.abs(np.einsum("...k,...k->...", fstar, fvv)))),
-    ) / scale
-    if worst > lg.ASYMPTOTIC_CHART_TOL:
-        raise NotAsymptoticChartError(
-            f"off-span residual {worst:.2e}: chart is not asymptotic"
-        )
     inv_den = 1.0 / det4(f, fu, fv, fuv)
     p = det4(f, fu, fuu, fuv) * inv_den
     q = -det4(f, fv, fvv, fuv) * inv_den

@@ -9,7 +9,10 @@ the v-lines kill s modulo f (l_u, s_v in span{l, s}).
 Two lifts produce such grids: the sphere-geometric lift of a Euclidean
 surface with its curvature spheres l = nu + kappa1 phi, s = nu + kappa2 phi
 into the (4,2) space, and the line-geometric lift l = f ^ f_u, s = f ^ f_v of
-a projective surface in asymptotic coordinates into the (3,3) space.
+a projective surface in asymptotic coordinates into the (3,3) space.  The
+latter holds only on an immersed asymptotic chart, and `_projective_chart`
+is the one test of that, made by `proj_lift` and by
+`functionals.proj_density` alike.
 
 (l, s) have the data's dtype: float64 on a real chart, complex128 on a
 complex-conjugate one.  On a real chart the lifts, `validate` and
@@ -38,7 +41,7 @@ from .surfaces import EUCLIDEAN3, PROJECTIVE3, umbilic_mask
 
 # Lie basis index order: (v_-1, v_0, v_1, v_2, v_3, v_inf)
 V_MINUS, V_ZERO, V_INF = 0, 1, 5
-ASYMPTOTIC_CHART_TOL = 5e-2  # off-span residual bound of an asymptotic chart
+ASYMPTOTIC_CHART_TOL = 5e-2  # off-span bound of f_uu, f_vv on an asymptotic chart
 
 
 @dataclass
@@ -137,32 +140,58 @@ def lie_lift(surface):
     return LegendreGrid(pl.lie_space(), l, s, surface.chart)
 
 
+def _projective_chart(surface):
+    """The one chart test of `proj_lift` and `proj_density`.
+
+    Returns (f ^ f_u, f, f_u, f_v, f_uu, f_vv), the bivector in the basis
+    of `pl.plucker_embed`.  The cofactor covector f* of (f, f_u, f_v),
+    f* . w = det(f, f_u, f_v, w), kills their span, and
+    |f*| = s1 s2 s3 <= s1^2 s3 with s1 at most their Frobenius norm F.  A
+    node with |f*| <= 1e-10 F^3 has rank below 3 to roundoff:
+    NotImmersedError, before any division.  In asymptotic
+    coordinates f_uu and f_vv stay in the span; NotAsymptoticChartError when
+    |f* . f_uu| / |f*| or |f* . f_vv| / |f*| exceeds ASYMPTOTIC_CHART_TOL
+    times the largest of |f_uu|, |f_vv| and |f_u|^2 (all over the interior).
+    """
+    f, ch = surface.points, surface.chart
+    fu, fv = d_u(f, ch), d_v(f, ch)
+    fuu, fvv = d_u(fu, ch), d_v(fv, ch)
+    b, c = pl.plucker_embed(f, fu), fv  # b in the order (01, 02, 03, 12, 13, 23)
+    fstar = np.stack([c[..., 2] * b[..., 4] - c[..., 1] * b[..., 5] - c[..., 3] * b[..., 3],
+                      c[..., 0] * b[..., 5] - c[..., 2] * b[..., 2] + c[..., 3] * b[..., 1],
+                      c[..., 1] * b[..., 2] - c[..., 0] * b[..., 4] - c[..., 3] * b[..., 0],
+                      c[..., 0] * b[..., 3] - c[..., 1] * b[..., 1] + c[..., 2] * b[..., 0]],
+                     axis=-1)
+    size = _enorm(fstar)
+    frobenius = np.linalg.norm(np.stack([f, fu, fv], axis=-2), axis=(-2, -1))
+    low_rank = ~(size > 1e-10 * frobenius ** 3)  # a NaN node is refused too
+    if low_rank.any():
+        raise NotImmersedError(f"(f, f_u, f_v) has rank below 3 at {np.sum(low_rank)} nodes: "
+                               "projective surface is not immersed on the chart")
+    scale = max(np.max(interior(_enorm(fuu))), np.max(interior(_enorm(fvv))),
+                np.max(interior(_enorm(fu))) ** 2)
+    off_span = max(np.max(interior(np.abs(np.einsum("...k,...k->...", fstar, w)) / size))
+                   for w in (fuu, fvv)) / scale
+    if off_span > ASYMPTOTIC_CHART_TOL:
+        raise NotAsymptoticChartError(f"off-span residual {off_span:.2e} exceeds "
+                                      f"{ASYMPTOTIC_CHART_TOL:.1e}: chart is not asymptotic")
+    return b, f, fu, fv, fuu, fvv
+
+
 def proj_lift(surface):
     """Contact lift of a projective surface in asymptotic coordinates.
 
     l = f ^ f_u and s = f ^ f_v via the Plucker embedding, in the data's
     dtype: float64 on a real chart, where it equals the complex computation
-    bit for bit.  Raises NotImmersedError where (f, f_u, f_v) has rank
-    below 3 (singular-value ratio < 1e-10 at an interior node) and
-    NotAsymptoticChartError when the focal residual (`_focal`) exceeds
-    ASYMPTOTIC_CHART_TOL = 5e-2 (the chart is not asymptotic).
+    bit for bit.  The chart passes `_projective_chart` first, the test that
+    `functionals.proj_density` makes too: NotImmersedError where
+    (f, f_u, f_v) has rank below 3, NotAsymptoticChartError where f_uu or
+    f_vv leaves their span by more than ASYMPTOTIC_CHART_TOL.
     """
     if surface.geometry != PROJECTIVE3:
         raise ValueError("proj_lift needs a projective surface")
-    f, ch = surface.points, surface.chart
-    fu = d_u(f, ch)
-    fv = d_v(f, ch)
-    rank_scale = np.linalg.svd(np.stack([f, fu, fv], axis=-2), compute_uv=False)
-    if np.min(interior(rank_scale[..., 2] / rank_scale[..., 0])) < 1e-10:
-        raise NotImmersedError("projective surface is not immersed on the chart")
-    grid = LegendreGrid(pl.plucker_space(), pl.plucker_embed(f, fu), pl.plucker_embed(f, fv), ch)
-    focal_max = float(np.max(interior(_focal(grid)[2])))
-    if focal_max > ASYMPTOTIC_CHART_TOL:
-        raise NotAsymptoticChartError(
-            f"focal residual {focal_max:.2e} exceeds {ASYMPTOTIC_CHART_TOL:.1e}: "
-            "chart is not asymptotic"
-        )
-    return grid
+    l, f, _, fv, _, _ = _projective_chart(surface)
+    return LegendreGrid(pl.plucker_space(), l, pl.plucker_embed(f, fv), surface.chart)
 
 
 def lift(surface):

@@ -496,8 +496,7 @@ def dual_connection(alpha):
     gram_d = np.diag(np.diag(gram_d))  # diagonal by orthonormality of basis_o
     if int((np.diag(gram_d) > 0).sum()) == 2:
         gram_d = -gram_d  # (2,4) is -1 times (4,2), with the same skew algebra
-    m_pos = int((np.diag(gram_d) > 0).sum())
-    space_d = pl.PseudoSpace(m_pos, 6 - m_pos, gram_d)
+    space_d = pl.PseudoSpace(gram_d)
     star_d = np.diag(np.concatenate([np.ones(3), -np.ones(3)]))
     pair_d = SymmetricPair(
         space=space_d, star_o=star_d, basis_o=np.eye(6),

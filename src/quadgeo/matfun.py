@@ -70,24 +70,35 @@ def expm(a):
     The batch is scaled by 2^-s until its largest 1-norm theta is <= 0.25,
     and the Taylor degree is the fewest terms m with
     theta^(m+1) / (m+1)! e^theta <= 2^-53 (m = 12 at theta = 0.25, 7 at
-    0.03), capped at 16; then the result is squared s times.
+    0.03), capped at 16; then the result is squared s times.  A non-finite
+    batch, and a result that overflows while it is squared, raise a
+    ValueError; the unsquared result of a finite batch is finite.
     """
     a = np.asarray(a)
     n = a.shape[-1]
     norms = np.atleast_1d(_norm1(a))
     maxn = float(norms.max()) if norms.size else 0.0
-    # scale so the Taylor core sees norms <= 0.25
-    squarings = max(0, int(np.ceil(np.log2(max(maxn, 1e-300) / 0.25)))) if maxn > 0.25 else 0
-    b = a / (2.0 ** squarings) if squarings else a
+    if not math.isfinite(maxn):
+        raise ValueError("expm of a batch with non-finite entries")
+    # scale so the Taylor core sees norms <= 0.25: any float is below 2^1024, so
+    # 1026 squarings do where maxn / 0.25 overflows; 0.5 ** s is exact for every
+    # such s, and 2.0 ** s overflows past s = 1023
+    squarings = int(min(np.ceil(np.log2(maxn / 0.25)), 1026)) if maxn > 0.25 else 0
+    scale = 0.5 ** squarings
+    b = a * scale if squarings else a
     eye = np.broadcast_to(np.eye(n, dtype=b.dtype), b.shape)
     out = eye.copy()
     term = eye
-    for k in range(1, _taylor_degree(maxn / 2.0 ** squarings) + 1):
+    for k in range(1, _taylor_degree(maxn * scale) + 1):
         term = term @ b
         term *= 1.0 / k
         out += term
-    for _ in range(squarings):
-        out = out @ out
+    if squarings:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(squarings):
+                out = out @ out
+        if not np.isfinite(out).all():
+            raise ValueError(f"expm overflows while squaring: largest 1-norm {maxn:.3g}")
     return out
 
 

@@ -1,6 +1,6 @@
 """Indefinite linear algebra on six-dimensional space.
 
-Signature-(m,n) pairings with m+n=6, the light cone, the bivector (Plucker)
+Signature-(4,2) and (3,3) pairings, the light cone, the bivector (Plucker)
 embedding of planes in R^4, and random elements of the pairing-orthogonal
 group and of SL(4).  Two standard spaces are used throughout:
 
@@ -27,7 +27,7 @@ only the derivative stencils (`grids`) and a Gauss map's eps
 (`gauss_map.GaussMapGrid.eps`), and every other choice between float64 and
 complex follows the data, float64 when every imaginary part is exactly 0.
 So on real charts the lift (l, s), its residuals and conjugate
-coefficients, the rank test of `legendre.proj_lift`, the densities of
+coefficients, the chart test of `legendre._projective_chart`, the densities of
 `functionals`, the Gauss map's spans, bases, P, `dS` and tension field, the
 power steps of `gauss_map.image_direction` (so `reconstruct` returns
 float64 (l, s)) and the loop-algebra arrays (`loop_tools`, `matfun`) are
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, GroupElementError
+from .errors import GroupElementError
 from .matfun import expm
 
 # index pairs of the fixed Lambda^2 R^4 basis
@@ -64,37 +64,35 @@ _BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 @dataclass(frozen=True, eq=False)
 class PseudoSpace:
-    """A signature-(m,n) symmetric pairing on 6-dimensional space.
+    """A symmetric pairing on 6-dimensional space, of signature (4,2) or (3,3).
 
-    The Gram must be monomial: one nonzero entry per row (and so, being
-    symmetric, per column).  Row i pairs with column perm[i] only, with
-    value weight[i]; inv_weight[i] is row i of the Gram's LAPACK inverse,
-    whose nonzero sits in the same column.
+    The signature (m, n) counts the Gram's positive and negative
+    eigenvalues.  The Gram must be monomial: one nonzero entry per row (and
+    so, being symmetric, per column).  Row i pairs with column perm[i] only,
+    with value weight[i]; inv_weight[i] is row i of the Gram's LAPACK
+    inverse, whose nonzero sits in the same column.
     """
 
-    m: int
-    n: int
     gram: np.ndarray
 
     def __post_init__(self):
         g = np.array(self.gram, dtype=float)
         if g.shape != (6, 6) or not np.allclose(g, g.T, atol=1e-12):
             raise ValueError("gram must be a symmetric 6x6 matrix")
-        if self.m + self.n != 6:
-            raise ValueError("m + n must be 6")
         if np.any(np.count_nonzero(g, axis=1) != 1):
             raise ValueError("gram must be monomial (one nonzero entry per row and column)")
         evals = np.linalg.eigvalsh(g)
         if np.any(np.abs(evals) < 1e-12):
             raise ValueError("gram must be invertible")
-        if (int((evals > 0).sum()), int((evals < 0).sum())) != (self.m, self.n):
-            raise ValueError("gram eigenvalue signs do not match (m, n)")
-        if (self.m, self.n) not in ((4, 2), (3, 3)):
+        m, n = int((evals > 0).sum()), int((evals < 0).sum())
+        if (m, n) not in ((4, 2), (3, 3)):
             raise ValueError("supported signatures are (4,2) and (3,3)")
         g.setflags(write=False)
         perm = np.argmax(g != 0, axis=1)
         rows = np.arange(6)
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "weight", g[rows, perm])
         object.__setattr__(self, "inv_weight", np.linalg.inv(g)[rows, perm])
@@ -148,7 +146,7 @@ def plucker_space():
     for k, s in enumerate((1.0, -1.0, 1.0)):
         g[k, 5 - k] = s
         g[5 - k, k] = s
-    return PseudoSpace(3, 3, g)
+    return PseudoSpace(g)
 
 
 @functools.cache
@@ -157,25 +155,20 @@ def lie_space():
     g[0, 0] = -1.0          # v_-1 timelike
     g[1, 5] = g[5, 1] = -0.5  # <v_0, v_inf> = -1/2
     g[2, 2] = g[3, 3] = g[4, 4] = 1.0
-    return PseudoSpace(4, 2, g)
+    return PseudoSpace(g)
 
 
 def plucker_embed(x, y):
     """Bivector x ^ y of two 4-vectors in the fixed (3,3) basis.
 
     Batched over leading axes, in the inputs' dtype: float64 products of
-    real data equal complex products of their zero-imaginary casts.  Raises
-    DegenerateInputError for (single) parallel inputs.
+    real data equal complex products of their zero-imaginary casts.
     """
     x = np.asarray(x)
     y = np.asarray(y)
     out = np.empty(x.shape[:-1] + (6,), dtype=np.result_type(x, y, float))
     for k, (i, j) in enumerate(_BIVECTOR_PAIRS):
         out[..., k] = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-    if out.ndim == 1:
-        scale = max(float(np.linalg.norm(x) * np.linalg.norm(y)), 1e-300)
-        if np.linalg.norm(out) <= 1e-12 * scale:
-            raise DegenerateInputError("x and y are parallel; x ^ y degenerates")
     return out
 
 

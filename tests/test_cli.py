@@ -320,6 +320,11 @@ def test_dualize_command_on_a_projective_quadric(tmp_path):
     ["energy", "--config", "{tmp}/tol.cfg", "--surface", "{tmp}/good.json"],
     # a misspelt field is refused, not dropped (the curvatures would be refit)
     ["energy", "--surface", "{tmp}/misspelt.json"],
+    # exp of a huge edge overflows while it is squared (reported NaN before), and
+    # 1/lambda overflows to a norm whose 2 ** squarings was an OverflowError
+    ["deform", "--surface", "{tmp}/good.json", "--lambda-re", "1e308"],
+    ["deform", "--surface", "{tmp}/good.json", "--lambda-re", "1e-300"],
+    ["check", "--suite", "deform", "--grids", "9,17", "--lambda-re", "1e-320"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     surf = sf.make_surface(sf.TorusSampler(1.0, 3.0), (0.3, 1.7, 0.2, 1.8), 9, 9)

@@ -68,17 +68,24 @@ def test_proj_density_chain():
     assert np.max(np.abs(interior(rho.real - rho_w.real))) < 1e-3
 
 
-@pytest.mark.parametrize("sampler", [lambda: convex_graph_sampler(0.05),
-                                     sf.perturbed_graph_sampler],
-                         ids=["convex", "perturbed"])
-def test_proj_density_refuses_a_graph_chart_before_dividing(sampler):
+@pytest.mark.parametrize("make", [
+    lambda: sf.make_surface(convex_graph_sampler(0.05), checks.GRAPH_WINDOW, 33, 33),
+    lambda: sf.make_surface(sf.perturbed_graph_sampler(), checks.GRAPH_WINDOW, 33, 33),
+    # off-span witness 6.2e-2; the eps = i charts of cx <= 0.1 read at most 4.2e-2
+    lambda: sf.make_surface(convex_graph_sampler(0.15), (-0.4, 0.4, -0.4, 0.4), 65, 65,
+                            reality="complex_conjugate"),
+], ids=["convex", "perturbed", "convex-0.15-eps-i"])
+def test_proj_density_refuses_a_graph_chart_before_dividing(make):
     # on the convex graph f_uv = 0, so p and q would be 0/0: the chart
-    # witness must raise before any division warns
-    graph = sf.make_surface(sampler(), checks.GRAPH_WINDOW, 33, 33)
+    # witness must raise before any division warns, and the lift, which
+    # makes the same chart test, refuses the chart alike
+    graph = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotAsymptoticChartError):
             fn.proj_density(graph)
+    with pytest.raises(NotAsymptoticChartError):
+        lg.proj_lift(graph)
 
 
 def test_proj_density_rescale_gauge(ellipsoid65):

@@ -91,6 +91,26 @@ def test_expm_matches_scipy_on_skew_batches(norm, rng):
     assert np.max(err) <= 1e-14
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_refuses_a_non_finite_batch(bad):
+    a = np.zeros((3, 6, 6))
+    a[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        matfun.expm(a)
+
+
+def test_expm_refuses_a_result_that_overflows_while_squaring():
+    # exp(1e300 I) is not a float; a RuntimeWarning would be an error here
+    with pytest.raises(ValueError, match="overflows"):
+        matfun.expm(1e300 * np.eye(6))
+
+
+def test_expm_scales_a_norm_past_2_to_the_1023():
+    # 1026 squarings: 2.0 ** 1026 overflows, 0.5 ** 1026 is exact
+    a = -1.7e308 * np.eye(6)
+    assert np.array_equal(matfun.expm(a), np.zeros((6, 6)))
+
+
 def _rotations(seed, angle):
     # 64 real 6x6 rotations by the given angles (rad) and their logarithms x
     m = np.random.default_rng(seed).standard_normal((64, 6, 6))

@@ -93,22 +93,38 @@ def test_proj_lift_rejects_non_asymptotic():
     surf = sf.make_surface(samp, (-0.5, 0.5, -0.5, 0.5), 33, 33)
     with pytest.raises(NotAsymptoticChartError):
         lg.proj_lift(surf)
+    with pytest.raises(NotAsymptoticChartError):
+        fn.proj_density(surf)
 
 
 @pytest.mark.parametrize("reality", ["real", "complex_conjugate"])
 def test_proj_lift_rejects_a_point_field_of_one_variable(reality):
     # f depends on the first index only, so f_v = 0 on a real chart and
     # f_u = f_v on a complex-conjugate one: (f, f_u, f_v) has rank 2; the
-    # density refuses it too, before any division (no NaN, no warning)
+    # density refuses it too, before any division (no NaN, no warning).
+    # 1e-12 v added to the last coordinate leaves it rank 2 to roundoff:
+    # the lift and the density share one chart test and both refuse it so
     ch = GridChart(17, 17, 0.05, 0.05, reality=reality)
     x = np.arange(17) * 0.05
     curve = np.stack([np.ones_like(x), x, x * x, x ** 3], axis=-1)
     points = np.broadcast_to(curve[:, None, :], (17, 17, 4)).copy()
-    surface = sf.SurfaceGrid(sf.PROJECTIVE3, points, ch)
-    with pytest.raises(NotImmersedError):
-        lg.proj_lift(surface)
-    with np.errstate(all="raise"), pytest.raises(NotImmersedError):
-        fn.proj_density(surface)
+    near = points.copy()
+    near[..., 3] += 1e-12 * x[None, :]
+    for field in (points, near):
+        surface = sf.SurfaceGrid(sf.PROJECTIVE3, field, ch)
+        with pytest.raises(NotImmersedError):
+            lg.proj_lift(surface)
+        with np.errstate(all="raise"), pytest.raises(NotImmersedError):
+            fn.proj_density(surface)
+
+
+def test_validate_of_a_projective_lift_computes_the_focal_residual_once(monkeypatch):
+    # the lift refuses a chart by its own test and leaves the focal residual to validate
+    calls = []
+    focal = lg._focal
+    monkeypatch.setattr(lg, "_focal", lambda grid: calls.append(grid) or focal(grid))
+    lg.validate(lg.proj_lift(checks.make_quadric(33)))
+    assert len(calls) == 1
 
 
 def test_proj_lift_rescale_invariance():
